@@ -9,7 +9,9 @@ safe to share across threads; positions are 0-based throughout.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, TypeAlias
 
 Weight: TypeAlias = int
@@ -96,8 +98,11 @@ class SignSeq:
     """A finite {-r, +s}-valued sequence with a compact selector encoding.
 
     Bit i of ``bits`` is 0 for value -r and 1 for value +s at position i.
-    Prefix weights are built lazily so that full-sequence and window
-    weights cost O(1) after the first query.
+    ``from_values``, ``from_bitstring``, ``values`` and ``bitstring`` cost
+    O(n): one pass over the bitstring and one base-2 int/str conversion,
+    which Python's int/str digit limit exempts.  Prefix weights cost O(n)
+    once, built lazily, so full-sequence and window weights cost O(1) after
+    the first query.  ``value(i)`` costs O(n - i).
     """
 
     __slots__ = ("params", "n", "bits", "_prefix")
@@ -114,28 +119,27 @@ class SignSeq:
 
     @classmethod
     def from_values(cls, params: Params, values: Iterable[int]) -> "SignSeq":
-        bits = 0
-        n = 0
-        for v in values:
-            if v == params.s:
-                bits |= 1 << n
-            elif v != -params.r:
-                raise ParameterError(
-                    f"value {v} at position {n} is neither -r = {-params.r} "
-                    f"nor s = {params.s}"
-                )
-            n += 1
-        return cls(params, n, bits)
+        s, neg_r = params.s, -params.r
+        # A bad value stays boxed in a tuple: the join fails, the error path
+        # still names it, and ``values`` may be a one-shot iterator.
+        letters = ["1" if v == s else (v,) if v != neg_r else "0" for v in values]
+        try:
+            bitstring = "".join(letters)
+        except TypeError:
+            n, (v,) = next((n, x) for n, x in enumerate(letters) if type(x) is tuple)
+            raise ParameterError(
+                f"value {v} at position {n} is neither -r = {neg_r} nor s = {s}"
+            ) from None
+        del letters  # keep one full-length intermediate alive at a time
+        return cls.from_bitstring(params, bitstring)
 
     @classmethod
     def from_bitstring(cls, params: Params, bitstring: str) -> "SignSeq":
-        bits = 0
-        for i, ch in enumerate(bitstring):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ParameterError(f"bad selector character {ch!r} at position {i}")
-        return cls(params, len(bitstring), bits)
+        # int(x, 2) alone would accept "_", spaces, a sign, "0b" and non-ASCII digits.
+        i = re.match("[01]*", bitstring).end()
+        if i < len(bitstring):
+            raise ParameterError(f"bad selector character {bitstring[i]!r} at position {i}")
+        return cls(params, i, int(bitstring[::-1] or "0", 2))
 
     def value(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -143,23 +147,16 @@ class SignSeq:
         return self.params.s if (self.bits >> i) & 1 else -self.params.r
 
     def values(self) -> tuple[int, ...]:
-        r, s, bits = self.params.r, self.params.s, self.bits
-        return tuple(s if (bits >> i) & 1 else -r for i in range(self.n))
+        letter = {"0": -self.params.r, "1": self.params.s}
+        return tuple(map(letter.__getitem__, self.bitstring()))
 
     def bitstring(self) -> str:
-        bits = self.bits
-        return "".join("1" if (bits >> i) & 1 else "0" for i in range(self.n))
+        return format(self.bits, "b").zfill(self.n)[::-1] if self.n else ""
 
     def prefix_weights(self) -> tuple[int, ...]:
         """Prefix sums P with P[i] = weight of positions [0, i)."""
         if self._prefix is None:
-            acc = [0]
-            total = 0
-            r, s, bits = self.params.r, self.params.s, self.bits
-            for i in range(self.n):
-                total += s if (bits >> i) & 1 else -r
-                acc.append(total)
-            self._prefix = tuple(acc)
+            self._prefix = tuple(accumulate(self.values(), initial=0))
         return self._prefix
 
     def total_weight(self) -> int:

@@ -34,7 +34,8 @@ def format_sequence(seq: SignSeq, encoding: str = ENCODING_VALUES) -> str:
     if encoding == ENCODING_BITS:
         return f"{header}\nb:{seq.bitstring()}\n"
     if encoding == ENCODING_VALUES:
-        return header + "\n" + " ".join(str(v) for v in seq.values()) + "\n"
+        token = {"0": str(-seq.params.r), "1": str(seq.params.s)}
+        return f"{header}\n{' '.join(map(token.__getitem__, seq.bitstring()))}\n"
     raise ParameterError(f"unknown encoding {encoding!r}")
 
 
@@ -78,14 +79,16 @@ def parse_sequence(text: str, k: int = 1) -> SignSeq:
     if len(tokens) != n:
         raise SequenceFileError(f"expected {n} values, found {len(tokens)}")
     try:
-        values = [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise SequenceFileError(f"non-integer value in body: {exc}") from exc
-    try:
-        return SignSeq.from_values(params, values)
+        return SignSeq.from_values(params, map(int, tokens))
     except ParameterError as exc:
         raise SequenceFileError(str(exc)) from exc
+    except ValueError as exc:  # from int(): from_values reads every token first
+        raise SequenceFileError(f"non-integer value in body: {exc}") from exc
 
 
 def read_sequence(path: str | Path, k: int = 1) -> SignSeq:
-    return parse_sequence(Path(path).read_text(encoding="ascii"), k=k)
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise SequenceFileError(f"non-ASCII byte at offset {exc.start}") from exc
+    return parse_sequence(text, k=k)

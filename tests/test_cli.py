@@ -221,6 +221,20 @@ class TestConstructVerifyPipeline:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "body,offset",
+        [(b"\xff1\n", 25), ("b:\uff1101\n".encode("utf-8"), 27)],
+        ids=["byte-0xff", "fullwidth-digit"],
+    )
+    def test_verify_non_ascii_file_exit_2(self, runner, tmp_path, body, offset):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# zerosum v1 r=1 s=1 n=2\n" + body)
+        result = runner.invoke(
+            cli, ["verify", "--mode", "block", "--k", "2", "--in", str(path)]
+        )
+        assert result.exit_code == 2
+        assert result.output == f"error: non-ASCII byte at offset {offset}\n"
+
     def test_verify_smallsum_mode(self, runner, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("# zerosum v1 r=1 s=1 n=9\n1 1 1 1 1 1 1 1 1\n")

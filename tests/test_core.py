@@ -1,9 +1,12 @@
-"""Core type tests: weights, residue profiles, weight ranges.
+"""Core type tests: the SignSeq codec, weights, residue profiles, weight
+ranges.
 
 Expected values for the profile and range descriptors are checked against
 direct enumeration, which stays the oracle for the arithmetic shortcuts.
+The linear codec is checked against a per-bit reference kept here.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -12,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 from zerosum import (
     ParameterError,
     Params,
+    SequenceFileError,
     SignSeq,
+    format_sequence,
+    parse_sequence,
     residue_profile,
     weight,
     weight_range,
@@ -64,6 +70,158 @@ def test_signseq_encodings_round_trip():
 def test_signseq_rejects_foreign_values():
     with pytest.raises(ParameterError):
         SignSeq.from_values(Params(1, 2, 3), [-1, 1])
+
+
+def ref_from_values(params, values):
+    """Reference decoder: one shift-and-OR per position, O(n^2)."""
+    bits = 0
+    n = 0
+    for v in values:
+        if v == params.s:
+            bits |= 1 << n
+        elif v != -params.r:
+            raise ParameterError(
+                f"value {v} at position {n} is neither -r = {-params.r} "
+                f"nor s = {params.s}"
+            )
+        n += 1
+    return n, bits
+
+
+def ref_from_bitstring(bitstring):
+    """Reference decoder for the selector text, per character."""
+    bits = 0
+    for i, ch in enumerate(bitstring):
+        if ch == "1":
+            bits |= 1 << i
+        elif ch != "0":
+            raise ParameterError(f"bad selector character {ch!r} at position {i}")
+    return len(bitstring), bits
+
+
+def ref_values(params, n, bits):
+    """Reference encoder: one shift per position, O(n^2)."""
+    return tuple(params.s if (bits >> i) & 1 else -params.r for i in range(n))
+
+
+def ref_bitstring(n, bits):
+    return "".join("1" if (bits >> i) & 1 else "0" for i in range(n))
+
+
+def ref_prefix_weights(params, n, bits):
+    acc = [0]
+    total = 0
+    for i in range(n):
+        total += params.s if (bits >> i) & 1 else -params.r
+        acc.append(total)
+    return tuple(acc)
+
+
+def check_codec_against_reference(params, n, bits):
+    seq = SignSeq(params, n, bits)
+    values = ref_values(params, n, bits)
+    bitstring = ref_bitstring(n, bits)
+    assert seq.values() == values
+    assert seq.bitstring() == bitstring
+    assert seq.prefix_weights() == ref_prefix_weights(params, n, bits)
+    assert ref_from_values(params, values) == (n, bits)
+    assert ref_from_bitstring(bitstring) == (n, bits)
+    from_values = SignSeq.from_values(params, (v for v in values))
+    from_bitstring = SignSeq.from_bitstring(params, bitstring)
+    for decoded in (from_values, from_bitstring):
+        assert (decoded.n, decoded.bits) == (n, bits)
+    header = f"# zerosum v1 r={params.r} s={params.s} n={n}"
+    if n == 0:
+        expected = {"values": header + "\n", "bits": header + "\n"}
+    else:
+        expected = {
+            "values": header + "\n" + " ".join(str(v) for v in values) + "\n",
+            "bits": f"{header}\nb:{bitstring}\n",
+        }
+    for encoding, text in expected.items():
+        assert format_sequence(seq, encoding) == text
+        assert parse_sequence(text, params.k) == seq
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_codec_matches_per_bit_reference(data):
+    """Encode, decode, prefix sums and the v1 text agree with the per-bit loops.
+
+    ``high_zeros`` clears the top bits, so sequences end in runs of -r.
+    """
+    params = data.draw(st.sampled_from(SMALL_PARAMS))
+    n = data.draw(st.integers(min_value=0, max_value=300))
+    high_zeros = data.draw(st.integers(min_value=0, max_value=n))
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << (n - high_zeros)) - 1))
+    check_codec_against_reference(params, n, bits)
+
+
+def test_codec_matches_reference_past_the_int_str_digit_limit():
+    """Base-2 conversions are exempt from the int/str digit limit."""
+    rng = random.Random(5)
+    for n in (4301, 20000):
+        check_codec_against_reference(Params(2, 3, 5), n, rng.getrandbits(n - 7))
+
+
+STRICT_BITSTRINGS = [
+    ("1_0", 1),
+    (" 10", 0),
+    ("10 ", 2),
+    ("+10", 0),
+    ("-10", 0),
+    ("0b10", 1),
+    ("\uff110", 0),
+]
+
+
+@pytest.mark.parametrize("text,position", STRICT_BITSTRINGS)
+def test_from_bitstring_rejects_what_int_base_2_accepts(text, position):
+    message = f"bad selector character {text[position]!r} at position {position}"
+    with pytest.raises(ParameterError) as exc:
+        SignSeq.from_bitstring(Params(1, 1, 2), text)
+    assert str(exc.value) == message
+    with pytest.raises(ParameterError) as ref_exc:
+        ref_from_bitstring(text)
+    assert str(ref_exc.value) == message
+
+
+@pytest.mark.parametrize("text,position", STRICT_BITSTRINGS)
+def test_parse_sequence_rejects_what_int_base_2_accepts(text, position):
+    # The reader strips whitespace around a b: body, so the padded cases
+    # fail the length check against the header.
+    file_text = f"# zerosum v1 r=1 s=1 n={len(text)}\nb:{text}\n"
+    if text != text.strip():
+        message = f"bitstring length {len(text.strip())} does not match n={len(text)}"
+    else:
+        message = f"bad selector character {text[position]!r} at position {position}"
+    with pytest.raises(SequenceFileError) as exc:
+        parse_sequence(file_text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [2, 0, "1", 1.5, [1]])
+def test_from_values_rejects_foreign_values(bad):
+    params = Params(1, 1, 2)
+    values = [1, -1, bad, 1]
+    message = f"value {bad} at position 2 is neither -r = -1 nor s = 1"
+    for source in (values, iter(values)):
+        with pytest.raises(ParameterError) as exc:
+            SignSeq.from_values(params, source)
+        assert str(exc.value) == message
+    with pytest.raises(ParameterError) as ref_exc:
+        ref_from_values(params, values)
+    assert str(ref_exc.value) == message
+
+
+def test_from_values_accepts_values_equal_to_a_letter():
+    seq = SignSeq.from_values(Params(1, 1, 2), [True, 1.0, -1.0, -1])
+    assert seq.bitstring() == "1100"
+
+
+def test_parse_sequence_reports_non_integer_before_foreign_value():
+    with pytest.raises(SequenceFileError, match="^non-integer value in body: "):
+        parse_sequence("# zerosum v1 r=1 s=1 n=3\n5 -1 x\n")
 
 
 def test_prefix_and_window_weights():
