@@ -81,6 +81,13 @@ def _fail(message: str, code: int = EXIT_ERROR) -> None:
     sys.exit(code)
 
 
+def _parse_factors(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ParameterError(f"--factors must be comma-separated integers, got {text!r}") from None
+
+
 def _emit_json(command: str, params: dict, result: dict, started: float) -> None:
     report = {
         "command": command,
@@ -198,8 +205,7 @@ def cmd_construct(
         elif kind == AP_MOD_K_PRODUCT:
             if k is None or factors is None:
                 raise ParameterError("--k and --factors are required for ap-product")
-            fac = tuple(int(tok) for tok in factors.split(",") if tok.strip())
-            fn = build_ap_mod_k_product(k, fac)
+            fn = build_ap_mod_k_product(k, _parse_factors(factors))
             seq = fn.as_sequence()
             write_sequence(out_path, seq, ENCODING_BITS if use_bits else ENCODING_VALUES)
             click.echo(
@@ -307,7 +313,7 @@ def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) ->
 @click.option("--v", "v", type=int, default=None, help="Exponent for the pow2 target.")
 @click.option("--factors", type=str, default=None, help="Factors for residue-lemma (default: k/2).")
 @click.option("--budget", type=int, default=None, help="Window-evaluation ceiling override.")
-@click.option("--threads", type=int, default=None, help="Shard count (default: available parallelism).")
+@click.option("--threads", type=int, default=None, help="AP shard count (default: available parallelism).")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_oracle(
     target: str,
@@ -329,14 +335,13 @@ def cmd_oracle(
         if target in ("block-threshold", "ap-threshold"):
             if k is None or cap is None:
                 raise ParameterError("--k and --cap are required for threshold targets")
-            shards = threads if threads is not None else (os.cpu_count() or 1)
             result = exact_threshold(
                 Params(r, s, k),
                 "block" if target == "block-threshold" else "ap",
                 q=q,
                 search_cap=cap,
                 budget=budget,
-                shards=max(1, shards),
+                shards=threads if threads is not None else (os.cpu_count() or 1),
             )
             if as_json:
                 _emit_json("oracle", cli_params, result.to_json_dict(), started)
@@ -376,10 +381,7 @@ def cmd_oracle(
         # residue-lemma
         if k is None:
             raise ParameterError("--k is required for residue-lemma")
-        if factors is not None:
-            fac = tuple(int(tok) for tok in factors.split(",") if tok.strip())
-        else:
-            fac = (k // 2,)
+        fac = (k // 2,) if factors is None else _parse_factors(factors)
         verdict = verify_lemma_residue_properties(k, fac)
         if as_json:
             _emit_json("oracle", cli_params, verdict.to_json_dict(), started)

@@ -1,19 +1,20 @@
 """Exhaustive ground truth: exact thresholds for small parameters and
 full-enumeration checks of the structural propositions.
 
-The block-threshold search enumerates placements of the -r letters
-(combinations, so the total-weight constraint is structural) and prunes
-any branch whose already-completed windows contain a zero-sum k-block;
-pruned subtrees are counted in closed form so the candidate tally still
-equals C(n, #negatives).  Work is sharded by the position of the first
-negative letter; results are independent of the shard count.
+Block mode runs a DP over (last k-1 letters, negatives so far) past the cap
+until no prefix lives, its work bounded up front (see _block_dp); AP mode
+scans every placement of the -r letters, sharded by the first negative
+position.  Both keep the candidate tally at C(n, negs) for any shard count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import BudgetExceededError, ParameterError, Params, SignSeq
@@ -48,7 +49,9 @@ class ThresholdResult:
     derived_threshold = max(k, max_avoiding_n + 1) over admissible lengths,
     or k when nothing avoids; with ``exhaustive`` true and ``capped`` false
     this is the exact threshold under the convention that only lengths
-    admitting the weight constraint count.
+    admitting the weight constraint count.  ``capped`` marks a lower bound:
+    avoiders persist at the top admissible length, or (block mode) an
+    admissible avoider exists beyond the cap; a note says which.
     """
 
     params: Params
@@ -134,126 +137,162 @@ def _ap_has_target(flags: bytearray, n: int, k: int, c_star: int) -> bool:
     return False
 
 
-def _finalize(
-    chosen: list[int], w: int, lo: int, hi: int, upto: int, k: int, c_star: int
-) -> tuple[int, int, int, bool]:
-    """Check windows [w, w+k) while fully decided (w + k <= upto).
-
-    lo and hi are the counts of chosen positions below w and below w + k;
-    their difference is the window's negative-letter count.  Returns the
-    advanced pointers and whether any finalized window hit c_star.
-    """
-    while w + k <= upto:
-        if hi - lo == c_star:
-            return w, lo, hi, True
-        if lo < len(chosen) and chosen[lo] == w:
-            lo += 1
-        if hi < len(chosen) and chosen[hi] == w + k:
-            hi += 1
-        w += 1
-    return w, lo, hi, False
+def _check_tally(n: int, negs: int, candidates: int) -> None:
+    if candidates != math.comb(n, negs):
+        raise AssertionError(
+            f"enumeration accounted for {candidates} of "
+            f"{math.comb(n, negs)} candidates at n={n} negs={negs}"
+        )
 
 
-def _enumerate_block_shard(
-    n: int, k: int, negs: int, c_star: int, first: int
-) -> tuple[int, list[int]]:
-    """All placements with smallest negative position == first.
+def _zero_negs(params: Params) -> int:
+    return params.s * params.k // params.modulus  # c*: -r letters in a zero-sum k-window
 
-    Returns (candidates accounted for, neg-position bitmasks of avoiders).
-    Subtrees whose completed windows already contain a c_star window are
-    pruned and counted in closed form.
-    """
-    avoiders: list[int] = []
-    candidates = 0
-    chosen = [first]
 
-    def rec(min_pos: int, left: int, w: int, lo: int, hi: int) -> None:
-        nonlocal candidates
-        for p in range(min_pos, n - left + 1):
-            chosen.append(p)
-            nhi = hi + 1 if p < w + k else hi
-            w2, lo2, hi2, hit = _finalize(chosen, w, lo, nhi, p + 1, k, c_star)
-            if hit:
-                candidates += math.comb(n - p - 1, left - 1)
-            elif left == 1:
-                _, _, _, tail_hit = _finalize(chosen, w2, lo2, hi2, n, k, c_star)
-                candidates += 1
-                if not tail_hit:
-                    mask = 0
-                    for pos in chosen:
-                        mask |= 1 << pos
-                    avoiders.append(mask)
-            else:
-                rec(p + 1, left - 1, w2, lo2, hi2)
-            chosen.pop()
+def _block_dp_estimate(params: Params, q: int) -> int:
+    """Bound on the block DP's transitions (one window check each): 2^n states
+    at n < k, then tails of under c* negatives on prefixes weighing -r(k-1) to
+    q + r(k-1), so of (q + 2r(k-1)) // (r+s) windows at most; mirrored in s."""
+    k, m, c_star = params.k, params.modulus, _zero_negs(params)
+    total = 2**k - 1
+    for side, tails in ((params.r, range(c_star)), (params.s, range(c_star, k))):
+        span = (q + 2 * side * (k - 1)) // m
+        total += k * span * (span + 1) * sum(math.comb(k - 1, j) for j in tails)
+    return 2 * total
 
-    hi0 = 1 if first < k else 0
-    w1, lo1, hi1, hit = _finalize(chosen, 0, 0, hi0, first + 1, k, c_star)
-    if hit:
-        candidates += math.comb(n - first - 1, negs - 1)
-    elif negs == 1:
-        _, _, _, tail_hit = _finalize(chosen, w1, lo1, hi1, n, k, c_star)
-        candidates += 1
-        if not tail_hit:
-            avoiders.append(1 << first)
-    else:
-        rec(first + 1, negs - 1, w1, lo1, hi1)
-    return candidates, avoiders
+
+def _block_bounds(params: Params, q: int) -> tuple[list[int], list[int]]:
+    """Per tail, the most an avoider's prefix may weigh with positive windows
+    (the least, negated, with negative ones): q plus the most the next j < k
+    letters, closing a window, take back: min(W(last k - j) - (r+s), rj) or 0."""
+    k, r, s, m = params.k, params.r, params.s, params.modulus
+    w, pos, neg = [0], [0], [0]  # per tail of i letters: its weight, slacks
+    for i in range(1, k):  # prepend the oldest letter, +s then -r
+        w = [v + s for v in w] + [v - r for v in w]
+        pos = [max(p, min(r * (k - i), v - m)) for p, v in zip(pos + pos, w)]
+        neg = [max(p, min(s * (k - i), -v - m)) for p, v in zip(neg + neg, w)]
+    return [q + p for p in pos], [q + p for p in neg]
+
+
+def _block_dp(
+    params: Params, q: int, through: int, probe: bool = True
+) -> tuple[list[int], list[array], int | None]:
+    """Count avoiding prefixes per state ``negs << (k-1) | tail`` (the last
+    k-1 letters, bit 0 the newest, a set bit a -r letter).  A step kills a
+    prefix whose newest k-window holds c* negatives, and drops one that no
+    avoider extends (see _block_bounds).  Runs through ``through``, then with
+    ``probe`` on until no prefix lives or a later admissible length has an
+    avoider.  Returns the admissible avoiders and the sorted state keys per
+    length up to ``through``, and that later length or None."""
+    k, m, s, (hi, lo) = params.k, params.modulus, params.s, _block_bounds(params, q)
+    c_star, shift, tail_mask = _zero_negs(params), k - 1, (1 << (k - 1)) - 1
+    states, dead = {0: 1}, [0]  # dead[negs]: length-n prefixes killed or dropped
+    counts, layers, n = [], [], 0
+    while True:
+        alive = [0] * (n + 1)
+        for key, count in states.items():
+            alive[key >> shift] += count
+        avoiders = 0
+        for b in admissible_pos_counts(params, q, n):
+            _check_tally(n, n - b, alive[n - b] + dead[n - b])
+            avoiders += alive[n - b]
+        if n <= through:
+            counts.append(avoiders)
+            layers.append(array("Q", sorted(states)))
+        elif avoiders and n >= k:
+            return counts, layers, n
+        if n >= through and not (probe and states):
+            return counts, layers, None
+        dead = [a + b for a, b in zip(dead + [0], [0] + dead)]
+        nxt: dict[int, int] = {}
+        for key, count in states.items():
+            negs, tail = key >> shift, key & tail_mask
+            for x in (0, 1):
+                j, after, new = tail.bit_count() + x, negs + x, (tail << 1 | x) & tail_mask
+                w = s * (n + 1) - m * after  # the new prefix's weight
+                if n >= shift and (j == c_star or (w > hi[new] if j < c_star else -w > lo[new])):
+                    dead[after] += count
+                else:
+                    nxt[after << shift | new] = nxt.get(after << shift | new, 0) + count
+        states, n = nxt, n + 1
+
+
+def _block_witnesses(params: Params, q: int, layers: list[array], n: int) -> list[SignSeq]:
+    """Every admissible avoider of length n, recovered by walking back
+    through the sorted state keys kept by _block_dp."""
+    k, shift, c_star = params.k, params.k - 1, _zero_negs(params)
+    negs_ok = {n - b for b in admissible_pos_counts(params, q, n)}
+    stack = [(key, n, 0) for key in layers[n] if key >> shift in negs_ok]
+    out: list[SignSeq] = []
+    while stack:
+        key, length, mask = stack.pop()
+        if length == 0:
+            out.append(SignSeq(params, n, ((1 << n) - 1) ^ mask))
+            continue
+        negs, tail, x = key >> shift, key & ((1 << shift) - 1), key & 1
+        for y in (0, 1):
+            prev_tail = tail >> 1 | y << (shift - 1)
+            if length >= k and prev_tail.bit_count() + x == c_star:
+                continue  # that transition was killed
+            prev = (negs - x) << shift | prev_tail
+            layer = layers[length - 1]
+            i = bisect_left(layer, prev)
+            if i < len(layer) and layer[i] == prev:
+                stack.append((prev, length - 1, mask | x << (length - 1)))
+    return out
 
 
 def _enumerate_ap_shard(
     n: int, k: int, negs: int, c_star: int, first: int
 ) -> tuple[int, list[int]]:
-    """AP-mode analogue of _enumerate_block_shard: plain scan per candidate."""
-    avoiders: list[int] = []
-    candidates = 0
-    flags = bytearray(n)
+    """All placements with smallest negative position == first, each
+    scanned in full: (candidates, neg-position bitmasks of avoiders)."""
+    avoiders, candidates, flags = [], 0, bytearray(n)
     flags[first] = 1
     for rest in itertools.combinations(range(first + 1, n), negs - 1):
         for p in rest:
             flags[p] = 1
         candidates += 1
         if not _ap_has_target(flags, n, k, c_star):
-            mask = 1 << first
-            for p in rest:
-                mask |= 1 << p
-            avoiders.append(mask)
+            avoiders.append(sum(1 << p for p in rest) | 1 << first)
         for p in rest:
             flags[p] = 0
     return candidates, avoiders
 
 
-def _run_shard(task: tuple) -> tuple[int, int, int, list[int]]:
-    """Worker entry point: one (length, pos-count) slice of first positions."""
-    mode, n, k, negs, c_star, firsts = task
-    enum = _enumerate_block_shard if mode == MODE_BLOCK else _enumerate_ap_shard
-    candidates = 0
-    avoiders: list[int] = []
-    for first in firsts:
-        got, masks = enum(n, k, negs, c_star, first)
-        candidates += got
-        avoiders.extend(masks)
-    return n, negs, candidates, avoiders
+def _run_shard(task: tuple) -> list[tuple[int, list[int]]]:
+    """Worker entry point: one bucket of first positions of an (n, negs)."""
+    n, k, negs, c_star, firsts = task
+    return [_enumerate_ap_shard(n, k, negs, c_star, first) for first in firsts]
 
 
-def _enumerate_length(
-    mode: str, n: int, k: int, negs: int, c_star: int, shards: int, executor
-) -> tuple[int, list[int]]:
-    """Candidates and avoider masks for one (n, negs) configuration."""
-    if negs == 0:
-        # All letters +s: no window reaches c_star >= 1, so it avoids.
-        return 1, [0]
-    firsts = list(range(0, n - negs + 1))
-    if executor is None or shards <= 1:
-        return _run_shard((mode, n, k, negs, c_star, tuple(firsts)))[2:]
-    buckets = [tuple(firsts[i::shards]) for i in range(shards)]
-    tasks = [(mode, n, k, negs, c_star, b) for b in buckets if b]
-    candidates = 0
-    avoiders: list[int] = []
-    for _, _, got, masks in executor.map(_run_shard, tasks):
-        candidates += got
-        avoiders.extend(masks)
-    return candidates, avoiders
+def _ap_search(
+    params: Params, q: int, lengths: list[int], shards: int
+) -> tuple[int | None, list[SignSeq]]:
+    """Largest AP-avoiding length among ``lengths`` and its avoiders; each
+    (n, negs) deals its first negative positions into ``shards`` buckets."""
+    k, c_star = params.k, _zero_negs(params)
+    with contextlib.ExitStack() as stack:
+        run = map
+        if shards > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=shards)).map
+        max_avoiding, masks_at_max = None, []
+        for n in lengths:
+            length_masks: list[int] = []
+            for b in admissible_pos_counts(params, q, n):
+                if b == n:  # all letters +s: no AP reaches c_star >= 1
+                    length_masks.append(0)
+                    continue
+                firsts, buckets = range(b + 1), range(min(shards, b + 1))
+                tasks = [(n, k, n - b, c_star, firsts[i::shards]) for i in buckets]
+                parts = [p for bucket in run(_run_shard, tasks) for p in bucket]
+                _check_tally(n, n - b, sum(c for c, _ in parts))
+                length_masks.extend(m for _, masks in parts for m in masks)
+            if length_masks:
+                max_avoiding, masks_at_max = n, length_masks
+    full = 0 if max_avoiding is None else (1 << max_avoiding) - 1
+    return max_avoiding, [SignSeq(params, max_avoiding, full ^ m) for m in masks_at_max]
 
 
 def exact_threshold(
@@ -266,11 +305,11 @@ def exact_threshold(
 ) -> ThresholdResult:
     """Exhaustively derive the block or AP threshold up to ``search_cap``.
 
-    For each admissible length (one where a sequence with |total| <= q
-    exists) every letter placement is enumerated and scanned.  The derived
-    threshold is max(k, last avoiding length + 1); ``capped`` marks results
-    where avoiders persist at the top admissible length, in which case the
-    value is only a lower bound.
+    Every sequence of each admissible length (one where a sequence with
+    |total| <= q exists) is decided; ``shards`` > 1 spreads AP mode over a
+    process pool.  The derived threshold is max(k, last avoiding length + 1)
+    and ``capped`` marks a lower bound (see ThresholdResult).  The enumeration
+    estimate and, in block mode, the DP's own bound must fit the budget.
     """
     params.require_block_divisibility()
     if q < 0:
@@ -280,78 +319,43 @@ def exact_threshold(
     if shards < 1:
         raise ParameterError(f"shards must be >= 1, got {shards}")
     ceiling = resolve_budget(budget)
-    estimate = estimate_window_evaluations(params, mode, q, search_cap)
-    if estimate > ceiling:
-        raise BudgetExceededError(estimate, ceiling)
+    dp_estimate = _block_dp_estimate(params, q) if mode == MODE_BLOCK else 0
+    for estimate in (estimate_window_evaluations(params, mode, q, search_cap), dp_estimate):
+        if estimate > ceiling:
+            raise BudgetExceededError(estimate, ceiling)
 
     k = params.k
-    c_star = params.s * k // params.modulus
-    executor = None
-    if shards > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(max_workers=shards)
-    try:
-        max_avoiding: int | None = None
-        masks_at_max: list[int] = []
-        top_admissible: int | None = None
-        notes: list[str] = []
-        for n in range(k, search_cap + 1):
-            pos_counts = admissible_pos_counts(params, q, n)
-            if not pos_counts:
-                continue
-            top_admissible = n
-            length_masks: list[int] = []
-            for b in pos_counts:
-                negs = n - b
-                candidates, masks = _enumerate_length(
-                    mode, n, k, negs, c_star, shards, executor
-                )
-                if candidates != math.comb(n, negs):
-                    raise AssertionError(
-                        f"enumeration accounted for {candidates} of "
-                        f"{math.comb(n, negs)} candidates at n={n} negs={negs}"
-                    )
-                length_masks.extend(masks)
-            if length_masks:
-                max_avoiding = n
-                masks_at_max = length_masks
-        if top_admissible is None:
-            notes.append("no admissible length within the search cap")
-        derived = k if max_avoiding is None else max(k, max_avoiding + 1)
-        capped = max_avoiding is not None and max_avoiding == top_admissible
-        if capped:
-            notes.append(
-                "avoiders persist at the top admissible length; the derived "
-                "threshold is only a lower bound"
-            )
-        witnesses = tuple(
-            sorted(
-                (
-                    SignSeq(
-                        params, max_avoiding, ((1 << max_avoiding) - 1) ^ mask
-                    )
-                    for mask in masks_at_max
-                ),
-                key=SignSeq.bitstring,
-            )
-        )
-        return ThresholdResult(
-            params=params,
-            mode=mode,
-            q=q,
-            max_avoiding_n=max_avoiding,
-            derived_threshold=derived,
-            witnesses=witnesses,
-            search_cap=search_cap,
-            exhaustive=True,
-            capped=capped,
-            avoiding_count_at_max=len(masks_at_max),
-            notes=tuple(notes),
-        )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    lengths = [n for n in range(k, search_cap + 1) if admissible_pos_counts(params, q, n)]
+    beyond = None
+    if mode == MODE_BLOCK:
+        counts, layers, beyond = _block_dp(params, q, search_cap)
+        max_avoiding = max((n for n in lengths if counts[n]), default=None)
+        witnesses = []
+        if max_avoiding is not None:
+            witnesses = _block_witnesses(params, q, layers, max_avoiding)
+    else:
+        max_avoiding, witnesses = _ap_search(params, q, lengths, shards)
+    notes = [] if lengths else ["no admissible length within the search cap"]
+    derived = k if max_avoiding is None else max(k, max_avoiding + 1)
+    persist = max_avoiding is not None and max_avoiding == lengths[-1]
+    lower = "; the derived threshold is only a lower bound"
+    if persist:
+        notes.append("avoiders persist at the top admissible length" + lower)
+    if beyond is not None:
+        notes.append(f"an admissible avoider exists at n={beyond}, beyond the search cap" + lower)
+    return ThresholdResult(
+        params=params,
+        mode=mode,
+        q=q,
+        max_avoiding_n=max_avoiding,
+        derived_threshold=derived,
+        witnesses=tuple(sorted(witnesses, key=SignSeq.bitstring)),
+        search_cap=search_cap,
+        exhaustive=True,
+        capped=persist or beyond is not None,
+        avoiding_count_at_max=len(witnesses),
+        notes=tuple(notes),
+    )
 
 
 @dataclass(frozen=True)
@@ -384,20 +388,14 @@ def verify_2k_proposition(k: int, budget: int | None = None) -> TwoKVerdict:
         raise BudgetExceededError(
             math.comb(2 * k, k) * (k + 1), resolve_budget(budget)
         )
-    n = 2 * k
-    c_star = k // 2
     params = Params(1, 1, k)
-    checked = 0
-    counterexample: SignSeq | None = None
-    for first in range(0, n - k + 1):
-        candidates, masks = _enumerate_block_shard(n, k, k, c_star, first)
-        checked += candidates
-        if masks and counterexample is None:
-            counterexample = SignSeq(params, n, ((1 << n) - 1) ^ masks[0])
+    counts, layers, _ = _block_dp(params, 0, 2 * k, probe=False)
+    witnesses = _block_witnesses(params, 0, layers, 2 * k) if counts[2 * k] else []
+    counterexample = min(witnesses, key=SignSeq.bitstring, default=None)
     return TwoKVerdict(
         k=k,
         ok=counterexample is None,
-        sequences_checked=checked,
+        sequences_checked=math.comb(2 * k, k),  # the DP's tally asserts this
         counterexample=counterexample,
     )
 

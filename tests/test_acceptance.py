@@ -46,6 +46,9 @@ def test_criterion_1_formula_oracle_agreement():
         (1, 1, 8, 18),
         (1, 2, 3, 15),
         (1, 2, 6, 18),
+        (1, 2, 9, 24),
+        (1, 1, 10, 28),
+        (2, 3, 10, 30),
     ]
     with criterion(1, "exhaustive block thresholds equal the formula values"):
         for r, s, k, cap in grid:
@@ -54,7 +57,9 @@ def test_criterion_1_formula_oracle_agreement():
                 expected = pm1_block_threshold(k, 0)
             else:
                 expected = exact_block_threshold(params).n_exact
-            result = exact_threshold(params, "block", q=0, search_cap=cap)
+            result = exact_threshold(
+                params, "block", q=0, search_cap=cap, budget=10**10
+            )
             assert result.exhaustive and not result.capped, (r, s, k)
             assert result.derived_threshold == expected, (r, s, k)
 

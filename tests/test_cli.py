@@ -321,6 +321,45 @@ class TestOracleCommand:
         assert payload["witnesses"] == ["b:000111000"]
         assert payload["exhaustive"] is True
 
+    def test_block_threshold_lower_bound_past_cap(self, runner):
+        """N(2,3,10) = 26 with an avoider at n = 25, past cap 24."""
+        result = runner.invoke(
+            cli,
+            ["oracle", "--target", "block-threshold", "--r", "2", "--s", "3",
+             "--k", "10", "--cap", "24", "--budget", "10000000000"],
+        )
+        assert result.exit_code == 0
+        assert "derivedThreshold=16 (lower bound)" in result.output
+        assert "n=25" in result.output
+
+    def test_malformed_factors_residue_lemma(self, runner):
+        result = runner.invoke(
+            cli, ["oracle", "--target", "residue-lemma", "--k", "30", "--factors", "3,x"]
+        )
+        assert result.exit_code == 2
+        assert "error: --factors" in result.output
+        assert "Traceback" not in result.output
+
+    def test_malformed_factors_construct(self, runner, tmp_path):
+        out = tmp_path / "s.txt"
+        result = runner.invoke(
+            cli,
+            ["construct", "--kind", "ap-product", "--k", "30", "--factors", "3,x",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "error: --factors" in result.output
+        assert not out.exists()
+
+    def test_zero_threads_is_a_usage_error(self, runner):
+        result = runner.invoke(
+            cli,
+            ["oracle", "--target", "block-threshold", "--r", "1", "--s", "2",
+             "--k", "6", "--cap", "12", "--threads", "0"],
+        )
+        assert result.exit_code == 2
+        assert "shards must be >= 1" in result.output
+
 
 class TestShiftCommand:
     def test_min_shift(self, runner):

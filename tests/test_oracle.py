@@ -10,6 +10,7 @@ from zerosum import (
     BudgetExceededError,
     ParameterError,
     Params,
+    SignSeq,
     block_scan,
     ap_scan,
     estimate_window_evaluations,
@@ -18,9 +19,12 @@ from zerosum import (
     verify_lemma_residue_properties,
     verify_pow2_rigidity,
 )
+from zerosum import oracle
 from zerosum.oracle import (
+    _block_dp,
+    _block_dp_estimate,
+    _block_witnesses,
     _enumerate_ap_shard,
-    _enumerate_block_shard,
     admissible_pos_counts,
 )
 
@@ -103,6 +107,77 @@ def test_shard_count_does_not_change_results():
     assert serial.to_json_dict() == sharded.to_json_dict()
 
 
+def test_block_mode_never_starts_a_pool(monkeypatch):
+    """Only AP mode shards; the block DP runs in-process for any shard count."""
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("block mode started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    result = exact_threshold(Params(1, 1, 8), "block", q=0, search_cap=14, shards=2)
+    assert result.derived_threshold == 13
+
+
+def test_capped_when_an_avoider_lies_beyond_the_cap():
+    """N(2,3,10) = 26: at cap 24 the last avoider (n = 25) lies past the cap,
+    so 16 is only a lower bound even though nothing avoids at n = 20."""
+    result = exact_threshold(
+        Params(2, 3, 10), "block", q=0, search_cap=24, budget=10**10
+    )
+    assert result.max_avoiding_n == 15
+    assert result.derived_threshold == 16
+    assert result.capped
+    assert any("n=25" in note and "lower bound" in note for note in result.notes)
+    confirmed = exact_threshold(
+        Params(2, 3, 10), "block", q=0, search_cap=30, budget=10**10
+    )
+    assert (confirmed.derived_threshold, confirmed.capped) == (26, False)
+
+
+def test_skewed_large_k_point_runs_within_its_own_bound():
+    """(1,7,16): the enumeration estimate at cap 16 is only C(16,14) = 120
+    windows, but the DP carries up to 2^15 tails per length.  It runs under
+    the default budget, a budget below its own bound refuses it, and the
+    avoider it finds past the cap is a real one."""
+    params = Params(1, 7, 16)
+    assert estimate_window_evaluations(params, "block", 0, 16) == 120
+    with pytest.raises(BudgetExceededError) as exc_info:
+        exact_threshold(params, "block", q=0, search_cap=16, budget=10**6)
+    assert exc_info.value.estimate == _block_dp_estimate(params, 0)
+    result = exact_threshold(params, "block", q=0, search_cap=16)
+    assert (result.max_avoiding_n, result.capped) == (None, True)
+    assert any("n=24" in note for note in result.notes)
+    at_24 = exact_threshold(params, "block", q=0, search_cap=24)
+    assert at_24.max_avoiding_n == 24
+    assert not any(block_scan(w, 16).found for w in at_24.witnesses)
+
+
+@pytest.mark.parametrize(
+    "r,s,k", [(1, 1, 4), (1, 2, 3), (3, 1, 4), (1, 2, 6), (1, 5, 6), (2, 3, 5)]
+)
+@pytest.mark.parametrize("q", [0, 1, 5])
+def test_block_dp_estimate_bounds_its_work(r, s, k, q):
+    """Nothing lives at the estimate's horizon, and the transitions made on
+    the way (two per live state) stay within the estimate."""
+    params = Params(r, s, k)
+    horizon = k * ((q + 2 * max(r, s) * (k - 1)) // params.modulus + 1)
+    _, layers, _ = _block_dp(params, q, horizon, probe=False)
+    assert len(layers[horizon]) == 0
+    assert sum(2 * len(layer) for layer in layers) <= _block_dp_estimate(params, q)
+
+
+def _dp_avoiders(n, k, negs, c_star):
+    """Neg-position masks of the block DP's avoiders at (n, negs): the
+    alphabet is the one with c_star = sk/(r+s), and q the pair's |weight|."""
+    g = math.gcd(k, c_star)
+    params = Params((k - c_star) // g, c_star // g, k)
+    q = abs(params.s * (n - negs) - params.r * negs)
+    _, layers, _ = _block_dp(params, q, n, probe=False)
+    masks = [((1 << n) - 1) ^ w.bits for w in _block_witnesses(params, q, layers, n)]
+    return sorted(m for m in masks if m.bit_count() == negs)
+
+
 def _brute_force_avoiders(n, k, negs, c_star, ap_mode=False):
     """Plain itertools + term-by-term rescan; the enumerators' oracle."""
     import itertools
@@ -142,12 +217,38 @@ def _brute_force_avoiders(n, k, negs, c_star, ap_mode=False):
     ],
 )
 def test_pruned_enumerator_matches_brute_force(n, k, negs, c_star):
-    """The pruned recursion returns exactly the brute-force avoider set."""
-    expected = _brute_force_avoiders(n, k, negs, c_star)
-    got = []
-    for first in range(n - negs + 1):
-        got.extend(_enumerate_block_shard(n, k, negs, c_star, first)[1])
-    assert sorted(got) == expected
+    """The block DP's witness walk returns exactly the brute-force avoider
+    set."""
+    assert _dp_avoiders(n, k, negs, c_star) == _brute_force_avoiders(
+        n, k, negs, c_star
+    )
+
+
+@pytest.mark.parametrize(
+    "r,s,k", [(1, 1, 2), (1, 1, 4), (1, 2, 3), (2, 1, 6), (1, 3, 8)]
+)
+def test_block_dp_matches_every_bitmask(r, s, k):
+    """Every sequence up to n = 14, judged by block_scan, against the DP's
+    per-length avoider counts and witnesses; q in {0, 1, 2}, small enough
+    for the weight bounds to drop prefixes."""
+    params = Params(r, s, k)
+    top = 14
+    avoiders = {}  # (n, |total|) -> bitstrings of block_scan avoiders
+    for n in range(k, top + 1):
+        for bits in range(1 << n):
+            seq = SignSeq(params, n, bits)
+            total = abs(seq.total_weight())
+            if total <= 2 and not block_scan(seq, k).found:
+                avoiders.setdefault((n, total), []).append(seq.bitstring())
+    for q in (0, 1, 2):
+        counts, layers, _ = _block_dp(params, q, top, probe=False)
+        for n in range(k, top + 1):
+            want = sorted(b for t in range(q + 1) for b in avoiders.get((n, t), []))
+            got = sorted(
+                w.bitstring() for w in _block_witnesses(params, q, layers, n)
+            )
+            assert got == want, (q, n)
+            assert counts[n] == len(want), (q, n)
 
 
 @pytest.mark.parametrize(
@@ -162,15 +263,22 @@ def test_ap_enumerator_matches_brute_force(n, k, negs, c_star):
     assert sorted(got) == expected
 
 
-def test_candidate_accounting_matches_binomials():
-    """Pruned branches are counted in closed form: per-length candidate
-    totals equal C(n, negatives) on both enumerators."""
+def test_candidate_accounting_matches_binomials(monkeypatch):
+    """Killed and dropped prefixes are carried forward: the block DP's
+    tally (live plus dead) and the AP enumerator's candidate total equal
+    C(n, negatives)."""
+    tallies = {}
+    check = oracle._check_tally
+
+    def record(n, negs, candidates):
+        tallies[(n, negs)] = candidates
+        check(n, negs, candidates)
+
+    monkeypatch.setattr(oracle, "_check_tally", record)
     for n, k, negs, c_star in [(10, 4, 5, 2), (12, 6, 8, 4), (9, 6, 6, 4)]:
-        block_total = sum(
-            _enumerate_block_shard(n, k, negs, c_star, first)[0]
-            for first in range(n - negs + 1)
-        )
-        assert block_total == math.comb(n, negs)
+        tallies.clear()
+        _dp_avoiders(n, k, negs, c_star)
+        assert tallies[(n, negs)] == math.comb(n, negs)
         ap_total = sum(
             _enumerate_ap_shard(n, k, negs, c_star, first)[0]
             for first in range(n - negs + 1)
