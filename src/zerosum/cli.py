@@ -9,6 +9,7 @@ output are 0-based.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import sys
@@ -68,17 +69,36 @@ EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_ERROR = 2
 
-_USAGE_ERRORS = (
+_EXIT_2_ERRORS = (
     ParameterError,
     FormulaDomainError,
     ConstructionInfeasibleError,
     SequenceFileError,
+    BudgetExceededError,
+    OSError,
 )
 
 
-def _fail(message: str, code: int = EXIT_ERROR) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+def _exit_codes(shift_failure: str = "error: {exc}"):
+    """Map a command's exceptions to exit codes, each reported as one stderr
+    line: 1 for an exhausted shift search (``shift_failure`` formatted with
+    ``exc``), 2 for usage, input, budget and file errors."""
+
+    def decorate(command):
+        @functools.wraps(command)
+        def run(*args, **kwargs):
+            try:
+                return command(*args, **kwargs)
+            except ShiftSearchError as exc:
+                click.echo(shift_failure.format(exc=exc), err=True)
+                sys.exit(EXIT_WITNESS)
+            except _EXIT_2_ERRORS as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_ERROR)
+
+        return run
+
+    return decorate
 
 
 def _parse_factors(text: str) -> tuple[int, ...]:
@@ -113,46 +133,43 @@ def cli() -> None:
 @click.option("--q", "q", type=int, default=None, help="Slack on |total weight|; selects the sufficient bound.")
 @click.option("--t", "t", type=int, default=None, help="Small-sum tolerance; requires r = s = 1.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON report.")
+@_exit_codes()
 def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: bool) -> None:
     """Evaluate a threshold formula for (r, s, k)."""
     started = time.perf_counter()
-    try:
-        params = Params(r, s, k)
-        if t is not None:
-            if (r, s) != (1, 1):
-                raise ParameterError("--t requires r = s = 1")
-            value = pm1_smallsum_threshold(k, t, q or 0)
-            result = {"kind": "smallsum-threshold", "value": value, "t": t, "q": q or 0}
-            human = [f"smallsum threshold (k={k}, t={t}, q={q or 0}): n >= {value}"]
-        elif q is not None:
-            if (r, s) == (1, 1):
-                value = pm1_block_threshold(k, q)
-                result = {"kind": "pm1-block-threshold", "value": value, "q": q}
-                human = [f"block threshold for r=s=1 (k={k}, q={q}): n >= {value}"]
-            else:
-                bound = sufficient_block_bound(params, q)
-                value = bound.n_sufficient
-                result = {"kind": "sufficient-block-bound", "value": value}
-                result.update(bound.to_json_dict())
-                human = [f"sufficient block bound (k={k}, q={q}): n >= {value}"]
+    params = Params(r, s, k)
+    if t is not None:
+        if (r, s) != (1, 1):
+            raise ParameterError("--t requires r = s = 1")
+        value = pm1_smallsum_threshold(k, t, q or 0)
+        result = {"kind": "smallsum-threshold", "value": value, "t": t, "q": q or 0}
+        human = [f"smallsum threshold (k={k}, t={t}, q={q or 0}): n >= {value}"]
+    elif q is not None:
+        if (r, s) == (1, 1):
+            value = pm1_block_threshold(k, q)
+            result = {"kind": "pm1-block-threshold", "value": value, "q": q}
+            human = [f"block threshold for r=s=1 (k={k}, q={q}): n >= {value}"]
         else:
-            if (r, s) == (1, 1):
-                value = pm1_block_threshold(k, 0)
-                result = {"kind": "pm1-block-threshold", "value": value, "q": 0}
-                human = [f"N({r},{s},{k}) = {value}"]
-            else:
-                report = exact_block_threshold_symmetric(params)
-                value = report.n_exact
-                result = {"kind": "exact-block-threshold", "value": value}
-                result.update(report.to_json_dict())
-                human = [
-                    f"N({r},{s},{k}) = {value}",
-                    f"  t={report.t} t'={report.t_prime} M1={report.m1} M2={report.m2}",
-                ]
-                human.extend(f"  note: {note}" for note in report.notes)
-    except _USAGE_ERRORS as exc:
-        _fail(str(exc))
-        return
+            bound = sufficient_block_bound(params, q)
+            value = bound.n_sufficient
+            result = {"kind": "sufficient-block-bound", "value": value}
+            result.update(bound.to_json_dict())
+            human = [f"sufficient block bound (k={k}, q={q}): n >= {value}"]
+    else:
+        if (r, s) == (1, 1):
+            value = pm1_block_threshold(k, 0)
+            result = {"kind": "pm1-block-threshold", "value": value, "q": 0}
+            human = [f"N({r},{s},{k}) = {value}"]
+        else:
+            report = exact_block_threshold_symmetric(params)
+            value = report.n_exact
+            result = {"kind": "exact-block-threshold", "value": value}
+            result.update(report.to_json_dict())
+            human = [
+                f"N({r},{s},{k}) = {value}",
+                f"  t={report.t} t'={report.t_prime} M1={report.m1} M2={report.m2}",
+            ]
+            human.extend(f"  note: {note}" for note in report.notes)
     if as_json:
         _emit_json("bound", {"r": r, "s": s, "k": k, "q": q, "t": t}, result, started)
     else:
@@ -181,6 +198,7 @@ _KIND_CHOICES = [
 @click.option("--p", "p", type=int, default=None, help="Odd prime for ap-two-p.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 @click.option("--bits", "use_bits", is_flag=True, help="Write the b:<bitstring> body instead of values.")
+@_exit_codes()
 def cmd_construct(
     kind: str,
     r: int,
@@ -193,57 +211,50 @@ def cmd_construct(
     use_bits: bool,
 ) -> None:
     """Generate an extremal sequence and write it as a sequence file."""
-    try:
-        if kind in (AP_MOD_K, AP_MOD_K_PRODUCT, AP_MOD_K_PLUS1, AP_TWO_P) and (
-            (r, s) != (1, 1)
-        ):
-            raise ParameterError(f"{kind} is defined for r = s = 1 only")
-        if kind == AP_TWO_P:
-            if p is None:
-                raise ParameterError("--p is required for ap-two-p")
-            construction = build_ap_two_p(p)
-        elif kind == AP_MOD_K_PRODUCT:
-            if k is None or factors is None:
-                raise ParameterError("--k and --factors are required for ap-product")
-            fn = build_ap_mod_k_product(k, _parse_factors(factors))
-            seq = fn.as_sequence()
-            write_sequence(out_path, seq, ENCODING_BITS if use_bits else ENCODING_VALUES)
-            click.echo(
-                f"n={fn.modulus} residue function with {fn.count_plus()} ones and "
-                f"{fn.count_minus()} minus-ones; every full progression over the "
-                f"residues has nonzero weight (positions 0-based)"
-            )
-            return
-        elif kind == AP_MOD_K:
-            if k is None:
-                raise ParameterError("--k is required for ap-mod-k")
-            construction = build_ap_mod_k(k)
-        elif kind == AP_MOD_K_PLUS1:
-            if k is None:
-                raise ParameterError("--k is required for ap-mod-k1")
-            construction = build_ap_mod_k_plus1(k)
-        elif kind == AP_GOOD_SHIFT:
-            if k is None:
-                raise ParameterError("--k is required for ap-good-shift")
-            params = Params(r, s, k)
-            shift = min_good_shift(params) if alpha is None else alpha
-            construction = build_ap_good_shift(params, shift)
-        else:
-            if k is None:
-                raise ParameterError("--k is required for block constructions")
-            params = Params(r, s, k)
-            builder = (
-                build_block_extremal
-                if kind == BLOCK_EXTREMAL
-                else build_block_extremal_negated
-            )
-            construction = builder(params)
-    except ShiftSearchError as exc:
-        _fail(str(exc), EXIT_WITNESS)
+    if kind in (AP_MOD_K, AP_MOD_K_PRODUCT, AP_MOD_K_PLUS1, AP_TWO_P) and (
+        (r, s) != (1, 1)
+    ):
+        raise ParameterError(f"{kind} is defined for r = s = 1 only")
+    if kind == AP_TWO_P:
+        if p is None:
+            raise ParameterError("--p is required for ap-two-p")
+        construction = build_ap_two_p(p)
+    elif kind == AP_MOD_K_PRODUCT:
+        if k is None or factors is None:
+            raise ParameterError("--k and --factors are required for ap-product")
+        fn = build_ap_mod_k_product(k, _parse_factors(factors))
+        seq = fn.as_sequence()
+        write_sequence(out_path, seq, ENCODING_BITS if use_bits else ENCODING_VALUES)
+        click.echo(
+            f"n={fn.modulus} residue function with {fn.count_plus()} ones and "
+            f"{fn.count_minus()} minus-ones; every full progression over the "
+            f"residues has nonzero weight (positions 0-based)"
+        )
         return
-    except _USAGE_ERRORS as exc:
-        _fail(str(exc))
-        return
+    elif kind == AP_MOD_K:
+        if k is None:
+            raise ParameterError("--k is required for ap-mod-k")
+        construction = build_ap_mod_k(k)
+    elif kind == AP_MOD_K_PLUS1:
+        if k is None:
+            raise ParameterError("--k is required for ap-mod-k1")
+        construction = build_ap_mod_k_plus1(k)
+    elif kind == AP_GOOD_SHIFT:
+        if k is None:
+            raise ParameterError("--k is required for ap-good-shift")
+        params = Params(r, s, k)
+        shift = min_good_shift(params) if alpha is None else alpha
+        construction = build_ap_good_shift(params, shift)
+    else:
+        if k is None:
+            raise ParameterError("--k is required for block constructions")
+        params = Params(r, s, k)
+        builder = (
+            build_block_extremal
+            if kind == BLOCK_EXTREMAL
+            else build_block_extremal_negated
+        )
+        construction = builder(params)
     write_sequence(
         out_path, construction.seq, ENCODING_BITS if use_bits else ENCODING_VALUES
     )
@@ -261,22 +272,19 @@ def cmd_construct(
 @click.option("--t", "t", type=int, default=None, help="Tolerance for smallsum mode.")
 @click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--json", "as_json", is_flag=True)
+@_exit_codes()
 def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) -> None:
     """Scan a sequence file; exit 0 when the avoidance claim holds, 1 on a witness."""
     started = time.perf_counter()
-    try:
-        seq = read_sequence(in_path, k=k)
-        if mode == "block":
-            report = block_scan(seq, k)
-        elif mode == "ap":
-            report = ap_scan(seq, k)
-        else:
-            if t is None:
-                raise ParameterError("--t is required for smallsum mode")
-            report = smallsum_block_scan(seq, k, t)
-    except _USAGE_ERRORS as exc:
-        _fail(str(exc))
-        return
+    seq = read_sequence(in_path, k=k)
+    if mode == "block":
+        report = block_scan(seq, k)
+    elif mode == "ap":
+        report = ap_scan(seq, k)
+    else:
+        if t is None:
+            raise ParameterError("--t is required for smallsum mode")
+        report = smallsum_block_scan(seq, k, t)
     if as_json:
         _emit_json(
             "verify",
@@ -315,6 +323,7 @@ def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) ->
 @click.option("--budget", type=int, default=None, help="Window-evaluation ceiling override.")
 @click.option("--threads", type=int, default=None, help="AP shard count (default: available parallelism).")
 @click.option("--json", "as_json", is_flag=True)
+@_exit_codes()
 def cmd_oracle(
     target: str,
     r: int,
@@ -331,71 +340,66 @@ def cmd_oracle(
     """Exhaustive searches and full-enumeration proposition checks."""
     started = time.perf_counter()
     cli_params = {"target": target, "r": r, "s": s, "k": k, "q": q, "cap": cap, "v": v}
-    try:
-        if target in ("block-threshold", "ap-threshold"):
-            if k is None or cap is None:
-                raise ParameterError("--k and --cap are required for threshold targets")
-            result = exact_threshold(
-                Params(r, s, k),
-                "block" if target == "block-threshold" else "ap",
-                q=q,
-                search_cap=cap,
-                budget=budget,
-                shards=threads if threads is not None else (os.cpu_count() or 1),
+    if target in ("block-threshold", "ap-threshold"):
+        if k is None or cap is None:
+            raise ParameterError("--k and --cap are required for threshold targets")
+        result = exact_threshold(
+            Params(r, s, k),
+            "block" if target == "block-threshold" else "ap",
+            q=q,
+            search_cap=cap,
+            budget=budget,
+            shards=threads if threads is not None else (os.cpu_count() or 1),
+        )
+        if as_json:
+            _emit_json("oracle", cli_params, result.to_json_dict(), started)
+        else:
+            label = "exact" if result.exhaustive and not result.capped else "lower bound"
+            click.echo(
+                f"derivedThreshold={result.derived_threshold} ({label}), "
+                f"maxAvoidingN={result.max_avoiding_n}, "
+                f"{result.avoiding_count_at_max} avoiding sequence(s) at the max"
             )
-            if as_json:
-                _emit_json("oracle", cli_params, result.to_json_dict(), started)
-            else:
-                label = "exact" if result.exhaustive and not result.capped else "lower bound"
-                click.echo(
-                    f"derivedThreshold={result.derived_threshold} ({label}), "
-                    f"maxAvoidingN={result.max_avoiding_n}, "
-                    f"{result.avoiding_count_at_max} avoiding sequence(s) at the max"
-                )
-                for note in result.notes:
-                    click.echo(f"note: {note}")
-            sys.exit(EXIT_OK)
-        if target == "two-k":
-            if k is None:
-                raise ParameterError("--k is required for two-k")
-            verdict = verify_2k_proposition(k, budget=budget)
-            if as_json:
-                _emit_json("oracle", cli_params, verdict.to_json_dict(), started)
-            else:
-                state = "verified" if verdict.ok else "COUNTEREXAMPLE FOUND"
-                click.echo(f"two-k {state}: {verdict.sequences_checked} sequences checked")
-            sys.exit(EXIT_OK if verdict.ok else EXIT_WITNESS)
-        if target == "pow2":
-            if v is None:
-                raise ParameterError("--v is required for pow2")
-            verdict = verify_pow2_rigidity(v)
-            if as_json:
-                _emit_json("oracle", cli_params, verdict.to_json_dict(), started)
-            else:
-                state = "verified" if verdict.ok else "FAILED"
-                click.echo(
-                    f"pow2 {state}: {len(verdict.survivors)} of "
-                    f"{verdict.functions_checked} functions survive"
-                )
-            sys.exit(EXIT_OK if verdict.ok else EXIT_WITNESS)
-        # residue-lemma
+            for note in result.notes:
+                click.echo(f"note: {note}")
+        sys.exit(EXIT_OK)
+    if target == "two-k":
         if k is None:
-            raise ParameterError("--k is required for residue-lemma")
-        fac = (k // 2,) if factors is None else _parse_factors(factors)
-        verdict = verify_lemma_residue_properties(k, fac)
+            raise ParameterError("--k is required for two-k")
+        verdict = verify_2k_proposition(k, budget=budget)
+        if as_json:
+            _emit_json("oracle", cli_params, verdict.to_json_dict(), started)
+        else:
+            state = "verified" if verdict.ok else "COUNTEREXAMPLE FOUND"
+            click.echo(f"two-k {state}: {verdict.sequences_checked} sequences checked")
+        sys.exit(EXIT_OK if verdict.ok else EXIT_WITNESS)
+    if target == "pow2":
+        if v is None:
+            raise ParameterError("--v is required for pow2")
+        verdict = verify_pow2_rigidity(v)
         if as_json:
             _emit_json("oracle", cli_params, verdict.to_json_dict(), started)
         else:
             state = "verified" if verdict.ok else "FAILED"
             click.echo(
-                f"residue-lemma {state}: counts {verdict.plus_count}/"
-                f"{verdict.minus_count}, {verdict.progressions_checked} progressions"
+                f"pow2 {state}: {len(verdict.survivors)} of "
+                f"{verdict.functions_checked} functions survive"
             )
         sys.exit(EXIT_OK if verdict.ok else EXIT_WITNESS)
-    except BudgetExceededError as exc:
-        _fail(str(exc))
-    except _USAGE_ERRORS as exc:
-        _fail(str(exc))
+    # residue-lemma
+    if k is None:
+        raise ParameterError("--k is required for residue-lemma")
+    fac = (k // 2,) if factors is None else _parse_factors(factors)
+    verdict = verify_lemma_residue_properties(k, fac)
+    if as_json:
+        _emit_json("oracle", cli_params, verdict.to_json_dict(), started)
+    else:
+        state = "verified" if verdict.ok else "FAILED"
+        click.echo(
+            f"residue-lemma {state}: counts {verdict.plus_count}/"
+            f"{verdict.minus_count}, {verdict.progressions_checked} progressions"
+        )
+    sys.exit(EXIT_OK if verdict.ok else EXIT_WITNESS)
 
 
 @cli.command("shift")
@@ -405,23 +409,14 @@ def cmd_oracle(
 @click.option("--max-alpha", type=int, default=None, help="Explicit search horizon.")
 @click.option("--prime", "use_prime", is_flag=True, help="Search for the prime-certified shift.")
 @click.option("--json", "as_json", is_flag=True)
+@_exit_codes("no good shift found for alpha in [{exc.alpha_min}, {exc.alpha_max}]")
 def cmd_shift(
     r: int, s: int, k: int, max_alpha: int | None, use_prime: bool, as_json: bool
 ) -> None:
     """Find the minimum good shift (or the prime-certified shift) for (r, s, k)."""
     started = time.perf_counter()
-    try:
-        params = Params(r, s, k)
-        shift = prime_shift(params) if use_prime else min_good_shift(params, max_alpha)
-    except ShiftSearchError as exc:
-        click.echo(
-            f"no good shift found for alpha in [{exc.alpha_min}, {exc.alpha_max}]",
-            err=True,
-        )
-        sys.exit(EXIT_WITNESS)
-    except _USAGE_ERRORS as exc:
-        _fail(str(exc))
-        return
+    params = Params(r, s, k)
+    shift = prime_shift(params) if use_prime else min_good_shift(params, max_alpha)
     if as_json:
         _emit_json(
             "shift",
@@ -443,33 +438,27 @@ def cmd_shift(
 @click.option("--k-max", type=int, required=True)
 @click.option("--what", type=click.Choice(["N", "shift", "ap-lb"]), required=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
+@_exit_codes()
 def cmd_table(r: int, s: int, k_min: int, k_max: int, what: str, out_path: str) -> None:
     """Write a k,value CSV over the k-range (k restricted to multiples of r + s)."""
-    try:
-        if k_min < 1 or k_max < k_min:
-            raise ParameterError(f"bad k range [{k_min}, {k_max}]")
-        rows: list[tuple[int, int]] = []
-        modulus = r + s
-        for k in range(k_min, k_max + 1):
-            if k % modulus:
-                continue
-            params = Params(r, s, k)
-            if what == "N":
-                if (r, s) == (1, 1):
-                    value = pm1_block_threshold(k, 0)
-                else:
-                    value = exact_block_threshold_symmetric(params).n_exact
-            elif what == "shift":
-                value = min_good_shift(params).alpha
+    if k_min < 1 or k_max < k_min:
+        raise ParameterError(f"bad k range [{k_min}, {k_max}]")
+    rows: list[tuple[int, int]] = []
+    modulus = Params(r, s, k_min).modulus  # validates r and s before k % (r + s)
+    for k in range(k_min, k_max + 1):
+        if k % modulus:
+            continue
+        params = Params(r, s, k)
+        if what == "N":
+            if (r, s) == (1, 1):
+                value = pm1_block_threshold(k, 0)
             else:
-                value = ap_lower_bound_value(params, min_good_shift(params))
-            rows.append((k, value))
-    except (ShiftSearchError,) as exc:
-        _fail(str(exc), EXIT_WITNESS)
-        return
-    except _USAGE_ERRORS as exc:
-        _fail(str(exc))
-        return
+                value = exact_block_threshold_symmetric(params).n_exact
+        elif what == "shift":
+            value = min_good_shift(params).alpha
+        else:
+            value = ap_lower_bound_value(params, min_good_shift(params))
+        rows.append((k, value))
     with open(out_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONE)
         writer.writerow(["k", "value"])

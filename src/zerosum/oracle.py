@@ -3,8 +3,10 @@ full-enumeration checks of the structural propositions.
 
 Block mode runs a DP over (last k-1 letters, negatives so far) past the cap
 until no prefix lives, its work bounded up front (see _block_dp); AP mode
-scans every placement of the -r letters, sharded by the first negative
-position.  Both keep the candidate tally at C(n, negs) for any shard count.
+tests every placement of the -r letters, as a position bitmask, against the
+bitmask of every k-term AP (a zero-sum AP holds c* = sk/(r+s) of them),
+sharded by the first negative position.  Both keep the candidate tally at
+C(n, negs) for any shard count.
 """
 
 from __future__ import annotations
@@ -28,18 +30,19 @@ BUDGET_ENV_VAR = "ZEROSUM_BUDGET"
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Window-evaluation ceiling: explicit value, else env override, else default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
+    """Window-evaluation ceiling: explicit value, else env override, else
+    default; a negative ceiling from either source is rejected."""
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
         try:
-            return int(env)
+            budget = DEFAULT_BUDGET if env is None else int(env)
         except ValueError as exc:
             raise ParameterError(
                 f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
             ) from exc
-    return DEFAULT_BUDGET
+    if budget < 0:
+        raise ParameterError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -116,25 +119,13 @@ def estimate_window_evaluations(
     return total
 
 
-def _ap_has_target(flags: bytearray, n: int, k: int, c_star: int) -> bool:
-    """Does some k-term AP contain exactly c_star flagged positions?"""
-    if k == 1:
-        return any(f == c_star for f in flags)
+def _ap_masks(n: int, k: int) -> list[int]:
+    """Position bitmask of every k-term AP in [0, n), by difference then start."""
+    masks = []
     for d in range(1, (n - 1) // (k - 1) + 1):
-        for c in range(d):
-            size = (n - c + d - 1) // d
-            if size < k:
-                continue
-            cnt = 0
-            for j in range(k):
-                cnt += flags[c + j * d]
-            if cnt == c_star:
-                return True
-            for j in range(size - k):
-                cnt += flags[c + (j + k) * d] - flags[c + j * d]
-                if cnt == c_star:
-                    return True
-    return False
+        base = sum(1 << j * d for j in range(k))
+        masks.extend(base << start for start in range(n - (k - 1) * d))
+    return masks
 
 
 def _check_tally(n: int, negs: int, candidates: int) -> None:
@@ -243,27 +234,29 @@ def _block_witnesses(params: Params, q: int, layers: list[array], n: int) -> lis
 
 
 def _enumerate_ap_shard(
-    n: int, k: int, negs: int, c_star: int, first: int
+    ap_masks: list[int], bits: list[int], negs: int, c_star: int, first: int
 ) -> tuple[int, list[int]]:
-    """All placements with smallest negative position == first, each
-    scanned in full: (candidates, neg-position bitmasks of avoiders)."""
-    avoiders, candidates, flags = [], 0, bytearray(n)
-    flags[first] = 1
-    for rest in itertools.combinations(range(first + 1, n), negs - 1):
-        for p in rest:
-            flags[p] = 1
+    """All placements with smallest negative position == first, each a sum
+    of position ``bits`` tested against every k-term AP mask for c_star
+    negatives: (candidates, neg-position bitmasks of avoiders)."""
+    avoiders, candidates = [], 0
+    for rest in itertools.combinations(bits[first + 1 :], negs - 1):
+        x = sum(rest, bits[first])
         candidates += 1
-        if not _ap_has_target(flags, n, k, c_star):
-            avoiders.append(sum(1 << p for p in rest) | 1 << first)
-        for p in rest:
-            flags[p] = 0
+        for mask in ap_masks:
+            if (x & mask).bit_count() == c_star:
+                break
+        else:
+            avoiders.append(x)
     return candidates, avoiders
 
 
 def _run_shard(task: tuple) -> list[tuple[int, list[int]]]:
-    """Worker entry point: one bucket of first positions of an (n, negs)."""
-    n, k, negs, c_star, firsts = task
-    return [_enumerate_ap_shard(n, k, negs, c_star, first) for first in firsts]
+    """Worker entry point: one bucket of first positions of an (n, negs),
+    with the k-term AP masks of [0, n)."""
+    n, ap_masks, negs, c_star, firsts = task
+    bits = [1 << p for p in range(n)]
+    return [_enumerate_ap_shard(ap_masks, bits, negs, c_star, f) for f in firsts]
 
 
 def _ap_search(
@@ -279,13 +272,13 @@ def _ap_search(
             run = stack.enter_context(ProcessPoolExecutor(max_workers=shards)).map
         max_avoiding, masks_at_max = None, []
         for n in lengths:
-            length_masks: list[int] = []
+            ap_masks, length_masks = _ap_masks(n, k), []
             for b in admissible_pos_counts(params, q, n):
                 if b == n:  # all letters +s: no AP reaches c_star >= 1
                     length_masks.append(0)
                     continue
                 firsts, buckets = range(b + 1), range(min(shards, b + 1))
-                tasks = [(n, k, n - b, c_star, firsts[i::shards]) for i in buckets]
+                tasks = [(n, ap_masks, n - b, c_star, firsts[i::shards]) for i in buckets]
                 parts = [p for bucket in run(_run_shard, tasks) for p in bucket]
                 _check_tally(n, n - b, sum(c for c, _ in parts))
                 length_masks.extend(m for _, masks in parts for m in masks)
@@ -384,10 +377,9 @@ def verify_2k_proposition(k: int, budget: int | None = None) -> TwoKVerdict:
     each contains a zero-sum k-block."""
     if k < 2 or k % 2:
         raise ParameterError(f"k must be even and >= 2, got {k}")
+    ceiling = resolve_budget(budget)
     if k > 12:
-        raise BudgetExceededError(
-            math.comb(2 * k, k) * (k + 1), resolve_budget(budget)
-        )
+        raise BudgetExceededError(math.comb(2 * k, k) * (k + 1), ceiling)
     params = Params(1, 1, k)
     counts, layers, _ = _block_dp(params, 0, 2 * k, probe=False)
     witnesses = _block_witnesses(params, 0, layers, 2 * k) if counts[2 * k] else []

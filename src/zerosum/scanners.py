@@ -1,17 +1,26 @@
 """Fast detectors for zero-sum blocks, zero-sum arithmetic subsequences,
 and small-sum blocks, plus the interpolation-property checker.
 
-Block scans run in O(n) on prefix sums.  AP scans cost O(n * maxD) with
-maxD = floor((n-1)/(k-1)): for each common difference the windows inside
-each residue class are swept with stride-prefix sums.  Witness order is
+Every scan reads window weights as differences of prefix sums, off one
+prefix sequence, by a single window scan (_window_scan): it reads the
+|weights| in runs of growing length, keeps each run's minimum and stops in
+the first run that holds a window within the tolerance.  Block scans run
+in O(n) on the cached prefix sums, and in O(h) up to a hit at start h; the
+zero-sum scan is the small-sum scan at t = 0.
+AP scans cost O(n * maxD) with maxD = floor((n-1)/(k-1)): for each common
+difference d one stride-prefix sequence, built by an ``accumulate`` per
+residue class mod d, turns the k-term APs into windows.  Witness order is
 deterministic: blocks by lowest start, APs by lowest difference then
-lowest start.  A naive rescan is kept alongside the optimized scanner as
+lowest start.  A naive rescan is kept alongside the optimized AP scanner as
 its correctness oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, islice
+from operator import indexOf, sub
 
 from .core import ParameterError, SignSeq
 
@@ -19,15 +28,18 @@ MODE_BLOCK = "block"
 MODE_AP = "ap"
 MODE_SMALLSUM = "smallsum"
 
+_RUN = 4096  # most windows a scan holds at once
+
 
 @dataclass(frozen=True)
 class ScanReport:
     """Outcome of one scan: a witness or a certificate of absence.
 
     ``witness`` is (start, difference), difference 1 for blocks.
-    ``min_abs_weight`` is the minimum |window weight| over the windows
-    scanned; when a witness is found the scan stops there, which keeps the
-    reported minimum exact (earlier windows all miss the target).
+    ``min_abs_weight`` and ``scanned_count`` cover the windows up to and
+    including the witness, or all windows when there is none; the scan may
+    read somewhat past the witness, and the minimum up to it stays exact
+    because every earlier window misses the target.
     """
 
     mode: str
@@ -68,34 +80,50 @@ def _check_window_length(seq: SignSeq, k: int) -> None:
         raise ParameterError(f"k = {k} exceeds sequence length n = {seq.n}")
 
 
+def _window_weights(prefix: Sequence[int], k: int) -> Iterator[int]:
+    """The k-window weights of a prefix-sum sequence, lowest start first,
+    streamed so that no full-length list is built."""
+    return map(sub, islice(prefix, k, None), prefix)
+
+
+def _window_scan(prefix: Sequence[int], k: int, t: int) -> tuple[int | None, int]:
+    """The first k-window with |weight| <= t (None when there is none) and
+    the least |weight| over the windows up to it, or over all of them.
+
+    The |weights| are read in runs that grow by a quarter, from 16 up to
+    _RUN windows, so a hit at start h costs about 1.25 h window reads (not
+    a pass over every window) and no full-length list is held.  Every
+    window before the first hit weighs more than t in absolute value, so
+    the least |weight| up to a hit is the hit's own."""
+    weights = map(abs, _window_weights(prefix, k))
+    minima, start, size = [], 0, 16
+    while run := list(islice(weights, size)):
+        minima.append(min(run))
+        if minima[-1] <= t:
+            hit = indexOf(map(t.__ge__, run), True)
+            return start + hit, run[hit]
+        start, size = start + size, min(size + size // 4, _RUN)
+    return None, min(minima)
+
+
+def _tolerance_scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
+    """Lowest-start k-block with |weight| <= t; block mode is t = 0."""
+    _check_window_length(seq, k)
+    hit, min_abs = _window_scan(seq.prefix_weights(), k, t)
+    return ScanReport(
+        mode=mode,
+        k=k,
+        found=hit is not None,
+        witness=None if hit is None else (hit, 1),
+        min_abs_weight=min_abs,
+        scanned_count=seq.n - k + 1 if hit is None else hit + 1,
+        t=None if mode == MODE_BLOCK else t,
+    )
+
+
 def block_scan(seq: SignSeq, k: int) -> ScanReport:
     """Find the lowest-start zero-sum k-block, or certify there is none."""
-    _check_window_length(seq, k)
-    prefix = seq.prefix_weights()
-    min_abs: int | None = None
-    scanned = 0
-    for i in range(seq.n - k + 1):
-        w = prefix[i + k] - prefix[i]
-        scanned += 1
-        if min_abs is None or abs(w) < min_abs:
-            min_abs = abs(w)
-        if w == 0:
-            return ScanReport(
-                mode=MODE_BLOCK,
-                k=k,
-                found=True,
-                witness=(i, 1),
-                min_abs_weight=0,
-                scanned_count=scanned,
-            )
-    return ScanReport(
-        mode=MODE_BLOCK,
-        k=k,
-        found=False,
-        witness=None,
-        min_abs_weight=min_abs,
-        scanned_count=scanned,
-    )
+    return _tolerance_scan(seq, k, 0, MODE_BLOCK)
 
 
 def max_difference(n: int, k: int) -> int:
@@ -106,56 +134,35 @@ def max_difference(n: int, k: int) -> int:
 def ap_scan(seq: SignSeq, k: int, collect_per_d: bool = False) -> ScanReport:
     """Find the least (difference, start) zero-sum k-term AP, or certify none.
 
-    For k = 1 only d = 1 is scanned: one-term windows are the same set for
-    every difference (and never zero-sum, the letters being nonzero).
+    For each difference d the stride prefix S[p + d] = values[p] +
+    values[p - d] + ... (d leading zeros) is built from one ``accumulate``
+    per residue class; its width-kd windows are the k-term APs of
+    difference d in order of start, and the first d with a zero window
+    ends the scan.  For k = 1 only d = 1 is scanned: one-term windows are
+    the same set for every difference (and never zero-sum, the letters
+    being nonzero).
     """
     _check_window_length(seq, k)
     n = seq.n
     values = seq.values()
-    min_abs: int | None = None
-    scanned = 0
+    scanned, witness = 0, None
     per_d: dict[int, int] = {}
     for d in range(1, max_difference(n, k) + 1):
-        # Stride prefix sums per residue class mod d: class c holds
-        # positions c, c + d, ...; a k-term AP is a k-window in its class.
-        class_prefix: list[list[int]] = []
-        for c in range(d):
-            acc = [0]
-            total = 0
-            for p in range(c, n, d):
-                total += values[p]
-                acc.append(total)
-            class_prefix.append(acc)
-        d_min: int | None = None
-        for start in range(0, n - (k - 1) * d):
-            c, j = start % d, start // d
-            acc = class_prefix[c]
-            w = acc[j + k] - acc[j]
-            scanned += 1
-            if min_abs is None or abs(w) < min_abs:
-                min_abs = abs(w)
-            if d_min is None or abs(w) < d_min:
-                d_min = abs(w)
-            if w == 0:
-                if collect_per_d:
-                    per_d[d] = 0
-                return ScanReport(
-                    mode=MODE_AP,
-                    k=k,
-                    found=True,
-                    witness=(start, d),
-                    min_abs_weight=0,
-                    scanned_count=scanned,
-                    per_d_min_abs=per_d if collect_per_d else None,
-                )
-        if collect_per_d and d_min is not None:
-            per_d[d] = d_min
+        starts = n - (k - 1) * d  # APs of difference d; classes c < starts hold one
+        stride = [0] * (n + d)
+        for c in range(min(d, starts)):
+            stride[d + c :: d] = accumulate(values[c::d])
+        hit, per_d[d] = _window_scan(stride, k * d, 0)
+        if hit is not None:
+            witness, scanned = (hit, d), scanned + hit + 1
+            break
+        scanned += starts
     return ScanReport(
         mode=MODE_AP,
         k=k,
-        found=False,
-        witness=None,
-        min_abs_weight=min_abs,
+        found=witness is not None,
+        witness=witness,
+        min_abs_weight=min(per_d.values()),
         scanned_count=scanned,
         per_d_min_abs=per_d if collect_per_d else None,
     )
@@ -206,34 +213,7 @@ def smallsum_block_scan(seq: SignSeq, k: int, t: int) -> ScanReport:
         raise ParameterError(f"t must satisfy 0 <= t < k, got t={t} k={k}")
     if t % 2 != k % 2:
         raise ParameterError(f"t and k must have the same parity, got t={t} k={k}")
-    _check_window_length(seq, k)
-    prefix = seq.prefix_weights()
-    min_abs: int | None = None
-    scanned = 0
-    for i in range(seq.n - k + 1):
-        w = prefix[i + k] - prefix[i]
-        scanned += 1
-        if min_abs is None or abs(w) < min_abs:
-            min_abs = abs(w)
-        if abs(w) <= t:
-            return ScanReport(
-                mode=MODE_SMALLSUM,
-                k=k,
-                found=True,
-                witness=(i, 1),
-                min_abs_weight=min_abs,
-                scanned_count=scanned,
-                t=t,
-            )
-    return ScanReport(
-        mode=MODE_SMALLSUM,
-        k=k,
-        found=False,
-        witness=None,
-        min_abs_weight=min_abs,
-        scanned_count=scanned,
-        t=t,
-    )
+    return _tolerance_scan(seq, k, t, MODE_SMALLSUM)
 
 
 @dataclass(frozen=True)
@@ -270,8 +250,7 @@ def interpolation_check(seq: SignSeq, k: int) -> InterpolationReport:
     if k % m != 0:
         raise ParameterError(f"(r + s) = {m} must divide k = {k}")
     _check_window_length(seq, k)
-    prefix = seq.prefix_weights()
-    weights = [prefix[i + k] - prefix[i] for i in range(seq.n - k + 1)]
+    weights = list(_window_weights(seq.prefix_weights(), k))
 
     has_neg = any(w < 0 for w in weights)
     has_pos = any(w > 0 for w in weights)

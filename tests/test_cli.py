@@ -204,6 +204,15 @@ class TestConstructVerifyPipeline:
         assert result.exit_code == 2
         assert "odd prime" in result.output
 
+    def test_construct_into_missing_directory_exit_2(self, runner, tmp_path):
+        out = tmp_path / "missing" / "x.txt"
+        result = runner.invoke(
+            cli, ["construct", "--kind", "ap-mod-k", "--k", "6", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+
     def test_verify_witness_exit_1(self, runner, tmp_path):
         path = tmp_path / "alt.txt"
         path.write_text("# zerosum v1 r=1 s=1 n=4\n1 -1 1 -1\n")
@@ -351,6 +360,20 @@ class TestOracleCommand:
         assert "error: --factors" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args,env",
+        [(["--budget", "-5"], {}), ([], {"ZEROSUM_BUDGET": "-5"})],
+        ids=["option", "env"],
+    )
+    def test_negative_budget_is_a_usage_error(self, runner, args, env):
+        result = runner.invoke(
+            cli,
+            ["oracle", "--target", "ap-threshold", "--k", "4", "--cap", "10", *args],
+            env=env,
+        )
+        assert result.exit_code == 2
+        assert result.output == "error: budget must be >= 0, got -5\n"
+
     def test_zero_threads_is_a_usage_error(self, runner):
         result = runner.invoke(
             cli,
@@ -417,3 +440,36 @@ class TestTableCommand:
         )
         assert result.exit_code == 0
         assert out.read_text() == "k,value\n18,1\n21,2\n24,1\n"
+
+    def test_letters_summing_to_zero_exit_2(self, runner, tmp_path):
+        result = runner.invoke(
+            cli,
+            ["table", "--r", "-1", "--s", "1", "--k-min", "2", "--k-max", "4",
+             "--what", "N", "--out", str(tmp_path / "t.csv")],
+        )
+        assert result.exit_code == 2
+        assert result.output == "error: r and s must be positive, got r=-1 s=1\n"
+
+    def test_non_coprime_letters_exit_2_with_no_multiple_in_range(self, runner, tmp_path):
+        # No multiple of r + s = 6 lies in [1, 5], so no row needs the
+        # alphabet; it is still rejected, as it is when a row does.
+        out = tmp_path / "t.csv"
+        result = runner.invoke(
+            cli,
+            ["table", "--r", "2", "--s", "4", "--k-min", "1", "--k-max", "5",
+             "--what", "N", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert result.output == "error: gcd(r, s) must be 1, got gcd(2, 4) = 2\n"
+        assert not out.exists()
+
+    def test_table_into_missing_directory_exit_2(self, runner, tmp_path):
+        out = tmp_path / "missing" / "t.csv"
+        result = runner.invoke(
+            cli,
+            ["table", "--r", "1", "--s", "1", "--k-min", "6", "--k-max", "8",
+             "--what", "N", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1

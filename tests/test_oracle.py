@@ -21,10 +21,11 @@ from zerosum import (
 )
 from zerosum import oracle
 from zerosum.oracle import (
+    _ap_masks,
     _block_dp,
     _block_dp_estimate,
     _block_witnesses,
-    _enumerate_ap_shard,
+    _run_shard,
     admissible_pos_counts,
 )
 
@@ -251,15 +252,18 @@ def test_block_dp_matches_every_bitmask(r, s, k):
             assert counts[n] == len(want), (q, n)
 
 
+def _ap_shard(n, k, negs, c_star):
+    """The AP enumerator over every first negative position, as one shard."""
+    return _run_shard((n, _ap_masks(n, k), negs, c_star, range(n - negs + 1)))
+
+
 @pytest.mark.parametrize(
     "n,k,negs,c_star",
     [(10, 4, 5, 2), (12, 6, 8, 4), (9, 6, 3, 4)],
 )
 def test_ap_enumerator_matches_brute_force(n, k, negs, c_star):
     expected = _brute_force_avoiders(n, k, negs, c_star, ap_mode=True)
-    got = []
-    for first in range(n - negs + 1):
-        got.extend(_enumerate_ap_shard(n, k, negs, c_star, first)[1])
+    got = [m for _, avoiders in _ap_shard(n, k, negs, c_star) for m in avoiders]
     assert sorted(got) == expected
 
 
@@ -279,10 +283,7 @@ def test_candidate_accounting_matches_binomials(monkeypatch):
         tallies.clear()
         _dp_avoiders(n, k, negs, c_star)
         assert tallies[(n, negs)] == math.comb(n, negs)
-        ap_total = sum(
-            _enumerate_ap_shard(n, k, negs, c_star, first)[0]
-            for first in range(n - negs + 1)
-        )
+        ap_total = sum(c for c, _ in _ap_shard(n, k, negs, c_star))
         assert ap_total == math.comb(n, negs)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from zerosum import (
     ParameterError,
     Params,
+    ScanReport,
     SignSeq,
     ap_scan,
     ap_scan_naive,
@@ -21,6 +22,7 @@ from zerosum import (
     pm1_smallsum_threshold,
     smallsum_block_scan,
 )
+from zerosum.scanners import MODE_BLOCK, MODE_SMALLSUM, max_difference
 
 PM1 = Params(1, 1, 2)
 
@@ -74,30 +76,118 @@ def _random_seq(rng: random.Random, params: Params, n: int) -> SignSeq:
     return SignSeq(params, n, rng.getrandbits(n) if n else 0)
 
 
+def _per_d_min_abs(seq: SignSeq, k: int) -> dict[int, int]:
+    """Least |weight| of the k-term APs of each difference, term by term,
+    up to the first difference that holds a zero-sum AP."""
+    values, out = seq.values(), {}
+    for d in range(1, max_difference(seq.n, k) + 1):
+        out[d] = min(
+            abs(sum(values[start + j * d] for j in range(k)))
+            for start in range(seq.n - (k - 1) * d)
+        )
+        if out[d] == 0:
+            break
+    return out
+
+
 def test_ap_scan_matches_naive_rescan():
-    """Optimized and naive AP scans agree on found/witness/minAbsWeight."""
+    """Optimized and naive AP scans give equal reports, for k = 1, k a
+    multiple of r + s and any other k; the per-difference minima match a
+    term-by-term count."""
     rng = random.Random(314159)
     pairs = [Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5)]
-    for trial in range(200):
+    for trial in range(300):
         params = rng.choice(pairs)
-        k = params.modulus * rng.randint(1, 4)
+        if trial % 3 == 2:
+            k = 1 if trial % 9 == 2 else rng.randint(1, 3 * params.modulus + 1)
+        else:
+            k = params.modulus * rng.randint(1, 4)
         n = rng.randint(k, 80)
         if trial % 2:
             seq = _random_seq(rng, params, n)
         else:
             # sparse negatives: no window can cancel, so both scanners
             # sweep everything and must agree on the exact minimum
-            negs = rng.randint(0, params.s * k // params.modulus - 1)
+            negs = rng.randint(0, max(0, params.s * k // params.modulus - 1))
             bits = (1 << n) - 1
             for p in rng.sample(range(n), negs):
                 bits ^= 1 << p
             seq = SignSeq(params, n, bits)
-        fast = ap_scan(seq, k)
-        slow = ap_scan_naive(seq, k)
-        assert fast.found == slow.found
-        assert fast.witness == slow.witness
-        assert fast.min_abs_weight == slow.min_abs_weight
-        assert fast.scanned_count == slow.scanned_count
+        fast = ap_scan(seq, k, collect_per_d=True)
+        assert fast.per_d_min_abs == _per_d_min_abs(seq, k)
+        assert ap_scan(seq, k) == ap_scan_naive(seq, k)
+
+
+def _reference_block_scan(seq: SignSeq, k: int, t: int | None = None) -> ScanReport:
+    """The per-window loop that block_scan (t None) and smallsum_block_scan
+    ran before they shared one window scan; kept as their reference."""
+    prefix = seq.prefix_weights()
+    mode = MODE_BLOCK if t is None else MODE_SMALLSUM
+    min_abs = None
+    scanned = 0
+    for i in range(seq.n - k + 1):
+        w = prefix[i + k] - prefix[i]
+        scanned += 1
+        if min_abs is None or abs(w) < min_abs:
+            min_abs = abs(w)
+        if abs(w) <= (t or 0):
+            return ScanReport(mode, k, True, (i, 1), min_abs, scanned, t)
+    return ScanReport(mode, k, False, None, min_abs, scanned, t)
+
+
+def _planted_seq(rng: random.Random, params: Params, n: int, k: int, p: int) -> SignSeq:
+    """+s letters before p, then a zero-sum k-block at p with its c* -r
+    letters last (so no earlier window is zero-sum), then random letters."""
+    c_star = params.s * k // params.modulus
+    bits = ((1 << (p + k)) - 1) ^ (((1 << c_star) - 1) << (p + k - c_star))
+    return SignSeq(params, n, bits | (rng.getrandbits(n - p - k) << (p + k)))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_block_scans_match_reference_loop(k):
+    """block_scan and smallsum_block_scan (every t of k's parity) give the
+    reference loop's full report: random letters, all +s, and zero-sum
+    blocks planted at the first and the last start, from n = k up."""
+    rng = random.Random(k)
+    for params in (Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5)):
+        for n in (k, k + 1, k + 9, 3 * k + 40):
+            seqs = [_random_seq(rng, params, n) for _ in range(4)]
+            seqs.append(SignSeq(params, n, (1 << n) - 1))
+            if k % params.modulus == 0:
+                for p in {0, min(2, n - k), n - k}:
+                    seqs.append(_planted_seq(rng, params, n, k, p))
+                    assert block_scan(seqs[-1], k).witness == (p, 1)
+            for seq in seqs:
+                assert block_scan(seq, k) == _reference_block_scan(seq, k)
+                if params.modulus == 2:
+                    for t in range(k % 2, k, 2):
+                        report = smallsum_block_scan(seq, k, t)
+                        assert report == _reference_block_scan(seq, k, t)
+
+
+def test_block_scans_match_reference_loop_on_long_sequences():
+    """Full reports on 24000 letters, where a scan reads many windows: a
+    zero-sum block planted at starts spread over every octave, and
+    avoiders whose least |weight| lies in one window at those starts."""
+    rng = random.Random(2718)
+    n = 24000
+    octaves = [(1 << e, rng.randrange(1 << e, 2 << e)) for e in range(4, 15)]
+    near = {p + dp for ps in octaves for p in ps for dp in (-1, 0, 1)}
+    starts = sorted({0, n - 12} | {p for p in near if p <= n - 12})
+    for params, k in ((Params(1, 1, 2), 8), (Params(1, 2, 3), 6)):
+        c_star = params.s * k // params.modulus
+        for p in starts:
+            planted = _planted_seq(rng, params, n, k, p)
+            # c* - 1 negatives in a row at p: no window reaches zero
+            avoider = SignSeq(params, n, ((1 << n) - 1) ^ (((1 << (c_star - 1)) - 1) << p))
+            for seq in (planted, avoider):
+                assert block_scan(seq, k) == _reference_block_scan(seq, k)
+                if params.modulus == 2:
+                    for t in range(0, k, 2):
+                        report = smallsum_block_scan(seq, k, t)
+                        assert report == _reference_block_scan(seq, k, t)
+            assert block_scan(planted, k).witness == (p, 1)
+            assert block_scan(avoider, k).min_abs_weight == params.modulus
 
 
 def test_block_scan_is_ap_scan_difference_one():
