@@ -2,17 +2,18 @@
 full-enumeration checks of the structural propositions.
 
 Block mode runs a DP over (last k-1 letters, negatives so far) past the cap
-until no prefix lives, its work bounded up front (see _block_dp); AP mode
-tests every placement of the -r letters, as a position bitmask, against the
-bitmask of every k-term AP (a zero-sum AP holds c* = sk/(r+s) of them),
-sharded by the first negative position.  Both keep the candidate tally at
-C(n, negs) for any shard count.
+until no prefix lives, its work bounded up front (see _block_dp).  AP mode
+places the -r letters left to right as a position bitmask, sharded by the
+first negative position; each k-term AP is tested, against its own position
+bitmask, once its last letter is fixed (a zero-sum AP holds c* = sk/(r+s)
+negatives), and a prefix holding a zero-sum AP is dropped with its whole
+subtree, counted in closed form.  Both keep the candidate tally at C(n, negs)
+for any shard count.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 from array import array
@@ -119,13 +120,14 @@ def estimate_window_evaluations(
     return total
 
 
-def _ap_masks(n: int, k: int) -> list[int]:
-    """Position bitmask of every k-term AP in [0, n), by difference then start."""
-    masks = []
+def _ap_masks(n: int, k: int) -> list[list[int]]:
+    """Position bitmasks of the k-term APs in [0, n), listed by last term."""
+    ends: list[list[int]] = [[] for _ in range(n)]
     for d in range(1, (n - 1) // (k - 1) + 1):
         base = sum(1 << j * d for j in range(k))
-        masks.extend(base << start for start in range(n - (k - 1) * d))
-    return masks
+        for start in range(n - (k - 1) * d):
+            ends[start + (k - 1) * d].append(base << start)
+    return ends
 
 
 def _check_tally(n: int, negs: int, candidates: int) -> None:
@@ -234,36 +236,68 @@ def _block_witnesses(params: Params, q: int, layers: list[array], n: int) -> lis
 
 
 def _enumerate_ap_shard(
-    ap_masks: list[int], bits: list[int], negs: int, c_star: int, first: int
+    ends: list[list[int]], negs: int, c_star: int, first: int
 ) -> tuple[int, list[int]]:
-    """All placements with smallest negative position == first, each a sum
-    of position ``bits`` tested against every k-term AP mask for c_star
-    negatives: (candidates, neg-position bitmasks of avoiders)."""
+    """All placements with smallest negative position == first: (candidates,
+    neg-position bitmasks of avoiders).  Negatives go in left to right, and
+    moving from one at p to the next at t fixes the letters p+1..t, so only
+    the APs ending there (``ends``) are tested: one already holding c* - 1
+    negatives is zero-sum if t is -r, one holding c* if t is +s, which drops
+    every placement whose next negative lies past t.  A complete placement
+    also tests the APs ending in its all-+s tail.  A dropped subtree counts
+    C(positions left, negatives left), so the tally over all first positions
+    stays C(n, negs)."""
+    n, near, comb = len(ends), c_star - 1, math.comb
     avoiders, candidates = [], 0
-    for rest in itertools.combinations(bits[first + 1 :], negs - 1):
-        x = sum(rest, bits[first])
-        candidates += 1
-        for mask in ap_masks:
-            if (x & mask).bit_count() == c_star:
-                break
-        else:
+
+    def place(x: int, p: int, rem: int) -> None:
+        # x: the negatives up to p, none closing a zero-sum AP; rem to go.
+        nonlocal candidates
+        if not rem:
+            candidates += 1
+            for tail in ends[p + 1 :]:
+                for mask in tail:
+                    if (x & mask).bit_count() == c_star:
+                        return
             avoiders.append(x)
+            return
+        for t in range(p + 1, n - rem + 1):
+            minus = plus = True
+            for mask in ends[t]:
+                c = (x & mask).bit_count()
+                if c == near:
+                    minus = False
+                elif c == c_star:
+                    plus = False
+            if minus:
+                place(x | 1 << t, t, rem - 1)
+            else:
+                candidates += comb(n - 1 - t, rem - 1)
+            if not plus:
+                candidates += comb(n - 1 - t, rem)
+                return
+
+    if c_star == 1 and ends[first]:  # an AP ending at first: its one negative
+        return comb(n - 1 - first, negs - 1), []
+    place(1 << first, first, negs - 1)
     return candidates, avoiders
 
 
 def _run_shard(task: tuple) -> list[tuple[int, list[int]]]:
     """Worker entry point: one bucket of first positions of an (n, negs),
-    with the k-term AP masks of [0, n)."""
-    n, ap_masks, negs, c_star, firsts = task
-    bits = [1 << p for p in range(n)]
-    return [_enumerate_ap_shard(ap_masks, bits, negs, c_star, f) for f in firsts]
+    with the k-term AP masks of [0, n) by last term."""
+    n, ends, negs, c_star, firsts = task
+    return [_enumerate_ap_shard(ends, negs, c_star, f) for f in firsts]
 
 
 def _ap_search(
     params: Params, q: int, lengths: list[int], shards: int
 ) -> tuple[int | None, list[SignSeq]]:
-    """Largest AP-avoiding length among ``lengths`` and its avoiders; each
-    (n, negs) deals its first negative positions into ``shards`` buckets."""
+    """Largest AP-avoiding length among ``lengths`` and its avoiders.  Each
+    (n, negs) deals its first negative positions into ``shards`` buckets, and
+    each first position runs a depth-first search that tests an AP once its
+    last term is fixed and drops a prefix that already holds a zero-sum AP
+    (see _enumerate_ap_shard)."""
     k, c_star = params.k, _zero_negs(params)
     with contextlib.ExitStack() as stack:
         run = map

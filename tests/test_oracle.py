@@ -12,9 +12,12 @@ from zerosum import (
     Params,
     SignSeq,
     block_scan,
+    ap_lower_bound_value,
     ap_scan,
+    ap_scan_naive,
     estimate_window_evaluations,
     exact_threshold,
+    min_good_shift,
     verify_2k_proposition,
     verify_lemma_residue_properties,
     verify_pow2_rigidity,
@@ -26,6 +29,7 @@ from zerosum.oracle import (
     _block_dp_estimate,
     _block_witnesses,
     _run_shard,
+    _zero_negs,
     admissible_pos_counts,
 )
 
@@ -103,9 +107,15 @@ def test_threshold_with_positive_q():
 
 
 def test_shard_count_does_not_change_results():
-    serial = exact_threshold(Params(1, 2, 6), "block", q=0, search_cap=12, shards=1)
-    sharded = exact_threshold(Params(1, 2, 6), "block", q=0, search_cap=12, shards=3)
-    assert serial.to_json_dict() == sharded.to_json_dict()
+    """Block mode ignores ``shards``; AP mode deals first positions into a
+    process pool of that many workers."""
+    for mode in ("block", "ap"):
+        serial, *sharded = (
+            exact_threshold(Params(1, 2, 6), mode, q=0, search_cap=12, shards=shards)
+            for shards in (1, 2, 3)
+        )
+        for result in sharded:
+            assert result.to_json_dict() == serial.to_json_dict(), mode
 
 
 def test_block_mode_never_starts_a_pool(monkeypatch):
@@ -265,6 +275,55 @@ def test_ap_enumerator_matches_brute_force(n, k, negs, c_star):
     expected = _brute_force_avoiders(n, k, negs, c_star, ap_mode=True)
     got = [m for _, avoiders in _ap_shard(n, k, negs, c_star) for m in avoiders]
     assert sorted(got) == expected
+
+
+@pytest.mark.parametrize(
+    "r,s,k",
+    [(1, 1, 2), (1, 1, 4), (1, 1, 6), (1, 2, 3), (2, 1, 3),
+     (1, 2, 6), (2, 1, 6), (1, 3, 4), (3, 1, 4), (2, 3, 5)],
+)
+def test_pruned_ap_shard_matches_brute_force(r, s, k):
+    """Per first negative position, the pruned search counts all
+    C(n-1-first, negs-1) placements and returns the brute-force avoiders
+    whose lowest negative sits there, at every negative count that some q
+    in 0..3 admits up to n = k + 10."""
+    params = Params(r, s, k)
+    c_star = _zero_negs(params)
+    for n in range(k, k + 11):
+        counts = {b for q in range(4) for b in admissible_pos_counts(params, q, n)}
+        for negs in sorted(n - b for b in counts if b < n):
+            by_first = {}
+            for m in _brute_force_avoiders(n, k, negs, c_star, ap_mode=True):
+                by_first.setdefault((m & -m).bit_length() - 1, []).append(m)
+            for first, (candidates, avoiders) in enumerate(
+                _ap_shard(n, k, negs, c_star)
+            ):
+                assert candidates == math.comb(n - 1 - first, negs - 1), (
+                    n, negs, first,
+                )
+                assert sorted(avoiders) == by_first.get(first, []), (
+                    n, negs, first,
+                )
+
+
+@pytest.mark.parametrize(
+    "r,s,k,cap,threshold,count",
+    [(1, 1, 8, 27, 13, 20), (1, 2, 9, 29, 16, 21)],
+)
+def test_ap_threshold_at_the_pruned_reach(r, s, k, cap, threshold, count):
+    """M(1,1,8) = 13 and M(1,2,9) = 16, as the unpruned enumerator also
+    found; both caps fit the default budget.  The witnesses pass the naive
+    AP rescan, and M is at least the good-shift construction's length."""
+    params = Params(r, s, k)
+    result = exact_threshold(params, "ap", q=0, search_cap=cap)
+    assert result.derived_threshold == threshold
+    assert result.max_avoiding_n == threshold - 1
+    assert result.avoiding_count_at_max == count
+    assert result.exhaustive and not result.capped
+    for witness in result.witnesses:
+        assert witness.total_weight() == 0
+        assert not ap_scan_naive(witness, k).found
+    assert threshold >= ap_lower_bound_value(params, min_good_shift(params))
 
 
 def test_candidate_accounting_matches_binomials(monkeypatch):
