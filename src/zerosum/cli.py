@@ -44,6 +44,7 @@ from .constructions import (
 )
 from .formulas import (
     ap_lower_bound_value,
+    block_threshold,
     exact_block_threshold_symmetric,
     pm1_block_threshold,
     pm1_smallsum_threshold,
@@ -321,7 +322,6 @@ def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) ->
 @click.option("--v", "v", type=int, default=None, help="Exponent for the pow2 target.")
 @click.option("--factors", type=str, default=None, help="Factors for residue-lemma (default: k/2).")
 @click.option("--budget", type=int, default=None, help="Window-evaluation ceiling override.")
-@click.option("--threads", type=int, default=None, help="AP shard count (default: available parallelism).")
 @click.option("--json", "as_json", is_flag=True)
 @_exit_codes()
 def cmd_oracle(
@@ -334,7 +334,6 @@ def cmd_oracle(
     v: int | None,
     factors: str | None,
     budget: int | None,
-    threads: int | None,
     as_json: bool,
 ) -> None:
     """Exhaustive searches and full-enumeration proposition checks."""
@@ -349,7 +348,6 @@ def cmd_oracle(
             q=q,
             search_cap=cap,
             budget=budget,
-            shards=threads if threads is not None else (os.cpu_count() or 1),
         )
         if as_json:
             _emit_json("oracle", cli_params, result.to_json_dict(), started)
@@ -450,10 +448,7 @@ def cmd_table(r: int, s: int, k_min: int, k_max: int, what: str, out_path: str) 
             continue
         params = Params(r, s, k)
         if what == "N":
-            if (r, s) == (1, 1):
-                value = pm1_block_threshold(k, 0)
-            else:
-                value = exact_block_threshold_symmetric(params).n_exact
+            value = block_threshold(params)
         elif what == "shift":
             value = min_good_shift(params).alpha
         else:

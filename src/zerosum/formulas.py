@@ -167,6 +167,15 @@ def pm1_block_threshold(k: int, q: int = 0) -> int:
     return max(k, k * k // 4 + (q - s01) * k // 2 + s01)
 
 
+def block_threshold(params: Params) -> int:
+    """N(r, s, k) from the closed form that covers the alphabet:
+    pm1_block_threshold at r = s = 1, exact_block_threshold_symmetric
+    otherwise (coprimality leaves no other r = s)."""
+    if (params.r, params.s) == (1, 1):
+        return pm1_block_threshold(params.k)
+    return exact_block_threshold_symmetric(params).n_exact
+
+
 def pm1_smallsum_threshold(k: int, t: int, q: int = 0) -> int:
     """Least n forcing a k-block of |weight| <= t in {-1, 1}-sequences.
 

@@ -3,17 +3,17 @@ full-enumeration checks of the structural propositions.
 
 Block mode runs a DP over (last k-1 letters, negatives so far) past the cap
 until no prefix lives, its work bounded up front (see _block_dp).  AP mode
-places the -r letters left to right as a position bitmask, sharded by the
-first negative position; each k-term AP is tested, against its own position
-bitmask, once its last letter is fixed (a zero-sum AP holds c* = sk/(r+s)
-negatives), and a prefix holding a zero-sum AP is dropped with its whole
-subtree, counted in closed form.  Both keep the candidate tally at C(n, negs)
-for any shard count.
+places the -r letters left to right as a position bitmask, one depth-first
+search per (length, negative count) in-process; each k-term AP is tested,
+against its own position bitmask, once its last letter is fixed (a zero-sum
+AP holds c* = sk/(r+s) negatives), and a prefix holding a zero-sum AP is
+dropped with its whole subtree, counted in closed form, so the candidate
+tally stays C(n, negs).  AP mode runs the block DP too: an AP avoider is a
+block avoider, so the DP bounds where AP avoiders can lie.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from array import array
@@ -54,8 +54,9 @@ class ThresholdResult:
     or k when nothing avoids; with ``exhaustive`` true and ``capped`` false
     this is the exact threshold under the convention that only lengths
     admitting the weight constraint count.  ``capped`` marks a lower bound:
-    avoiders persist at the top admissible length, or (block mode) an
-    admissible avoider exists beyond the cap; a note says which.
+    avoiders persist at the top admissible length, or an admissible block
+    avoider exists beyond the cap (in AP mode it leaves AP avoiders there
+    open); a note says which.
     """
 
     params: Params
@@ -235,18 +236,15 @@ def _block_witnesses(params: Params, q: int, layers: list[array], n: int) -> lis
     return out
 
 
-def _enumerate_ap_shard(
-    ends: list[list[int]], negs: int, c_star: int, first: int
-) -> tuple[int, list[int]]:
-    """All placements with smallest negative position == first: (candidates,
-    neg-position bitmasks of avoiders).  Negatives go in left to right, and
-    moving from one at p to the next at t fixes the letters p+1..t, so only
-    the APs ending there (``ends``) are tested: one already holding c* - 1
-    negatives is zero-sum if t is -r, one holding c* if t is +s, which drops
-    every placement whose next negative lies past t.  A complete placement
-    also tests the APs ending in its all-+s tail.  A dropped subtree counts
-    C(positions left, negatives left), so the tally over all first positions
-    stays C(n, negs)."""
+def _enumerate_ap(ends: list[list[int]], negs: int, c_star: int) -> tuple[int, list[int]]:
+    """All placements of ``negs`` negatives in [0, n): (candidates, neg-position
+    bitmasks of avoiders).  Negatives go in left to right, and moving from one
+    at p to the next at t fixes the letters p+1..t, so only the APs ending
+    there (``ends``) are tested: one already holding c* - 1 negatives is
+    zero-sum if t is -r, one holding c* if t is +s, which drops every
+    placement whose next negative lies past t.  A complete placement also
+    tests the APs ending in its all-+s tail.  A dropped subtree counts
+    C(positions left, negatives left), so the tally stays C(n, negs)."""
     n, near, comb = len(ends), c_star - 1, math.comb
     avoiders, candidates = [], 0
 
@@ -277,47 +275,25 @@ def _enumerate_ap_shard(
                 candidates += comb(n - 1 - t, rem)
                 return
 
-    if c_star == 1 and ends[first]:  # an AP ending at first: its one negative
-        return comb(n - 1 - first, negs - 1), []
-    place(1 << first, first, negs - 1)
+    place(0, -1, negs)
     return candidates, avoiders
 
 
-def _run_shard(task: tuple) -> list[tuple[int, list[int]]]:
-    """Worker entry point: one bucket of first positions of an (n, negs),
-    with the k-term AP masks of [0, n) by last term."""
-    n, ends, negs, c_star, firsts = task
-    return [_enumerate_ap_shard(ends, negs, c_star, f) for f in firsts]
-
-
-def _ap_search(
-    params: Params, q: int, lengths: list[int], shards: int
-) -> tuple[int | None, list[SignSeq]]:
-    """Largest AP-avoiding length among ``lengths`` and its avoiders.  Each
-    (n, negs) deals its first negative positions into ``shards`` buckets, and
-    each first position runs a depth-first search that tests an AP once its
+def _ap_search(params: Params, q: int, lengths: list[int]) -> tuple[int | None, list[SignSeq]]:
+    """Largest AP-avoiding length among ``lengths`` and its avoiders: one
+    depth-first search per (n, negs), in-process, that tests an AP once its
     last term is fixed and drops a prefix that already holds a zero-sum AP
-    (see _enumerate_ap_shard)."""
+    (see _enumerate_ap)."""
     k, c_star = params.k, _zero_negs(params)
-    with contextlib.ExitStack() as stack:
-        run = map
-        if shards > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=shards)).map
-        max_avoiding, masks_at_max = None, []
-        for n in lengths:
-            ap_masks, length_masks = _ap_masks(n, k), []
-            for b in admissible_pos_counts(params, q, n):
-                if b == n:  # all letters +s: no AP reaches c_star >= 1
-                    length_masks.append(0)
-                    continue
-                firsts, buckets = range(b + 1), range(min(shards, b + 1))
-                tasks = [(n, ap_masks, n - b, c_star, firsts[i::shards]) for i in buckets]
-                parts = [p for bucket in run(_run_shard, tasks) for p in bucket]
-                _check_tally(n, n - b, sum(c for c, _ in parts))
-                length_masks.extend(m for _, masks in parts for m in masks)
-            if length_masks:
-                max_avoiding, masks_at_max = n, length_masks
+    max_avoiding, masks_at_max = None, []
+    for n in lengths:
+        ends, length_masks = _ap_masks(n, k), []
+        for b in admissible_pos_counts(params, q, n):
+            candidates, avoiders = _enumerate_ap(ends, n - b, c_star)
+            _check_tally(n, n - b, candidates)
+            length_masks.extend(avoiders)
+        if length_masks:
+            max_avoiding, masks_at_max = n, length_masks
     full = 0 if max_avoiding is None else (1 << max_avoiding) - 1
     return max_avoiding, [SignSeq(params, max_avoiding, full ^ m) for m in masks_at_max]
 
@@ -333,43 +309,50 @@ def exact_threshold(
     """Exhaustively derive the block or AP threshold up to ``search_cap``.
 
     Every sequence of each admissible length (one where a sequence with
-    |total| <= q exists) is decided; ``shards`` > 1 spreads AP mode over a
-    process pool.  The derived threshold is max(k, last avoiding length + 1)
-    and ``capped`` marks a lower bound (see ThresholdResult).  The enumeration
-    estimate and, in block mode, the DP's own bound must fit the budget.
+    |total| <= q exists) is decided, in-process.  The derived threshold is
+    max(k, last avoiding length + 1) and ``capped`` marks a lower bound (see
+    ThresholdResult).  Both modes run the block DP past the cap: every AP
+    avoider is a block avoider (a k-block is a k-term AP with d = 1), so a
+    block avoider beyond the cap leaves AP avoiders there open.  The
+    enumeration estimate and the DP's own bound must fit the budget.
+    ``shards`` has no effect; it is accepted for callers that pass it.
     """
     params.require_block_divisibility()
     if q < 0:
         raise ParameterError(f"q must be nonnegative, got {q}")
     if mode not in (MODE_BLOCK, MODE_AP):
         raise ParameterError(f"mode must be 'block' or 'ap', got {mode!r}")
-    if shards < 1:
-        raise ParameterError(f"shards must be >= 1, got {shards}")
     ceiling = resolve_budget(budget)
-    dp_estimate = _block_dp_estimate(params, q) if mode == MODE_BLOCK else 0
-    for estimate in (estimate_window_evaluations(params, mode, q, search_cap), dp_estimate):
+    for estimate in (
+        estimate_window_evaluations(params, mode, q, search_cap),
+        _block_dp_estimate(params, q),
+    ):
         if estimate > ceiling:
             raise BudgetExceededError(estimate, ceiling)
 
     k = params.k
     lengths = [n for n in range(k, search_cap + 1) if admissible_pos_counts(params, q, n)]
-    beyond = None
+    counts, layers, beyond = _block_dp(params, q, search_cap)
     if mode == MODE_BLOCK:
-        counts, layers, beyond = _block_dp(params, q, search_cap)
         max_avoiding = max((n for n in lengths if counts[n]), default=None)
         witnesses = []
         if max_avoiding is not None:
             witnesses = _block_witnesses(params, q, layers, max_avoiding)
     else:
-        max_avoiding, witnesses = _ap_search(params, q, lengths, shards)
+        max_avoiding, witnesses = _ap_search(params, q, lengths)
     notes = [] if lengths else ["no admissible length within the search cap"]
     derived = k if max_avoiding is None else max(k, max_avoiding + 1)
     persist = max_avoiding is not None and max_avoiding == lengths[-1]
     lower = "; the derived threshold is only a lower bound"
     if persist:
         notes.append("avoiders persist at the top admissible length" + lower)
-    if beyond is not None:
+    if beyond is not None and mode == MODE_BLOCK:
         notes.append(f"an admissible avoider exists at n={beyond}, beyond the search cap" + lower)
+    elif beyond is not None:
+        notes.append(
+            f"an admissible block avoider exists at n={beyond}, beyond the search "
+            f"cap, so AP avoiders there are not ruled out" + lower
+        )
     return ThresholdResult(
         params=params,
         mode=mode,

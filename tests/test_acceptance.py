@@ -15,6 +15,7 @@ from zerosum import (
     ap_scan,
     ap_scan_naive,
     block_scan,
+    block_threshold,
     build_ap_mod_k,
     build_ap_mod_k_plus1,
     build_ap_two_p,
@@ -23,7 +24,6 @@ from zerosum import (
     exact_threshold,
     interpolation_check,
     min_good_shift,
-    pm1_block_threshold,
     verify_2k_proposition,
     verify_pow2_rigidity,
 )
@@ -53,10 +53,7 @@ def test_criterion_1_formula_oracle_agreement():
     with criterion(1, "exhaustive block thresholds equal the formula values"):
         for r, s, k, cap in grid:
             params = Params(r, s, k)
-            if (r, s) == (1, 1):
-                expected = pm1_block_threshold(k, 0)
-            else:
-                expected = exact_block_threshold(params).n_exact
+            expected = block_threshold(params)
             result = exact_threshold(
                 params, "block", q=0, search_cap=cap, budget=10**10
             )

@@ -275,7 +275,7 @@ class TestOracleCommand:
         result = runner.invoke(
             cli,
             ["oracle", "--target", "block-threshold", "--r", "1", "--s", "2",
-             "--k", "6", "--cap", "18", "--threads", "1"],
+             "--k", "6", "--cap", "18"],
         )
         assert result.exit_code == 0
         assert "derivedThreshold=10 (exact)" in result.output
@@ -284,7 +284,7 @@ class TestOracleCommand:
         result = runner.invoke(
             cli,
             ["oracle", "--target", "ap-threshold", "--r", "1", "--s", "1",
-             "--k", "6", "--cap", "10", "--threads", "1", "--json"],
+             "--k", "6", "--cap", "10", "--json"],
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)["result"]
@@ -310,7 +310,7 @@ class TestOracleCommand:
         result = runner.invoke(
             cli,
             ["oracle", "--target", "block-threshold", "--r", "1", "--s", "1",
-             "--k", "6", "--cap", "16", "--threads", "1"],
+             "--k", "6", "--cap", "16"],
             env={"ZEROSUM_BUDGET": "5"},
         )
         assert result.exit_code == 2
@@ -320,7 +320,7 @@ class TestOracleCommand:
         result = runner.invoke(
             cli,
             ["oracle", "--target", "block-threshold", "--r", "1", "--s", "2",
-             "--k", "6", "--cap", "12", "--threads", "1", "--json"],
+             "--k", "6", "--cap", "12", "--json"],
         )
         assert result.exit_code == 0
         report = json.loads(result.output)
@@ -374,14 +374,15 @@ class TestOracleCommand:
         assert result.exit_code == 2
         assert result.output == "error: budget must be >= 0, got -5\n"
 
-    def test_zero_threads_is_a_usage_error(self, runner):
+    def test_threads_is_an_unknown_option(self, runner):
+        """The oracle runs in-process and takes no ``--threads``."""
         result = runner.invoke(
             cli,
-            ["oracle", "--target", "block-threshold", "--r", "1", "--s", "2",
-             "--k", "6", "--cap", "12", "--threads", "0"],
+            ["oracle", "--target", "ap-threshold", "--r", "1", "--s", "1",
+             "--k", "6", "--cap", "12", "--threads", "2"],
         )
         assert result.exit_code == 2
-        assert "shards must be >= 1" in result.output
+        assert "No such option" in result.output and "--threads" in result.output
 
 
 class TestShiftCommand:

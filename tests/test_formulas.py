@@ -11,6 +11,7 @@ from zerosum import (
     ParameterError,
     Params,
     ap_lower_bound_value,
+    block_threshold,
     build_block_extremal,
     exact_block_threshold,
     exact_block_threshold_symmetric,
@@ -75,8 +76,11 @@ def test_symmetric_threshold_is_symmetric():
 
 
 def test_symmetric_threshold_rejects_equal_letters():
+    """block_threshold covers r = s = 1 with the +-1 formula instead."""
     with pytest.raises(ParameterError):
         exact_block_threshold_symmetric(Params(1, 1, 6))
+    assert block_threshold(Params(1, 1, 6)) == pm1_block_threshold(6) == 9
+    assert block_threshold(Params(2, 1, 6)) == 10
 
 
 @pytest.mark.parametrize(

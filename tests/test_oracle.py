@@ -15,9 +15,11 @@ from zerosum import (
     ap_lower_bound_value,
     ap_scan,
     ap_scan_naive,
+    block_threshold,
     estimate_window_evaluations,
     exact_threshold,
     min_good_shift,
+    pm1_block_threshold,
     verify_2k_proposition,
     verify_lemma_residue_properties,
     verify_pow2_rigidity,
@@ -28,7 +30,7 @@ from zerosum.oracle import (
     _block_dp,
     _block_dp_estimate,
     _block_witnesses,
-    _run_shard,
+    _enumerate_ap,
     _zero_negs,
     admissible_pos_counts,
 )
@@ -107,8 +109,7 @@ def test_threshold_with_positive_q():
 
 
 def test_shard_count_does_not_change_results():
-    """Block mode ignores ``shards``; AP mode deals first positions into a
-    process pool of that many workers."""
+    """``shards`` has no effect in either mode."""
     for mode in ("block", "ap"):
         serial, *sharded = (
             exact_threshold(Params(1, 2, 6), mode, q=0, search_cap=12, shards=shards)
@@ -119,15 +120,19 @@ def test_shard_count_does_not_change_results():
 
 
 def test_block_mode_never_starts_a_pool(monkeypatch):
-    """Only AP mode shards; the block DP runs in-process for any shard count."""
+    """Both modes run in-process for any shard count: no pool is built and
+    no process starts."""
     import concurrent.futures
+    import multiprocessing.process
 
     def refuse(*args, **kwargs):
-        raise AssertionError("block mode started a process pool")
+        raise AssertionError("the oracle started a process")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    result = exact_threshold(Params(1, 1, 8), "block", q=0, search_cap=14, shards=2)
-    assert result.derived_threshold == 13
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    for mode in ("block", "ap"):
+        result = exact_threshold(Params(1, 1, 8), mode, q=0, search_cap=14, shards=2)
+        assert result.derived_threshold == 13, mode
 
 
 def test_capped_when_an_avoider_lies_beyond_the_cap():
@@ -262,9 +267,9 @@ def test_block_dp_matches_every_bitmask(r, s, k):
             assert counts[n] == len(want), (q, n)
 
 
-def _ap_shard(n, k, negs, c_star):
-    """The AP enumerator over every first negative position, as one shard."""
-    return _run_shard((n, _ap_masks(n, k), negs, c_star, range(n - negs + 1)))
+def _ap_enumerate(n, k, negs, c_star):
+    """The AP enumerator at (n, negs): (candidates, avoider masks)."""
+    return _enumerate_ap(_ap_masks(n, k), negs, c_star)
 
 
 @pytest.mark.parametrize(
@@ -273,7 +278,7 @@ def _ap_shard(n, k, negs, c_star):
 )
 def test_ap_enumerator_matches_brute_force(n, k, negs, c_star):
     expected = _brute_force_avoiders(n, k, negs, c_star, ap_mode=True)
-    got = [m for _, avoiders in _ap_shard(n, k, negs, c_star) for m in avoiders]
+    _, got = _ap_enumerate(n, k, negs, c_star)
     assert sorted(got) == expected
 
 
@@ -283,27 +288,19 @@ def test_ap_enumerator_matches_brute_force(n, k, negs, c_star):
      (1, 2, 6), (2, 1, 6), (1, 3, 4), (3, 1, 4), (2, 3, 5)],
 )
 def test_pruned_ap_shard_matches_brute_force(r, s, k):
-    """Per first negative position, the pruned search counts all
-    C(n-1-first, negs-1) placements and returns the brute-force avoiders
-    whose lowest negative sits there, at every negative count that some q
-    in 0..3 admits up to n = k + 10."""
+    """Per (n, negs), the pruned search counts all C(n, negs) placements and
+    returns the brute-force avoiders, at every negative count, zero
+    included, that some q in 0..3 admits up to n = k + 10."""
     params = Params(r, s, k)
     c_star = _zero_negs(params)
     for n in range(k, k + 11):
         counts = {b for q in range(4) for b in admissible_pos_counts(params, q, n)}
-        for negs in sorted(n - b for b in counts if b < n):
-            by_first = {}
-            for m in _brute_force_avoiders(n, k, negs, c_star, ap_mode=True):
-                by_first.setdefault((m & -m).bit_length() - 1, []).append(m)
-            for first, (candidates, avoiders) in enumerate(
-                _ap_shard(n, k, negs, c_star)
-            ):
-                assert candidates == math.comb(n - 1 - first, negs - 1), (
-                    n, negs, first,
-                )
-                assert sorted(avoiders) == by_first.get(first, []), (
-                    n, negs, first,
-                )
+        for negs in sorted(n - b for b in counts):
+            candidates, avoiders = _ap_enumerate(n, k, negs, c_star)
+            assert candidates == math.comb(n, negs), (n, negs)
+            assert sorted(avoiders) == _brute_force_avoiders(
+                n, k, negs, c_star, ap_mode=True
+            ), (n, negs)
 
 
 @pytest.mark.parametrize(
@@ -326,6 +323,53 @@ def test_ap_threshold_at_the_pruned_reach(r, s, k, cap, threshold, count):
     assert threshold >= ap_lower_bound_value(params, min_good_shift(params))
 
 
+@pytest.mark.parametrize(
+    "r,s,k,q,cap,threshold,beyond",
+    [(1, 1, 10, 0, 23, 17, 24), (1, 1, 12, 0, 27, 21, 28), (1, 1, 6, 2, 13, 11, 14)],
+)
+def test_ap_threshold_below_a_block_avoider_is_a_lower_bound(
+    r, s, k, q, cap, threshold, beyond
+):
+    """AP avoiders are not monotone in n: (1,1,10) has some at n = 16 and 24
+    and none in between.  Each point has a block avoider, so possibly an AP
+    avoider, just past the cap; the result is a lower bound that names it."""
+    result = exact_threshold(Params(r, s, k), "ap", q=q, search_cap=cap)
+    assert result.derived_threshold == threshold
+    assert result.capped
+    assert any(
+        f"block avoider exists at n={beyond}," in note and "lower bound" in note
+        for note in result.notes
+    )
+
+
+def _uncapped_ap_points():
+    """Every coprime alphabet with (r+s) | k <= 8 at q = 0, and (1,1) at
+    q = 1, 2, with N(r,s,k,q) from its closed form."""
+    for m in range(2, 9):
+        for r in range(1, m):
+            if math.gcd(r, m) != 1:
+                continue
+            for k in range(m, 9, m):
+                params = Params(r, m - r, k)
+                yield params, 0, block_threshold(params)
+                if r == 1 and m == 2:
+                    for q in (1, 2):
+                        yield params, q, pm1_block_threshold(k, q)
+
+
+def test_uncapped_ap_result_matches_the_run_at_n_minus_1():
+    """No AP avoider is longer than a block avoider, so cap N - 1 settles M;
+    a result at any cap that is not ``capped`` must agree with it."""
+    for params, q, n_block in _uncapped_ap_points():
+        settled = exact_threshold(params, "ap", q=q, search_cap=n_block - 1)
+        for cap in range(params.k, n_block + params.modulus):
+            result = exact_threshold(params, "ap", q=q, search_cap=cap)
+            if not result.capped:
+                assert (result.derived_threshold, result.max_avoiding_n) == (
+                    settled.derived_threshold, settled.max_avoiding_n,
+                ), (params, q, cap)
+
+
 def test_candidate_accounting_matches_binomials(monkeypatch):
     """Killed and dropped prefixes are carried forward: the block DP's
     tally (live plus dead) and the AP enumerator's candidate total equal
@@ -342,7 +386,7 @@ def test_candidate_accounting_matches_binomials(monkeypatch):
         tallies.clear()
         _dp_avoiders(n, k, negs, c_star)
         assert tallies[(n, negs)] == math.comb(n, negs)
-        ap_total = sum(c for c, _ in _ap_shard(n, k, negs, c_star))
+        ap_total, _ = _ap_enumerate(n, k, negs, c_star)
         assert ap_total == math.comb(n, negs)
 
 
