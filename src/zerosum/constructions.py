@@ -1,10 +1,13 @@
 """Explicit extremal sequences, each with a machine-checkable claim.
 
-Every builder returns a zero-sum sequence together with a record of what
-it avoids (zero-sum k-blocks or zero-sum k-term arithmetic subsequences);
-the scanners re-check each claim independently.  Lengths that legally
-evaluate to 0 at small parameters are flagged degenerate rather than
-rejected.
+Every sequence construction is one run pattern (period, neg_run, n): a run
+of neg_run letters -r, then period - neg_run letters +s, repeated and cut
+to length n.  A builder fixes only those three numbers and its claim, what
+the sequence avoids (zero-sum k-blocks or zero-sum k-term arithmetic
+subsequences); the scanners re-check each claim independently.  The
+residue product is the exception: a sign function on Z/k, not a run
+pattern.  Lengths that legally evaluate to 0 at small parameters are
+flagged degenerate rather than rejected.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ConstructionInfeasibleError, ParameterError, Params, SignSeq
-from .good_shift import GoodShift, is_good_shift, is_prime
+from .good_shift import GoodShift, certified_shift, is_prime
 
 BLOCK_EXTREMAL = "block-extremal"
 BLOCK_EXTREMAL_NEGATED = "block-extremal-neg"
@@ -26,9 +29,8 @@ AP_TWO_P = "ap-two-p"
 
 @dataclass(frozen=True)
 class ClaimedProperty:
-    """What the construction avoids (or guarantees), stated checkably."""
+    """What the construction avoids, stated checkably."""
 
-    kind: str  # "block" | "ap" | "block-weight-constant"
     k: int
     description: str
 
@@ -41,46 +43,46 @@ class Construction:
     seq: SignSeq
     claim: ClaimedProperty
     degenerate: bool = False
-    notes: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params.to_json_dict(),
-            "length": self.length,
-            "claimedProperty": {
-                "kind": self.claim.kind,
-                "k": self.claim.k,
-                "description": self.claim.description,
-            },
-            "degenerate": self.degenerate,
-            "notes": list(self.notes),
-        }
 
 
-def _sequence(params: Params, values: list[int], expect_zero_sum: bool = True) -> SignSeq:
-    seq = SignSeq.from_values(params, values)
-    if expect_zero_sum:
-        assert seq.total_weight() == 0, "construction must be zero-sum"
+def _periodic(params: Params, period: int, neg_run: int, n: int) -> SignSeq:
+    """neg_run letters -r then period - neg_run letters +s, repeated and cut
+    to length n; every construction here is zero-sum."""
+    run = "0" * neg_run + "1" * (period - neg_run)
+    seq = SignSeq.from_bitstring(params, (run * (n // period + 1))[:n])
+    assert seq.total_weight() == 0, "construction must be zero-sum"
     return seq
 
 
-def _block_extremal_values(r: int, s: int, k: int) -> tuple[list[int], int]:
-    """Values and shift t of the periodic block-extremal construction.
+def _construction(kind: str, seq: SignSeq, description: str) -> Construction:
+    params = seq.params
+    return Construction(
+        kind=kind,
+        params=params,
+        length=seq.n,
+        seq=seq,
+        claim=ClaimedProperty(k=params.k, description=description),
+        degenerate=seq.n == 0,
+    )
 
-    The sequence consists of b blocks [neg_run copies of -r, pos_run copies
-    of +s] followed by a remainder that is a prefix of the same pattern, so
-    every k-window covers each residue class mod k exactly once and has
-    weight exactly r + s.
+
+def _block_extremal_length(r: int, s: int, k: int) -> int:
+    """Length of the periodic block-extremal construction.
+
+    The sequence consists of b periods of k letters [sk/(r+s) - 1 copies of
+    -r, rk/(r+s) + 1 copies of +s] followed by a remainder that is a prefix
+    of the same pattern, so every k-window covers each residue class mod k
+    exactly once and has weight exactly r + s.  The shift t decides the
+    remainder: the -r run and t letters +s when t <= r, else a shorter run
+    of -r letters.
     """
     m = r + s
     cap = k // m
     t = (1 - s * cap) % m
     neg_run = s * cap - 1
-    pos_run = r * cap + 1
     if t <= r:
         b = (r * s * cap - (r + s * t)) // m
-        remainder = [-r] * neg_run + [s] * t
+        rem_len = neg_run + t
     else:
         b = (r * s * cap - (r + r * (m - t))) // m
         rem_len = neg_run - (m - t)
@@ -88,12 +90,11 @@ def _block_extremal_values(r: int, s: int, k: int) -> tuple[list[int], int]:
             raise ConstructionInfeasibleError(
                 f"remainder length {rem_len} is negative (k too small for t = {t})"
             )
-        remainder = [-r] * rem_len
     if b < 0:
         raise ConstructionInfeasibleError(
             f"block count b = {b} is negative (k too small for t = {t})"
         )
-    return ([-r] * neg_run + [s] * pos_run) * b + remainder, t
+    return b * k + rem_len
 
 
 def build_block_extremal(params: Params) -> Construction:
@@ -101,22 +102,11 @@ def build_block_extremal(params: Params) -> Construction:
     weight equal to r + s, hence no zero-sum k-block."""
     params.require_block_divisibility()
     r, s, k = params.r, params.s, params.k
-    values, t = _block_extremal_values(r, s, k)
-    seq = _sequence(params, values)
-    n = len(values)
-    return Construction(
-        kind=BLOCK_EXTREMAL,
-        params=params,
-        length=n,
-        seq=seq,
-        claim=ClaimedProperty(
-            kind="block",
-            k=k,
-            description=f"every {k}-window has weight exactly {r + s}; "
-            f"no zero-sum {k}-block",
-        ),
-        degenerate=n == 0,
-        notes=(f"shift t = {t}",),
+    n = _block_extremal_length(r, s, k)
+    return _construction(
+        BLOCK_EXTREMAL,
+        _periodic(params, k, s * k // params.modulus - 1, n),
+        f"every {k}-window has weight exactly {r + s}; no zero-sum {k}-block",
     )
 
 
@@ -124,27 +114,17 @@ def build_block_extremal_negated(params: Params) -> Construction:
     """Negation of the block-extremal sequence for swapped letters.
 
     Builds the extremal {-s, r}-sequence and negates every term, giving a
-    {-r, s}-sequence whose k-windows all weigh -(r + s).
+    {-r, s}-sequence whose k-windows all weigh -(r + s): negation swaps the
+    letters, so it complements the selector bits.
     """
     params.require_block_divisibility()
     r, s, k = params.r, params.s, params.k
-    swapped_values, t_prime = _block_extremal_values(s, r, k)
-    values = [-v for v in swapped_values]
-    seq = _sequence(params, values)
-    n = len(values)
-    return Construction(
-        kind=BLOCK_EXTREMAL_NEGATED,
-        params=params,
-        length=n,
-        seq=seq,
-        claim=ClaimedProperty(
-            kind="block",
-            k=k,
-            description=f"every {k}-window has weight exactly {-(r + s)}; "
-            f"no zero-sum {k}-block",
-        ),
-        degenerate=n == 0,
-        notes=(f"shift t' = {t_prime}", "negated from swapped-letter construction"),
+    n = _block_extremal_length(s, r, k)
+    swapped = _periodic(Params(s, r, k), k, r * k // params.modulus - 1, n)
+    return _construction(
+        BLOCK_EXTREMAL_NEGATED,
+        SignSeq(params, n, swapped.bits ^ ((1 << n) - 1)),
+        f"every {k}-window has weight exactly {-(r + s)}; no zero-sum {k}-block",
     )
 
 
@@ -161,22 +141,11 @@ def build_ap_mod_k(k: int) -> Construction:
         )
     a = k // 2
     n = (2 * a + 2) * ((a - 1) // 4)
-    half = (a - 1) // 2
-    params = Params(1, 1, k)
-    values = [(-1 if j % a < half else 1) for j in range(n)]
-    seq = _sequence(params, values)
-    return Construction(
-        kind=AP_MOD_K,
-        params=params,
-        length=n,
-        seq=seq,
-        claim=ClaimedProperty(
-            kind="ap",
-            k=k,
-            description=f"no zero-sum {k}-term arithmetic subsequence; every "
-            f"{k}-term AP with difference d has |weight| >= gcd(d, {k})",
-        ),
-        degenerate=n == 0,
+    return _construction(
+        AP_MOD_K,
+        _periodic(Params(1, 1, k), a, (a - 1) // 2, n),
+        f"no zero-sum {k}-term arithmetic subsequence; every "
+        f"{k}-term AP with difference d has |weight| >= gcd(d, {k})",
     )
 
 
@@ -255,27 +224,11 @@ def build_ap_mod_k_plus1(k: int) -> Construction:
         raise ParameterError(f"k must be even and >= 2, got {k}")
     a = k + 1
     n = (a + 3) * ((a - 3) // 6)
-    half = (a - 3) // 2
-    params = Params(1, 1, k)
-    values = [(-1 if j % a < half else 1) for j in range(n)]
-    seq = _sequence(params, values)
-    return Construction(
-        kind=AP_MOD_K_PLUS1,
-        params=params,
-        length=n,
-        seq=seq,
-        claim=ClaimedProperty(
-            kind="ap",
-            k=k,
-            description=f"no zero-sum {k}-term arithmetic subsequence "
-            f"(period {a}, every full-period AP weight is at least 3 in "
-            f"absolute value)",
-        ),
-        degenerate=n == 0,
-        notes=(
-            "length (a+3)*floor((a-3)/6): the floor bounds the remainder by "
-            "(a-3)/2 so all remainder terms are -1 and the total weight is 0",
-        ),
+    return _construction(
+        AP_MOD_K_PLUS1,
+        _periodic(Params(1, 1, k), a, (a - 3) // 2, n),
+        f"no zero-sum {k}-term arithmetic subsequence (period {a}, every "
+        f"full-period AP weight is at least 3 in absolute value)",
     )
 
 
@@ -288,37 +241,17 @@ def build_ap_good_shift(params: Params, alpha: int | GoodShift) -> Construction:
     remainder is all -r and cancels the full periods exactly.
     """
     params.require_block_divisibility()
-    shift = alpha if isinstance(alpha, GoodShift) else is_good_shift(params, alpha)
-    if shift.params != params:
-        raise ParameterError("good shift was certified for different parameters")
-    if not shift.good:
-        raise ParameterError(
-            f"alpha = {shift.alpha} is not a good shift: prime "
-            f"{shift.blocking[0]} divides weight {shift.blocking[1]} of "
-            f"S_{shift.alpha}"
-        )
+    shift = certified_shift(params, alpha)
     r, s, k = params.r, params.s, params.k
     a = k + shift.alpha
     neg_run = s * k // params.modulus - 1
     period_weight = params.modulus + s * shift.alpha
     n = (r * a + period_weight) * (neg_run // (r * period_weight))
-    values = [(-r if j % a < neg_run else s) for j in range(n)]
-    seq = _sequence(params, values)
-    return Construction(
-        kind=AP_GOOD_SHIFT,
-        params=params,
-        length=n,
-        seq=seq,
-        claim=ClaimedProperty(
-            kind="ap",
-            k=k,
-            description=f"no zero-sum {k}-term arithmetic subsequence "
-            f"(period {a}, per-period weight {period_weight}, good shift "
-            f"alpha = {shift.alpha})",
-        ),
-        degenerate=n == 0,
-        notes=(f"good shift alpha = {shift.alpha}, k + alpha = {a} with prime "
-               f"factors {list(shift.prime_factors)}",),
+    return _construction(
+        AP_GOOD_SHIFT,
+        _periodic(params, a, neg_run, n),
+        f"no zero-sum {k}-term arithmetic subsequence (period {a}, per-period "
+        f"weight {period_weight}, good shift alpha = {shift.alpha})",
     )
 
 
@@ -332,19 +265,8 @@ def build_ap_two_p(p: int) -> Construction:
         raise ParameterError(f"p must be an odd prime, got {p}")
     k = 2 * p
     n = p * p - 1
-    params = Params(1, 1, k)
-    values = [(-1 if j % k < p - 1 else 1) for j in range(n)]
-    seq = _sequence(params, values)
-    return Construction(
-        kind=AP_TWO_P,
-        params=params,
-        length=n,
-        seq=seq,
-        claim=ClaimedProperty(
-            kind="ap",
-            k=k,
-            description=f"no zero-sum {k}-term arithmetic subsequence in "
-            f"length {n} = p^2 - 1",
-        ),
-        degenerate=False,
+    return _construction(
+        AP_TWO_P,
+        _periodic(Params(1, 1, k), k, p - 1, n),
+        f"no zero-sum {k}-term arithmetic subsequence in length {n} = p^2 - 1",
     )

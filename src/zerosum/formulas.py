@@ -17,12 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .core import FormulaDomainError, ParameterError, Params
-
-if TYPE_CHECKING:
-    from .good_shift import GoodShift
+from .good_shift import GoodShift, certified_shift
 
 
 @dataclass(frozen=True)
@@ -232,21 +229,8 @@ def ap_lower_bound_value(params: Params, alpha: int | GoodShift) -> int:
     ``alpha`` may be a verified GoodShift or a plain integer, in which case
     goodness is checked here.
     """
-    from .good_shift import GoodShift, is_good_shift
-
     params.require_block_divisibility()
-    if isinstance(alpha, GoodShift):
-        shift = alpha
-        if shift.params != params:
-            raise ParameterError("good shift was certified for different parameters")
-    else:
-        shift = is_good_shift(params, alpha)
-    if not shift.good:
-        raise ParameterError(
-            f"alpha = {shift.alpha} is not a good shift for "
-            f"(r, s, k) = ({params.r}, {params.s}, {params.k}): "
-            f"prime {shift.blocking[0]} divides weight {shift.blocking[1]}"
-        )
+    shift = certified_shift(params, alpha)
     r, s, k = params.r, params.s, params.k
     a = k + shift.alpha
     period_weight = params.modulus + s * shift.alpha

@@ -134,6 +134,21 @@ def is_good_shift(params: Params, alpha: int) -> GoodShift:
     )
 
 
+def certified_shift(params: Params, alpha: int | GoodShift) -> GoodShift:
+    """The good shift ``alpha`` for these params: a plain integer is
+    decided here, a GoodShift must have been decided for these params."""
+    shift = alpha if isinstance(alpha, GoodShift) else is_good_shift(params, alpha)
+    if shift.params != params:
+        raise ParameterError("good shift was certified for different parameters")
+    if not shift.good:
+        raise ParameterError(
+            f"alpha = {shift.alpha} is not a good shift for "
+            f"(r, s, k) = ({params.r}, {params.s}, {params.k}): "
+            f"prime {shift.blocking[0]} divides weight {shift.blocking[1]}"
+        )
+    return shift
+
+
 def _prime_horizon(params: Params) -> int:
     """First alpha >= 1 with k + alpha prime and k + alpha > s * alpha.
 

@@ -283,7 +283,9 @@ def _ap_search(params: Params, q: int, lengths: list[int]) -> tuple[int | None, 
     """Largest AP-avoiding length among ``lengths`` and its avoiders: one
     depth-first search per (n, negs), in-process, that tests an AP once its
     last term is fixed and drops a prefix that already holds a zero-sum AP
-    (see _enumerate_ap)."""
+    (see _enumerate_ap).  exact_threshold passes only the lengths where the
+    block DP left an avoider: an AP avoider is a block avoider, so the others
+    hold none, and the DP's own _check_tally accounts for their candidates."""
     k, c_star = params.k, _zero_negs(params)
     max_avoiding, masks_at_max = None, []
     for n in lengths:
@@ -333,13 +335,14 @@ def exact_threshold(
     k = params.k
     lengths = [n for n in range(k, search_cap + 1) if admissible_pos_counts(params, q, n)]
     counts, layers, beyond = _block_dp(params, q, search_cap)
+    alive = [n for n in lengths if counts[n]]  # lengths with a block avoider
     if mode == MODE_BLOCK:
-        max_avoiding = max((n for n in lengths if counts[n]), default=None)
+        max_avoiding = max(alive, default=None)
         witnesses = []
         if max_avoiding is not None:
             witnesses = _block_witnesses(params, q, layers, max_avoiding)
     else:
-        max_avoiding, witnesses = _ap_search(params, q, lengths)
+        max_avoiding, witnesses = _ap_search(params, q, alive)
     notes = [] if lengths else ["no admissible length within the search cap"]
     derived = k if max_avoiding is None else max(k, max_avoiding + 1)
     persist = max_avoiding is not None and max_avoiding == lengths[-1]

@@ -177,6 +177,18 @@ class TestConstructVerifyPipeline:
         assert result.exit_code == 0
         assert "n=18" in result.output
 
+    def test_bad_good_shift_exit_2(self, runner, tmp_path):
+        out = tmp_path / "s.txt"
+        result = runner.invoke(
+            cli,
+            ["construct", "--kind", "ap-good-shift", "--r", "1", "--s", "2",
+             "--k", "21", "--alpha", "1", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert result.output.count("\n") == 1
+        assert "not a good shift" in result.output
+
     def test_degenerate_warns_but_succeeds(self, runner, tmp_path):
         out = tmp_path / "s.txt"
         result = runner.invoke(

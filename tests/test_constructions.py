@@ -1,11 +1,14 @@
 """Construction tests: literal sequences, zero-sum totals, and the claimed
 avoidance properties re-checked through the scanners."""
 
+import math
+
 import pytest
 
 from zerosum import (
     ParameterError,
     Params,
+    ap_lower_bound_value,
     ap_scan,
     block_scan,
     build_ap_good_shift,
@@ -16,6 +19,7 @@ from zerosum import (
     build_block_extremal,
     build_block_extremal_negated,
     exact_block_threshold,
+    min_good_shift,
 )
 
 
@@ -255,3 +259,67 @@ def test_all_constructions_zero_sum():
     for c in built:
         assert c.seq.total_weight() == 0
         assert c.length == len(c.seq)
+
+
+def _run_letters(n, period, neg_run, first, rest):
+    """The docstring rule: ``first`` at j when j mod period < neg_run, else ``rest``."""
+    return tuple(first if j % period < neg_run else rest for j in range(n))
+
+
+def _is_odd_prime(p):
+    return p >= 3 and all(p % d for d in range(2, p))
+
+
+def test_every_construction_follows_its_docstring_rule():
+    """Each builder's letters, term by term, against the rule its docstring
+    states; lengths against their closed forms; invalid inputs raise
+    ParameterError.  The grid holds degenerate length-0 points."""
+    degenerate = set()
+
+    def check(c, period, neg_run, first, rest, n=None):
+        assert c.seq.values() == _run_letters(c.length, period, neg_run, first, rest)
+        assert c.length == len(c.seq) and c.seq.total_weight() == 0
+        assert n is None or c.length == n
+        assert c.degenerate == (c.length == 0)
+        if c.degenerate:
+            degenerate.add(c.kind)
+
+    for r in range(1, 6):
+        for s in range(1, 6):
+            if math.gcd(r, s) != 1:
+                continue
+            for k in range(r + s, 8 * (r + s) + 1, r + s):
+                params, c_star = Params(r, s, k), s * k // (r + s)
+                plain = build_block_extremal(params)
+                check(plain, k, c_star - 1, -r, s)
+                swapped = build_block_extremal(Params(s, r, k))
+                check(build_block_extremal_negated(params), k, k - c_star - 1, s, -r,
+                      n=swapped.length)
+                if r < s:
+                    assert plain.length == exact_block_threshold(params).m1 - 1
+                # The default horizon needs a prime k + alpha > s*alpha, which small k lacks.
+                shift = min_good_shift(params, horizon=2 * k)
+                check(build_ap_good_shift(params, shift), k + shift.alpha, c_star - 1, -r, s,
+                      n=ap_lower_bound_value(params, shift))
+    for k in range(-2, 121):
+        a = k // 2
+        if k % 4 == 2 and k >= 6:
+            check(build_ap_mod_k(k), a, (a - 1) // 2, -1, 1, n=(2 * a + 2) * ((a - 1) // 4))
+        else:
+            with pytest.raises(ParameterError):
+                build_ap_mod_k(k)
+        a = k + 1
+        if k % 2 == 0 and k >= 2:
+            check(build_ap_mod_k_plus1(k), a, (k - 2) // 2, -1, 1, n=(a + 3) * ((a - 3) // 6))
+        else:
+            with pytest.raises(ParameterError):
+                build_ap_mod_k_plus1(k)
+    for p in range(-1, 32):
+        if _is_odd_prime(p):
+            check(build_ap_two_p(p), 2 * p, p - 1, -1, 1, n=p * p - 1)
+        else:
+            with pytest.raises(ParameterError):
+                build_ap_two_p(p)
+    assert degenerate == {
+        "block-extremal", "block-extremal-neg", "ap-mod-k", "ap-mod-k1", "ap-good-shift"
+    }

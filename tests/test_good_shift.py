@@ -9,6 +9,7 @@ from zerosum import (
     Params,
     ShiftSearchError,
     build_ap_good_shift,
+    ap_lower_bound_value,
     ap_scan,
     is_good_shift,
     is_prime,
@@ -79,6 +80,21 @@ def test_good_shift_enables_clean_construction():
         c = build_ap_good_shift(params, shift)
         if c.length >= params.k:
             assert not ap_scan(c.seq, params.k).found
+
+
+@pytest.mark.parametrize("consumer", [build_ap_good_shift, ap_lower_bound_value])
+def test_consumers_share_one_certification(consumer):
+    """Both consumers of a shift reject one certified for other params and
+    a bad shift, with the same message."""
+    shift = min_good_shift(Params(1, 2, 12))
+    with pytest.raises(ParameterError, match="certified for different parameters"):
+        consumer(Params(1, 2, 15), shift)
+    with pytest.raises(ParameterError) as bad:
+        consumer(Params(1, 2, 21), 1)
+    assert str(bad.value) == (
+        "alpha = 1 is not a good shift for (r, s, k) = (1, 2, 21): "
+        "prime 2 divides weight 2"
+    )
 
 
 @given(st.data())

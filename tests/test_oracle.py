@@ -370,6 +370,38 @@ def test_uncapped_ap_result_matches_the_run_at_n_minus_1():
                 ), (params, q, cap)
 
 
+_AP_POINTS = [  # (r, s, k, q, cap): every AP-mode call above
+    (1, 1, 4, 0, 12), (1, 1, 6, 0, 12), (1, 1, 6, 0, 10), (1, 2, 6, 0, 12),
+    (1, 1, 8, 0, 14), (1, 1, 8, 0, 27), (1, 2, 9, 0, 29), (1, 1, 10, 0, 23),
+    (1, 1, 12, 0, 27), (1, 1, 6, 2, 13),
+]
+
+
+@pytest.mark.parametrize("r,s,k,q,cap", _AP_POINTS)
+def test_ap_search_skips_lengths_without_a_block_avoider(monkeypatch, r, s, k, q, cap):
+    """AP mode searches only the lengths where the block DP left an avoider,
+    and its report equals a search over every admissible length."""
+    params = Params(r, s, k)
+    counts = _block_dp(params, q, cap)[0]
+    searched = []
+    enumerate_ap = oracle._enumerate_ap
+
+    def record(ends, negs, c_star):
+        searched.append(len(ends))
+        return enumerate_ap(ends, negs, c_star)
+
+    monkeypatch.setattr(oracle, "_enumerate_ap", record)
+    result = exact_threshold(params, "ap", q=q, search_cap=cap)
+    assert all(counts[n] for n in searched)
+    ap_search = oracle._ap_search
+    every_length = [n for n in range(k, cap + 1) if admissible_pos_counts(params, q, n)]
+    monkeypatch.setattr(
+        oracle, "_ap_search", lambda params, q, lengths: ap_search(params, q, every_length)
+    )
+    unskipped = exact_threshold(params, "ap", q=q, search_cap=cap)
+    assert result.to_json_dict() == unskipped.to_json_dict()
+
+
 def test_candidate_accounting_matches_binomials(monkeypatch):
     """Killed and dropped prefixes are carried forward: the block DP's
     tally (live plus dead) and the AP enumerator's candidate total equal
