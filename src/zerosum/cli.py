@@ -20,7 +20,6 @@ import click
 from . import __version__
 from .core import (
     BudgetExceededError,
-    ConstructionInfeasibleError,
     FormulaDomainError,
     ParameterError,
     Params,
@@ -73,7 +72,6 @@ EXIT_ERROR = 2
 _EXIT_2_ERRORS = (
     ParameterError,
     FormulaDomainError,
-    ConstructionInfeasibleError,
     SequenceFileError,
     BudgetExceededError,
     OSError,

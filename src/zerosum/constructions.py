@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ConstructionInfeasibleError, ParameterError, Params, SignSeq
+from .core import ParameterError, Params, SignSeq
 from .good_shift import GoodShift, certified_shift, is_prime
 
 BLOCK_EXTREMAL = "block-extremal"
@@ -74,7 +74,8 @@ def _block_extremal_length(r: int, s: int, k: int) -> int:
     of the same pattern, so every k-window covers each residue class mod k
     exactly once and has weight exactly r + s.  The shift t decides the
     remainder: the -r run and t letters +s when t <= r, else a shorter run
-    of -r letters.
+    of -r letters.  With cap = k/(r+s) >= 1 both b and the remainder
+    length are nonnegative (CHANGES.md gives the short proof).
     """
     m = r + s
     cap = k // m
@@ -86,14 +87,6 @@ def _block_extremal_length(r: int, s: int, k: int) -> int:
     else:
         b = (r * s * cap - (r + r * (m - t))) // m
         rem_len = neg_run - (m - t)
-        if rem_len < 0:
-            raise ConstructionInfeasibleError(
-                f"remainder length {rem_len} is negative (k too small for t = {t})"
-            )
-    if b < 0:
-        raise ConstructionInfeasibleError(
-            f"block count b = {b} is negative (k too small for t = {t})"
-        )
     return b * k + rem_len
 
 

@@ -25,10 +25,6 @@ class FormulaDomainError(ValueError):
     """A threshold formula produced a non-integer where one is required."""
 
 
-class ConstructionInfeasibleError(ValueError):
-    """A construction's derived quantities are negative at these parameters."""
-
-
 class BudgetExceededError(RuntimeError):
     """An exhaustive search would exceed the configured work ceiling."""
 

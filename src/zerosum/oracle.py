@@ -514,10 +514,10 @@ def verify_lemma_residue_properties(
     for d in range(1, k + 1):
         if k % d:
             continue
-        terms = k // d
         for start in range(d):
             checked += 1
-            if fn.progression_weight(start, d, terms) == 0:
+            # start < d and d * (k/d) = k: the full progression never wraps
+            if sum(fn.values[start::d]) == 0:
                 failure = (d, start)
                 break
         if failure:

@@ -1,25 +1,33 @@
 """Fast detectors for zero-sum blocks, zero-sum arithmetic subsequences,
 and small-sum blocks, plus the interpolation-property checker.
 
-Every scan reads window weights as differences of prefix sums, off one
-prefix sequence, by a single window scan (_window_scan): it reads the
-|weights| in runs of growing length, keeps each run's minimum and stops in
-the first run that holds a window within the tolerance.  Block scans run
-in O(n) on the cached prefix sums, and in O(h) up to a hit at start h; the
-zero-sum scan is the small-sum scan at t = 0.
-AP scans cost O(n * maxD) with maxD = floor((n-1)/(k-1)): for each common
-difference d one stride-prefix sequence, built by an ``accumulate`` per
-residue class mod d, turns the k-term APs into windows.  Witness order is
+Block scans read window weights as differences of the cached prefix
+sums by one window scan (_window_scan): it reads the |weights| in runs of
+growing length, keeps each run's minimum and stops in the first run that
+holds a window within the tolerance, so a scan costs O(n), and O(h) up to
+a hit at start h; the zero-sum scan is the small-sum scan at t = 0.
+The AP scan counts bit-parallel instead: the -r flags become one int of
+w-bit fields, field p for position p, with w the narrowest of 8, 16 and
+32 bits such that k < 2**w.  For each common difference d, binary doubling
+over the bits of k (at most 2 log2 k shift-adds of n*w-bit ints) gives
+the -r count of every k-term AP of difference d at once, in the field of
+its start; no field carries, each partial sum being at most k < 2**w.
+One ``set`` over those counts gives the least |weight| and whether a
+zero-sum count occurs.  So an AP scan costs O(log k) big-int operations
+and one O(n) set per difference d <= maxD = floor((n-1)/(k-1)); a
+difference costs that whether or not it holds a hit.  Witness order is
 deterministic: blocks by lowest start, APs by lowest difference then
-lowest start.  A naive rescan is kept alongside the optimized AP scanner as
-its correctness oracle.
+lowest start.  A naive rescan is kept alongside the optimized AP scanner
+as its correctness oracle.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import islice
 from operator import indexOf, sub
 
 from .core import ParameterError, SignSeq
@@ -29,6 +37,10 @@ MODE_AP = "ap"
 MODE_SMALLSUM = "smallsum"
 
 _RUN = 4096  # most windows a scan holds at once
+# AP count fields: (width in bits, str codec giving one field per char,
+# array typecode of that width)
+_FIELDS = ((8, "latin-1", "B"), (16, "utf-16-le", "H"), (32, "utf-32-le", "I"))
+_NEGATIVE_FLAG = str.maketrans("01", "\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -134,28 +146,46 @@ def max_difference(n: int, k: int) -> int:
 def ap_scan(seq: SignSeq, k: int, collect_per_d: bool = False) -> ScanReport:
     """Find the least (difference, start) zero-sum k-term AP, or certify none.
 
-    For each difference d the stride prefix S[p + d] = values[p] +
-    values[p - d] + ... (d leading zeros) is built from one ``accumulate``
-    per residue class; its width-kd windows are the k-term APs of
-    difference d in order of start, and the first d with a zero window
-    ends the scan.  For k = 1 only d = 1 is scanned: one-term windows are
-    the same set for every difference (and never zero-sum, the letters
-    being nonzero).
+    F holds the -r flags as little-endian w-bit fields, field p being 1
+    when position p holds -r, with w the narrowest of 8, 16 and 32 bits
+    such that k < 2**w.  For each difference d the -r count N of every
+    k-term AP is read at once: field p of sum_{j<k} F >> (j*d*w) is N for
+    the AP starting at p.  Binary doubling over the bits of k builds that
+    sum in at most 2 log2(k) shift-adds, and no field carries because
+    every partial sum is at most k < 2**w.  The AP weighs s*k - (r + s)*N,
+    so it is zero-sum exactly when N = s*k/(r + s); the first d whose
+    counts hold that value ends the scan at the lowest start holding it.
+    For k = 1 only d = 1 is scanned: one-term windows are the same set for
+    every difference (and never zero-sum, the letters being nonzero).
     """
     _check_window_length(seq, k)
     n = seq.n
-    values = seq.values()
+    s, m = seq.params.s, seq.params.modulus
+    target = s * k // m if s * k % m == 0 else None
+    w, encoding, typecode = next(f for f in _FIELDS if k < 1 << f[0])
+    flag_bytes = seq.bitstring().translate(_NEGATIVE_FLAG).encode(encoding)
+    flags = int.from_bytes(flag_bytes, "little")  # F
     scanned, witness = 0, None
     per_d: dict[int, int] = {}
     for d in range(1, max_difference(n, k) + 1):
-        starts = n - (k - 1) * d  # APs of difference d; classes c < starts hold one
-        stride = [0] * (n + d)
-        for c in range(min(d, starts)):
-            stride[d + c :: d] = accumulate(values[c::d])
-        hit, per_d[d] = _window_scan(stride, k * d, 0)
-        if hit is not None:
-            witness, scanned = (hit, d), scanned + hit + 1
+        starts = n - (k - 1) * d  # APs of difference d
+        shift, total, terms = d * w, flags, 1
+        for bit in bin(k)[3:]:
+            total += total >> (terms * shift)
+            terms *= 2
+            if bit == "1":
+                total = flags + (total >> shift)
+                terms += 1
+        fields = total.to_bytes(n * w // 8, "little")[: starts * w // 8]
+        counts = array(typecode, fields)  # counts[p]: N of the AP starting at p
+        if sys.byteorder == "big":
+            counts.byteswap()
+        distinct = set(counts)
+        if target in distinct:
+            hit = counts.index(target)
+            witness, per_d[d], scanned = (hit, d), 0, scanned + hit + 1
             break
+        per_d[d] = min(abs(s * k - m * c) for c in distinct)
         scanned += starts
     return ScanReport(
         mode=MODE_AP,

@@ -140,10 +140,14 @@ class TestApModKProduct:
         assert fn.count_plus() == 4 and fn.count_minus() == 2
 
     def test_full_progressions_nonzero(self):
+        """Every full progression weighs nonzero, and its slice sum (the
+        oracle's residue-lemma check) equals the term-by-term weight."""
         fn = build_ap_mod_k_product(30, (3, 5))
         for d in (1, 2, 3, 5, 6, 10, 15, 30):
             for start in range(d):
-                assert fn.progression_weight(start, d, 30 // d) != 0
+                weight = fn.progression_weight(start, d, 30 // d)
+                assert weight != 0
+                assert sum(fn.values[start::d]) == weight
 
     def test_bad_factorizations(self):
         with pytest.raises(ParameterError):

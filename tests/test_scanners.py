@@ -76,6 +76,14 @@ def _random_seq(rng: random.Random, params: Params, n: int) -> SignSeq:
     return SignSeq(params, n, rng.getrandbits(n) if n else 0)
 
 
+def _sparse_seq(rng: random.Random, params: Params, n: int, negs: int) -> SignSeq:
+    """All +s but for negs letters -r at random positions."""
+    bits = (1 << n) - 1
+    for p in rng.sample(range(n), negs):
+        bits ^= 1 << p
+    return SignSeq(params, n, bits)
+
+
 def _per_d_min_abs(seq: SignSeq, k: int) -> dict[int, int]:
     """Least |weight| of the k-term APs of each difference, term by term,
     up to the first difference that holds a zero-sum AP."""
@@ -109,13 +117,44 @@ def test_ap_scan_matches_naive_rescan():
             # sparse negatives: no window can cancel, so both scanners
             # sweep everything and must agree on the exact minimum
             negs = rng.randint(0, max(0, params.s * k // params.modulus - 1))
-            bits = (1 << n) - 1
-            for p in rng.sample(range(n), negs):
-                bits ^= 1 << p
-            seq = SignSeq(params, n, bits)
+            seq = _sparse_seq(rng, params, n, negs)
         fast = ap_scan(seq, k, collect_per_d=True)
         assert fast.per_d_min_abs == _per_d_min_abs(seq, k)
         assert ap_scan(seq, k) == ap_scan_naive(seq, k)
+
+
+@pytest.mark.parametrize(
+    "k,params", [(255, Params(2, 3, 255)), (256, Params(1, 1, 256)), (257, Params(1, 1, 257))]
+)
+def test_ap_scan_count_field_width_edges(k, params):
+    """Around k = 2**8, where the AP scan's count fields widen from 8 to
+    16 bits: random and sparse sequences, sparse ones with a zero-sum AP
+    planted at difference 2 or 3 (when (r + s) | k), and the all-(-r)
+    sequence, whose every AP count is k and fills a field at k = 255."""
+    rng = random.Random(k)
+    cases = [SignSeq(params, n, 0) for n in (k, 2 * k + 1)]
+    for _ in range(3):
+        n = rng.randint(k, 3 * k)
+        cases.append(_random_seq(rng, params, n))
+        cases.append(_sparse_seq(rng, params, n, rng.randint(0, 40)))
+    planted = []
+    if k % params.modulus == 0:
+        for d in (2, 3, 2):
+            n = rng.randint((k - 1) * d + 1, 3 * k)
+            bits = _sparse_seq(rng, params, n, rng.randint(0, 10)).bits
+            start = rng.randrange(n - (k - 1) * d)
+            negatives = set(rng.sample(range(k), params.s * k // params.modulus))
+            for j in range(k):
+                bit = 1 << (start + j * d)
+                bits = bits & ~bit if j in negatives else bits | bit
+            planted.append(SignSeq(params, n, bits))
+    for seq in cases + planted:
+        fast = ap_scan(seq, k, collect_per_d=True)
+        assert fast.per_d_min_abs == _per_d_min_abs(seq, k)
+        assert ap_scan(seq, k) == ap_scan_naive(seq, k)
+    for seq in planted:
+        assert ap_scan(seq, k).witness[1] >= 2
+    assert ap_scan(cases[0], k).min_abs_weight == params.r * k
 
 
 def _reference_block_scan(seq: SignSeq, k: int, t: int | None = None) -> ScanReport:
