@@ -19,9 +19,8 @@ from .core import ParameterError, Params, ShiftSearchError, WeightRange, weight_
 
 PRIME_GAP_EXPONENT = 0.525
 
-# Hard cap on any open-ended shift scan; desk-scale parameters never get
-# anywhere near it.
-_SCAN_CAP = 1_000_000
+# How far min_good_shift scans when no prime horizon exists (see there).
+_FALLBACK_HORIZON = 1000
 
 
 def is_prime(n: int) -> bool:
@@ -149,22 +148,19 @@ def certified_shift(params: Params, alpha: int | GoodShift) -> GoodShift:
     return shift
 
 
-def _prime_horizon(params: Params) -> int:
-    """First alpha >= 1 with k + alpha prime and k + alpha > s * alpha.
+def _prime_horizon(params: Params) -> int | None:
+    """First alpha >= 1 with k + alpha prime and k + alpha > s * alpha, or
+    None when there is none.
 
     Such a shift is itself good (see prime_shift), so a minimum-shift
-    search never needs to look past it.
+    search never needs to look past it.  For s >= 2, k + alpha > s * alpha
+    fails for every alpha >= k/(s - 1), so the scan stops at
+    floor((k - 1)/(s - 1)); for s = 1 Bertrand's postulate puts a prime in
+    (k, 2k], so alpha <= k suffices.
     """
     k, s = params.k, params.s
-    for alpha in range(1, _SCAN_CAP + 1):
-        if k + alpha > s * alpha and is_prime(k + alpha):
-            return alpha
-    raise ShiftSearchError(
-        f"no prime k + alpha with k + alpha > s*alpha for alpha in "
-        f"[1, {_SCAN_CAP}] at k = {k}",
-        1,
-        _SCAN_CAP,
-    )
+    top = k if s == 1 else (k - 1) // (s - 1)
+    return next((alpha for alpha in range(1, top + 1) if is_prime(k + alpha)), None)
 
 
 def min_good_shift(params: Params, horizon: int | None = None) -> GoodShift:
@@ -173,10 +169,14 @@ def min_good_shift(params: Params, horizon: int | None = None) -> GoodShift:
     With no horizon given, the search is bounded by the first alpha for
     which k + alpha is prime and k + alpha > s * alpha, which exists for
     every large k by the prime-gap bound and is itself good whenever
-    r <= s and (r + s) | k.  Exhausting an explicit horizon raises
-    ShiftSearchError with the scanned range.
+    r <= s and (r + s) | k.  Small k with large s may have no such alpha
+    (alpha < k/(s - 1) leaves too few candidates, e.g. (1, 4, 5)); the
+    search then runs to alpha = 1000.  Every coprime r, s <= 40 with
+    k = m(r + s), m <= 40 and no prime horizon has its minimum good shift
+    at alpha <= 13.  Exhausting the horizon raises ShiftSearchError with
+    the scanned range.
     """
-    limit = _prime_horizon(params) if horizon is None else horizon
+    limit = horizon if horizon is not None else _prime_horizon(params) or _FALLBACK_HORIZON
     if limit < 1:
         raise ParameterError(f"horizon must be >= 1, got {limit}")
     for alpha in range(1, limit + 1):

@@ -53,10 +53,11 @@ class ThresholdResult:
     derived_threshold = max(k, max_avoiding_n + 1) over admissible lengths,
     or k when nothing avoids; with ``exhaustive`` true and ``capped`` false
     this is the exact threshold under the convention that only lengths
-    admitting the weight constraint count.  ``capped`` marks a lower bound:
-    avoiders persist at the top admissible length, or an admissible block
-    avoider exists beyond the cap (in AP mode it leaves AP avoiders there
-    open); a note says which.
+    admitting the weight constraint count.  ``capped`` marks a lower bound
+    and means only that an admissible block avoider lies beyond the cap
+    (in AP mode it leaves AP avoiders there open); a note names its length.
+    The block DP runs on past the cap until no prefix lives, so a result
+    that is not capped is exact even when avoiders reach the cap.
     """
 
     params: Params
@@ -345,10 +346,7 @@ def exact_threshold(
         max_avoiding, witnesses = _ap_search(params, q, alive)
     notes = [] if lengths else ["no admissible length within the search cap"]
     derived = k if max_avoiding is None else max(k, max_avoiding + 1)
-    persist = max_avoiding is not None and max_avoiding == lengths[-1]
     lower = "; the derived threshold is only a lower bound"
-    if persist:
-        notes.append("avoiders persist at the top admissible length" + lower)
     if beyond is not None and mode == MODE_BLOCK:
         notes.append(f"an admissible avoider exists at n={beyond}, beyond the search cap" + lower)
     elif beyond is not None:
@@ -365,7 +363,7 @@ def exact_threshold(
         witnesses=tuple(sorted(witnesses, key=SignSeq.bitstring)),
         search_cap=search_cap,
         exhaustive=True,
-        capped=persist or beyond is not None,
+        capped=beyond is not None,
         avoiding_count_at_max=len(witnesses),
         notes=tuple(notes),
     )

@@ -6,16 +6,14 @@ sums by one window scan (_window_scan): it reads the |weights| in runs of
 growing length, keeps each run's minimum and stops in the first run that
 holds a window within the tolerance, so a scan costs O(n), and O(h) up to
 a hit at start h; the zero-sum scan is the small-sum scan at t = 0.
-The AP scan counts bit-parallel instead: the -r flags become one int of
-w-bit fields, field p for position p, with w the narrowest of 8, 16 and
-32 bits such that k < 2**w.  For each common difference d, binary doubling
-over the bits of k (at most 2 log2 k shift-adds of n*w-bit ints) gives
-the -r count of every k-term AP of difference d at once, in the field of
-its start; no field carries, each partial sum being at most k < 2**w.
-One ``set`` over those counts gives the least |weight| and whether a
-zero-sum count occurs.  So an AP scan costs O(log k) big-int operations
-and one O(n) set per difference d <= maxD = floor((n-1)/(k-1)); a
-difference costs that whether or not it holds a hit.  Witness order is
+The AP scan counts bit-parallel instead (see ap_scan): the -r flags
+become one int of w-bit fields, w = k.bit_length() + 1, whose top bits
+are guards no count reaches.  Per common difference d, shift-adds give
+the -r count of every k-term AP in the field of its start, and range
+tests on the guard bits read the zero-sum verdict and the least |weight|
+off that int.  So an AP scan costs O(log k) big-int operations of n*w
+bits per difference d <= maxD = floor((n-1)/(k-1)), hit or not, and
+makes no per-start Python object.  Witness order is
 deterministic: blocks by lowest start, APs by lowest difference then
 lowest start.  A naive rescan is kept alongside the optimized AP scanner
 as its correctness oracle.
@@ -23,9 +21,7 @@ as its correctness oracle.
 
 from __future__ import annotations
 
-import sys
-from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 from operator import indexOf, sub
@@ -37,10 +33,7 @@ MODE_AP = "ap"
 MODE_SMALLSUM = "smallsum"
 
 _RUN = 4096  # most windows a scan holds at once
-# AP count fields: (width in bits, str codec giving one field per char,
-# array typecode of that width)
-_FIELDS = ((8, "latin-1", "B"), (16, "utf-16-le", "H"), (32, "utf-32-le", "I"))
-_NEGATIVE_FLAG = str.maketrans("01", "\x01\x00")
+_SPREAD = 4096  # positions per string in _spread; a multiple of 8
 
 
 @dataclass(frozen=True)
@@ -143,29 +136,86 @@ def max_difference(n: int, k: int) -> int:
     return (n - 1) // (k - 1) if k > 1 else 1
 
 
+def _spread(bits: int, n: int, w: int) -> int:
+    """The n low bits of ``bits`` moved to w-bit fields, bit p to bit p*w.
+
+    Each run of _SPREAD positions is read as one base-2 string with w - 1
+    zeros between its letters and packed into whole bytes, so no string of
+    n*w characters is held."""
+    letters, zeros = format(bits, "b").zfill(n)[::-1], "0" * (w - 1)
+    return int.from_bytes(
+        b"".join(
+            int(zeros.join(letters[i : i + _SPREAD][::-1]), 2).to_bytes(
+                (min(_SPREAD, n - i) * w + 7) // 8, "little"
+            )
+            for i in range(0, n, _SPREAD)
+        ),
+        "little",
+    )
+
+
+def _least(holds: Callable[[int], bool], empty: int, full: int, guess: int) -> int:
+    """Least x in (empty, full] with holds(x), for holds false up to some
+    point and true from there on, holds(full) being true.  Gallops from
+    ``guess`` in doubling steps, then bisects: O(log |answer - guess|)
+    calls."""
+    x, step = min(max(guess, empty + 1), full), 1
+    if holds(x):
+        full = x
+        while full - step > empty and holds(full - step):
+            full, step = full - step, 2 * step
+        empty = max(empty, full - step)
+    else:
+        empty = x
+        while empty + step < full and not holds(empty + step):
+            empty, step = empty + step, 2 * step
+        full = min(full, empty + step)
+    while full - empty > 1:
+        mid = (empty + full) // 2
+        if holds(mid):
+            full = mid
+        else:
+            empty = mid
+    return full
+
+
 def ap_scan(seq: SignSeq, k: int, collect_per_d: bool = False) -> ScanReport:
     """Find the least (difference, start) zero-sum k-term AP, or certify none.
 
     F holds the -r flags as little-endian w-bit fields, field p being 1
-    when position p holds -r, with w the narrowest of 8, 16 and 32 bits
-    such that k < 2**w.  For each difference d the -r count N of every
-    k-term AP is read at once: field p of sum_{j<k} F >> (j*d*w) is N for
-    the AP starting at p.  Binary doubling over the bits of k builds that
-    sum in at most 2 log2(k) shift-adds, and no field carries because
-    every partial sum is at most k < 2**w.  The AP weighs s*k - (r + s)*N,
-    so it is zero-sum exactly when N = s*k/(r + s); the first d whose
-    counts hold that value ends the scan at the lowest start holding it.
-    For k = 1 only d = 1 is scanned: one-term windows are the same set for
-    every difference (and never zero-sum, the letters being nonzero).
+    when position p holds -r, with w = k.bit_length() + 1, so that every
+    count c <= k lies below the field's top (guard) bit 2**(w-1).  For
+    each difference d the -r count N of every k-term AP is read at once:
+    field p of sum_{j<k} F >> (j*d*w) is N for the AP starting at p.
+    Binary doubling over the bits of k builds that sum in at most
+    2 log2(k) shift-adds, and no field carries because every partial sum
+    is at most k.  The AP weighs s*k - (r + s)*N, so it is zero-sum exactly
+    when N = tau = s*k/(r + s).
+
+    The verdict is read off the sum without unpacking it.  Let ``raised``
+    be its first ``starts`` fields (the APs of difference d) with their
+    guard bits set, and ``unit`` hold 1 in each of them; then
+    (raised - c*unit) & guard flags the fields whose count is at least c,
+    for 0 <= c <= k + 1: every raised field is at least 2**(w-1) > k, so no
+    borrow crosses a field.  Two such tests bound a range [lo, hi].  A
+    zero-sum AP is a count in [tau, tau], the lowest flag giving its start;
+    the least |weight| of difference d comes from the least radius rho
+    whose window [floor(tau) - rho, ceil(tau) + rho] holds a count,
+    galloped from the previous difference's rho and then bisected.  So a
+    difference costs O(log k) big-int operations on n*w-bit ints, hit or
+    not, and no per-start Python object is made.  For k = 1 only d = 1 is
+    scanned: one-term windows are the same set for every difference (and
+    never zero-sum, the letters being nonzero).
     """
     _check_window_length(seq, k)
     n = seq.n
     s, m = seq.params.s, seq.params.modulus
-    target = s * k // m if s * k % m == 0 else None
-    w, encoding, typecode = next(f for f in _FIELDS if k < 1 << f[0])
-    flag_bytes = seq.bitstring().translate(_NEGATIVE_FLAG).encode(encoding)
-    flags = int.from_bytes(flag_bytes, "little")  # F
-    scanned, witness = 0, None
+    floor_tau, rem = divmod(s * k, m)
+    ceil_tau = floor_tau + (rem > 0)
+    w = k.bit_length() + 1
+    flags = _spread(((1 << n) - 1) ^ seq.bits, n, w)  # F
+    units = ((1 << n * w) - 1) // ((1 << w) - 1)  # 1 in each of n fields
+    scanned, witness, rho = 0, None, 0
     per_d: dict[int, int] = {}
     for d in range(1, max_difference(n, k) + 1):
         starts = n - (k - 1) * d  # APs of difference d
@@ -176,16 +226,36 @@ def ap_scan(seq: SignSeq, k: int, collect_per_d: bool = False) -> ScanReport:
             if bit == "1":
                 total = flags + (total >> shift)
                 terms += 1
-        fields = total.to_bytes(n * w // 8, "little")[: starts * w // 8]
-        counts = array(typecode, fields)  # counts[p]: N of the AP starting at p
-        if sys.byteorder == "big":
-            counts.byteswap()
-        distinct = set(counts)
-        if target in distinct:
-            hit = counts.index(target)
-            witness, per_d[d], scanned = (hit, d), 0, scanned + hit + 1
+        unit = units >> (n - starts) * w
+        guard = unit << (w - 1)
+        # fields from ``starts`` on hold APs that run past the end: drop them
+        raised = (total & ((1 << starts * w) - 1)) | guard
+        at_least = {0: guard, k + 1: 0}  # c: flags of the fields holding >= c
+
+        def holds(lo: int, hi: int) -> bool:
+            """Whether some AP count lies in [lo, hi], clipped to [0, k]."""
+            lo, hi = max(lo, 0), min(hi, k) + 1
+            for c in (lo, hi):
+                if c not in at_least:
+                    at_least[c] = (raised - c * unit) & guard
+            return at_least[lo] != at_least[hi]
+
+        if rem == 0 and holds(floor_tau, floor_tau):
+            hit = at_least[floor_tau] ^ at_least[floor_tau + 1]
+            start = ((hit & -hit).bit_length() - 1) // w
+            witness, per_d[d], scanned = (start, d), 0, scanned + start + 1
             break
-        per_d[d] = min(abs(s * k - m * c) for c in distinct)
+        rho = _least(
+            lambda x: holds(floor_tau - x, ceil_tau + x),
+            0 if rem == 0 else -1,
+            max(floor_tau, k - ceil_tau),
+            rho,
+        )
+        per_d[d] = min(  # a count nearest tau lies at an end of the window
+            abs(s * k - m * c)
+            for c in (floor_tau - rho, ceil_tau + rho)
+            if 0 <= c <= k and holds(c, c)
+        )
         scanned += starts
     return ScanReport(
         mode=MODE_AP,

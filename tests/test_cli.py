@@ -177,6 +177,18 @@ class TestConstructVerifyPipeline:
         assert result.exit_code == 0
         assert "n=18" in result.output
 
+    def test_good_shift_without_prime_horizon(self, runner, tmp_path):
+        """(1,4,5) has no alpha with 5 + alpha prime and 5 + alpha > 4 alpha;
+        the default search still finds alpha = 2."""
+        out = tmp_path / "s.txt"
+        result = runner.invoke(
+            cli,
+            ["construct", "--kind", "ap-good-shift", "--r", "1", "--s", "4",
+             "--k", "5", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        assert "good shift alpha = 2" in result.output
+
     def test_bad_good_shift_exit_2(self, runner, tmp_path):
         out = tmp_path / "s.txt"
         result = runner.invoke(

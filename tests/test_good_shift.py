@@ -1,6 +1,8 @@
 """Good-shift tests: the divisibility certificate, minimum-shift search,
 and the prime-based shift behind the superlinear bound."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,7 @@ from zerosum import (
     prime_factors,
     prime_shift,
 )
-from zerosum.good_shift import divisible_weight
+from zerosum.good_shift import _prime_horizon, divisible_weight
 
 
 def test_prime_helpers():
@@ -65,6 +67,37 @@ def test_min_good_shift_is_minimal():
         best = min_good_shift(params)
         for alpha in range(1, best.alpha):
             assert not is_good_shift(params, alpha).good
+
+
+# Every coprime r, s <= 8 and k = m(r + s), m <= 8, where no alpha has
+# k + alpha prime and k + alpha > s * alpha, with its minimum good shift.
+_NO_PRIME_HORIZON = [
+    (1, 4, 5, 2), (1, 6, 7, 4), (1, 6, 14, 3), (1, 7, 8, 1), (1, 7, 24, 1),
+    (1, 8, 9, 2), (2, 5, 7, 4), (2, 7, 9, 2), (3, 4, 7, 4), (3, 5, 8, 3),
+    (3, 8, 11, 2), (4, 3, 7, 4), (4, 7, 11, 2), (5, 7, 24, 5), (5, 8, 13, 4),
+    (6, 7, 13, 4), (7, 6, 13, 4), (8, 5, 13, 4),
+]
+
+
+def test_no_prime_horizon_points_are_listed():
+    """The list above is every such point: the prime horizon exists
+    everywhere else on that grid."""
+    listed = {(r, s, k) for r, s, k, _ in _NO_PRIME_HORIZON}
+    for r in range(1, 9):
+        for s in range(1, 9):
+            if math.gcd(r, s) == 1:
+                for k in range(r + s, 8 * (r + s) + 1, r + s):
+                    missing = _prime_horizon(Params(r, s, k)) is None
+                    assert missing == ((r, s, k) in listed), (r, s, k)
+
+
+@pytest.mark.parametrize("r,s,k,alpha", _NO_PRIME_HORIZON)
+def test_min_good_shift_without_prime_horizon(r, s, k, alpha):
+    """Small k with large s has no prime horizon; the search falls back to
+    a fixed horizon and still finds the least good shift."""
+    params = Params(r, s, k)
+    assert min_good_shift(params).alpha == alpha
+    assert not any(is_good_shift(params, a).good for a in range(1, alpha))
 
 
 def test_min_good_shift_horizon_exhaustion():

@@ -440,11 +440,27 @@ def test_no_admissible_length_degenerate_report():
 
 
 def test_capped_flag_when_avoiders_reach_cap():
-    # Cap at the extremal length itself: avoiders exist at the top length.
-    result = exact_threshold(Params(1, 2, 6), "block", q=0, search_cap=9)
+    """Cap at the extremal length itself: avoiders exist at the top length,
+    but the block DP runs on past the cap and finds none beyond it, so the
+    result is exact and agrees with the closed form and a larger cap."""
+    params = Params(1, 2, 6)
+    result = exact_threshold(params, "block", q=0, search_cap=9)
     assert result.max_avoiding_n == 9
-    assert result.capped
-    assert any("lower bound" in note for note in result.notes)
+    assert not result.capped and result.notes == ()
+    assert result.derived_threshold == 10 == block_threshold(params)
+    wider = exact_threshold(params, "block", q=0, search_cap=14)
+    assert (wider.derived_threshold, wider.capped) == (10, False)
+
+
+def test_ap_avoiders_at_the_cap_leave_an_exact_result():
+    """(1,1,10) has AP avoiders at n = 24, the cap, and no block avoider
+    past it, so 25 is exact: the run at cap 28 gives the same."""
+    params = Params(1, 1, 10)
+    result = exact_threshold(params, "ap", q=0, search_cap=24)
+    assert (result.max_avoiding_n, result.derived_threshold) == (24, 25)
+    assert not result.capped and result.notes == ()
+    wider = exact_threshold(params, "ap", q=0, search_cap=28, budget=10**10)
+    assert (wider.derived_threshold, wider.capped) == (25, False)
 
 
 def test_budget_refusal():

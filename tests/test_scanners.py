@@ -22,7 +22,7 @@ from zerosum import (
     pm1_smallsum_threshold,
     smallsum_block_scan,
 )
-from zerosum.scanners import MODE_BLOCK, MODE_SMALLSUM, max_difference
+from zerosum.scanners import MODE_BLOCK, MODE_SMALLSUM, _SPREAD, _spread, max_difference
 
 PM1 = Params(1, 1, 2)
 
@@ -98,6 +98,25 @@ def _per_d_min_abs(seq: SignSeq, k: int) -> dict[int, int]:
     return out
 
 
+def _plant_ap(rng: random.Random, params: Params, n: int, bits: int, k: int, d: int) -> SignSeq:
+    """``bits`` with a zero-sum k-term AP of difference d written over it at
+    a random start."""
+    start = rng.randrange(n - (k - 1) * d)
+    negatives = set(rng.sample(range(k), params.s * k // params.modulus))
+    for j in range(k):
+        bit = 1 << (start + j * d)
+        bits = bits & ~bit if j in negatives else bits | bit
+    return SignSeq(params, n, bits)
+
+
+def _assert_ap_scan_matches_naive(seq: SignSeq, k: int) -> None:
+    """Full report equal to the naive rescan's, per-difference minima equal
+    to a term-by-term count."""
+    fast = ap_scan(seq, k, collect_per_d=True)
+    assert fast.per_d_min_abs == _per_d_min_abs(seq, k)
+    assert ap_scan(seq, k) == ap_scan_naive(seq, k)
+
+
 def test_ap_scan_matches_naive_rescan():
     """Optimized and naive AP scans give equal reports, for k = 1, k a
     multiple of r + s and any other k; the per-difference minima match a
@@ -118,19 +137,18 @@ def test_ap_scan_matches_naive_rescan():
             # sweep everything and must agree on the exact minimum
             negs = rng.randint(0, max(0, params.s * k // params.modulus - 1))
             seq = _sparse_seq(rng, params, n, negs)
-        fast = ap_scan(seq, k, collect_per_d=True)
-        assert fast.per_d_min_abs == _per_d_min_abs(seq, k)
-        assert ap_scan(seq, k) == ap_scan_naive(seq, k)
+        _assert_ap_scan_matches_naive(seq, k)
 
 
 @pytest.mark.parametrize(
     "k,params", [(255, Params(2, 3, 255)), (256, Params(1, 1, 256)), (257, Params(1, 1, 257))]
 )
 def test_ap_scan_count_field_width_edges(k, params):
-    """Around k = 2**8, where the AP scan's count fields widen from 8 to
-    16 bits: random and sparse sequences, sparse ones with a zero-sum AP
+    """Around k = 2**8, where the AP scan's count fields widen from 9 to
+    10 bits: random and sparse sequences, sparse ones with a zero-sum AP
     planted at difference 2 or 3 (when (r + s) | k), and the all-(-r)
-    sequence, whose every AP count is k and fills a field at k = 255."""
+    sequence, whose every AP count is k, the largest count a field holds
+    below its guard bit."""
     rng = random.Random(k)
     cases = [SignSeq(params, n, 0) for n in (k, 2 * k + 1)]
     for _ in range(3):
@@ -142,19 +160,61 @@ def test_ap_scan_count_field_width_edges(k, params):
         for d in (2, 3, 2):
             n = rng.randint((k - 1) * d + 1, 3 * k)
             bits = _sparse_seq(rng, params, n, rng.randint(0, 10)).bits
-            start = rng.randrange(n - (k - 1) * d)
-            negatives = set(rng.sample(range(k), params.s * k // params.modulus))
-            for j in range(k):
-                bit = 1 << (start + j * d)
-                bits = bits & ~bit if j in negatives else bits | bit
-            planted.append(SignSeq(params, n, bits))
+            planted.append(_plant_ap(rng, params, n, bits, k, d))
     for seq in cases + planted:
-        fast = ap_scan(seq, k, collect_per_d=True)
-        assert fast.per_d_min_abs == _per_d_min_abs(seq, k)
-        assert ap_scan(seq, k) == ap_scan_naive(seq, k)
+        _assert_ap_scan_matches_naive(seq, k)
     for seq in planted:
         assert ap_scan(seq, k).witness[1] >= 2
     assert ap_scan(cases[0], k).min_abs_weight == params.r * k
+
+
+def _ap_scan_cases(rng: random.Random, params: Params, k: int, n_max: int) -> list[SignSeq]:
+    """All -r and all +s at n = k and n_max (every AP count is k or 0, far
+    from tau = s*k/(r+s)), random and sparse sequences, and, when
+    (r+s) | k, a zero-sum AP planted at a random difference."""
+    cases = [SignSeq(params, n, bits) for n in (k, n_max) for bits in (0, (1 << n) - 1)]
+    for _ in range(3):
+        n = rng.randint(k, n_max)
+        cases.append(_random_seq(rng, params, n))
+        cases.append(_sparse_seq(rng, params, n, rng.randint(0, min(n, k))))
+        if k % params.modulus == 0 and k > 1:
+            d = rng.randint(1, max_difference(n, k))
+            cases.append(_plant_ap(rng, params, n, rng.getrandbits(n), k, d))
+    return cases
+
+
+@pytest.mark.parametrize("k", sorted({2**j + e for j in range(1, 9) for e in (-1, 0, 1)}))
+def test_ap_scan_guard_width_edges(k):
+    """At k = 2**j - 1, 2**j and 2**j + 1 the AP scan's count fields
+    (k.bit_length() + 1 bits, the top one a guard) change width: full
+    reports and per-difference minima match the term-by-term scans."""
+    rng = random.Random(k)
+    n_max = 2 * k + 10 if k > 64 else 6 * k + 10
+    for params in (Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5), Params(1, 4, 5)):
+        for seq in _ap_scan_cases(rng, params, k, n_max):
+            _assert_ap_scan_matches_naive(seq, k)
+
+
+def test_spread_moves_bit_p_to_field_p():
+    """The AP scan's flag int, built in runs of _SPREAD positions, against
+    a bit-by-bit build, at lengths around the run boundaries."""
+    rng = random.Random(8191)
+    for n in (0, 1, 7, _SPREAD - 1, _SPREAD, _SPREAD + 1, 2 * _SPREAD + 5):
+        for w in (2, 3, 8, 9, 11):
+            bits = rng.getrandbits(n) if n else 0
+            expected = sum(1 << p * w for p in range(n) if bits >> p & 1)
+            assert _spread(bits, n, w) == expected, (n, w)
+
+
+@pytest.mark.parametrize("r,s", [(1, 4), (4, 1), (1, 6), (5, 2)])
+def test_ap_scan_skewed_alphabets(r, s):
+    """Skewed alphabets put tau = s*k/(r+s) near 0 or near k, or between two
+    counts, so the window searched around tau is clipped to [0, k]."""
+    rng = random.Random(r * 10 + s)
+    params = Params(r, s, r + s)
+    for k in range(1, 3 * (r + s) + 2):
+        for seq in _ap_scan_cases(rng, params, k, 6 * k + 10):
+            _assert_ap_scan_matches_naive(seq, k)
 
 
 def _reference_block_scan(seq: SignSeq, k: int, t: int | None = None) -> ScanReport:
