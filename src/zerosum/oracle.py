@@ -392,13 +392,14 @@ class TwoKVerdict:
 
 def verify_2k_proposition(k: int, budget: int | None = None) -> TwoKVerdict:
     """Enumerate all C(2k, k) zero-sum sequences of length 2k and confirm
-    each contains a zero-sum k-block."""
+    each contains a zero-sum k-block, by the block DP under its own step
+    bound and the shared budget."""
     if k < 2 or k % 2:
         raise ParameterError(f"k must be even and >= 2, got {k}")
-    ceiling = resolve_budget(budget)
-    if k > 12:
-        raise BudgetExceededError(math.comb(2 * k, k) * (k + 1), ceiling)
     params = Params(1, 1, k)
+    estimate, ceiling = _block_dp_estimate(params, 0), resolve_budget(budget)
+    if estimate > ceiling:
+        raise BudgetExceededError(estimate, ceiling)
     counts, layers, _ = _block_dp(params, 0, 2 * k, probe=False)
     witnesses = _block_witnesses(params, 0, layers, 2 * k) if counts[2 * k] else []
     counterexample = min(witnesses, key=SignSeq.bitstring, default=None)

@@ -1,30 +1,27 @@
 """Fast detectors for zero-sum blocks, zero-sum arithmetic subsequences,
 and small-sum blocks, plus the interpolation-property checker.
 
-Block scans read window weights as differences of the cached prefix
-sums by one window scan (_window_scan): it reads the |weights| in runs of
-growing length, keeps each run's minimum and stops in the first run that
-holds a window within the tolerance, so a scan costs O(n), and O(h) up to
-a hit at start h; the zero-sum scan is the small-sum scan at t = 0.
-The AP scan counts bit-parallel instead (see ap_scan): the -r flags
-become one int of w-bit fields, w = k.bit_length() + 1, whose top bits
-are guards no count reaches.  Per common difference d, shift-adds give
-the -r count of every k-term AP in the field of its start, and range
-tests on the guard bits read the zero-sum verdict and the least |weight|
-off that int.  So an AP scan costs O(log k) big-int operations of n*w
-bits per difference d <= maxD = floor((n-1)/(k-1)), hit or not, and
-makes no per-start Python object.  Witness order is
-deterministic: blocks by lowest start, APs by lowest difference then
-lowest start.  A naive rescan is kept alongside the optimized AP scanner
-as its correctness oracle.
+A k-block is a k-term AP of difference 1, so all three scanners run one
+bit-parallel kernel (_scan), the block and small-sum scans as its d = 1
+pass.  The -r flags become one int of w-bit fields, w = k.bit_length()
++ 1, whose top bits are guards no count reaches.  Per common difference
+d, shift-adds give the -r count of every k-term AP in the field of its
+start, and range tests on the guard bits read the verdict (a count whose
+|weight| is within the tolerance t, 0 but for small-sum scans) and the
+least |weight| off that int.  So a scan costs O(log k) big-int
+operations of n*w bits per difference d, hit or not, up to d = 1 for
+blocks and d = maxD = floor((n-1)/(k-1)) for APs, and makes no
+per-start Python object.  Witness order is deterministic: blocks by
+lowest start, APs by lowest difference then lowest start.  A naive
+rescan is kept alongside as the AP scanner's correctness oracle; the
+interpolation checker reads the window weights off the prefix sums, an
+engine the scanners do not use.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import islice
-from operator import indexOf, sub
 
 from .core import ParameterError, SignSeq
 
@@ -32,7 +29,6 @@ MODE_BLOCK = "block"
 MODE_AP = "ap"
 MODE_SMALLSUM = "smallsum"
 
-_RUN = 4096  # most windows a scan holds at once
 _SPREAD = 4096  # positions per string in _spread; a multiple of 8
 
 
@@ -42,9 +38,10 @@ class ScanReport:
 
     ``witness`` is (start, difference), difference 1 for blocks.
     ``min_abs_weight`` and ``scanned_count`` cover the windows up to and
-    including the witness, or all windows when there is none; the scan may
-    read somewhat past the witness, and the minimum up to it stays exact
-    because every earlier window misses the target.
+    including the witness, or all windows when there is none; the scan
+    reads every window of the witness's difference, and the minimum up to
+    the witness stays exact because every earlier window misses the
+    target.
     """
 
     mode: str
@@ -83,52 +80,6 @@ def _check_window_length(seq: SignSeq, k: int) -> None:
         raise ParameterError(f"k must be positive, got {k}")
     if k > seq.n:
         raise ParameterError(f"k = {k} exceeds sequence length n = {seq.n}")
-
-
-def _window_weights(prefix: Sequence[int], k: int) -> Iterator[int]:
-    """The k-window weights of a prefix-sum sequence, lowest start first,
-    streamed so that no full-length list is built."""
-    return map(sub, islice(prefix, k, None), prefix)
-
-
-def _window_scan(prefix: Sequence[int], k: int, t: int) -> tuple[int | None, int]:
-    """The first k-window with |weight| <= t (None when there is none) and
-    the least |weight| over the windows up to it, or over all of them.
-
-    The |weights| are read in runs that grow by a quarter, from 16 up to
-    _RUN windows, so a hit at start h costs about 1.25 h window reads (not
-    a pass over every window) and no full-length list is held.  Every
-    window before the first hit weighs more than t in absolute value, so
-    the least |weight| up to a hit is the hit's own."""
-    weights = map(abs, _window_weights(prefix, k))
-    minima, start, size = [], 0, 16
-    while run := list(islice(weights, size)):
-        minima.append(min(run))
-        if minima[-1] <= t:
-            hit = indexOf(map(t.__ge__, run), True)
-            return start + hit, run[hit]
-        start, size = start + size, min(size + size // 4, _RUN)
-    return None, min(minima)
-
-
-def _tolerance_scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
-    """Lowest-start k-block with |weight| <= t; block mode is t = 0."""
-    _check_window_length(seq, k)
-    hit, min_abs = _window_scan(seq.prefix_weights(), k, t)
-    return ScanReport(
-        mode=mode,
-        k=k,
-        found=hit is not None,
-        witness=None if hit is None else (hit, 1),
-        min_abs_weight=min_abs,
-        scanned_count=seq.n - k + 1 if hit is None else hit + 1,
-        t=None if mode == MODE_BLOCK else t,
-    )
-
-
-def block_scan(seq: SignSeq, k: int) -> ScanReport:
-    """Find the lowest-start zero-sum k-block, or certify there is none."""
-    return _tolerance_scan(seq, k, 0, MODE_BLOCK)
 
 
 def max_difference(n: int, k: int) -> int:
@@ -179,8 +130,12 @@ def _least(holds: Callable[[int], bool], empty: int, full: int, guess: int) -> i
     return full
 
 
-def ap_scan(seq: SignSeq, k: int, collect_per_d: bool = False) -> ScanReport:
-    """Find the least (difference, start) zero-sum k-term AP, or certify none.
+def _scan(
+    seq: SignSeq, k: int, t: int, mode: str, collect_per_d: bool = False
+) -> ScanReport:
+    """The least (difference, start) k-term AP with |weight| <= t, or a
+    certificate that there is none.  AP mode scans every difference up to
+    maxD; block and small-sum mode scan d = 1 only, the k-blocks.
 
     F holds the -r flags as little-endian w-bit fields, field p being 1
     when position p holds -r, with w = k.bit_length() + 1, so that every
@@ -189,35 +144,39 @@ def ap_scan(seq: SignSeq, k: int, collect_per_d: bool = False) -> ScanReport:
     field p of sum_{j<k} F >> (j*d*w) is N for the AP starting at p.
     Binary doubling over the bits of k builds that sum in at most
     2 log2(k) shift-adds, and no field carries because every partial sum
-    is at most k.  The AP weighs s*k - (r + s)*N, so it is zero-sum exactly
-    when N = tau = s*k/(r + s).
+    is at most k.  The AP weighs s*k - (r + s)*N, so |weight| <= t exactly
+    when N lies in [c_lo, c_hi], c_lo = ceil((s*k - t)/(r + s)) and
+    c_hi = floor((s*k + t)/(r + s)); c_lo > c_hi (as at t = 0 when r + s
+    does not divide k) leaves no hit.
 
     The verdict is read off the sum without unpacking it.  Let ``raised``
     be its first ``starts`` fields (the APs of difference d) with their
     guard bits set, and ``unit`` hold 1 in each of them; then
     (raised - c*unit) & guard flags the fields whose count is at least c,
     for 0 <= c <= k + 1: every raised field is at least 2**(w-1) > k, so no
-    borrow crosses a field.  Two such tests bound a range [lo, hi].  A
-    zero-sum AP is a count in [tau, tau], the lowest flag giving its start;
-    the least |weight| of difference d comes from the least radius rho
-    whose window [floor(tau) - rho, ceil(tau) + rho] holds a count,
-    galloped from the previous difference's rho and then bisected.  So a
-    difference costs O(log k) big-int operations on n*w-bit ints, hit or
-    not, and no per-start Python object is made.  For k = 1 only d = 1 is
-    scanned: one-term windows are the same set for every difference (and
-    never zero-sum, the letters being nonzero).
+    borrow crosses a field.  Two such tests bound a range.  A hit is a
+    count in [c_lo, c_hi], the lowest flag giving its start and its field
+    the hit's own |weight|, which is the least |weight| up to it since
+    every earlier AP misses the range.  Otherwise the least |weight| of
+    difference d comes from the least radius rho whose window
+    [floor(tau) - rho, ceil(tau) + rho] around tau = s*k/(r + s) holds a
+    count, galloped from the previous difference's rho and then bisected.
+    So a difference costs O(log k) big-int operations on n*w-bit ints, hit
+    or not, and no per-start Python object is made.  For k = 1 only d = 1
+    is scanned: one-term windows are the same set for every difference.
     """
     _check_window_length(seq, k)
     n = seq.n
     s, m = seq.params.s, seq.params.modulus
     floor_tau, rem = divmod(s * k, m)
     ceil_tau = floor_tau + (rem > 0)
+    c_lo, c_hi = -((t - s * k) // m), (s * k + t) // m
     w = k.bit_length() + 1
     flags = _spread(((1 << n) - 1) ^ seq.bits, n, w)  # F
     units = ((1 << n * w) - 1) // ((1 << w) - 1)  # 1 in each of n fields
     scanned, witness, rho = 0, None, 0
     per_d: dict[int, int] = {}
-    for d in range(1, max_difference(n, k) + 1):
+    for d in range(1, (max_difference(n, k) if mode == MODE_AP else 1) + 1):
         starts = n - (k - 1) * d  # APs of difference d
         shift, total, terms = d * w, flags, 1
         for bit in bin(k)[3:]:
@@ -240,10 +199,12 @@ def ap_scan(seq: SignSeq, k: int, collect_per_d: bool = False) -> ScanReport:
                     at_least[c] = (raised - c * unit) & guard
             return at_least[lo] != at_least[hi]
 
-        if rem == 0 and holds(floor_tau, floor_tau):
-            hit = at_least[floor_tau] ^ at_least[floor_tau + 1]
+        if c_lo <= c_hi and holds(c_lo, c_hi):  # 0 <= c_lo, c_hi <= k as t < k
+            hit = at_least[c_lo] ^ at_least[c_hi + 1]
             start = ((hit & -hit).bit_length() - 1) // w
-            witness, per_d[d], scanned = (start, d), 0, scanned + start + 1
+            count = (total >> start * w) & ((1 << w) - 1)
+            witness, per_d[d] = (start, d), abs(s * k - m * count)
+            scanned += start + 1
             break
         rho = _least(
             lambda x: holds(floor_tau - x, ceil_tau + x),
@@ -258,14 +219,25 @@ def ap_scan(seq: SignSeq, k: int, collect_per_d: bool = False) -> ScanReport:
         )
         scanned += starts
     return ScanReport(
-        mode=MODE_AP,
+        mode=mode,
         k=k,
         found=witness is not None,
         witness=witness,
         min_abs_weight=min(per_d.values()),
         scanned_count=scanned,
+        t=t if mode == MODE_SMALLSUM else None,
         per_d_min_abs=per_d if collect_per_d else None,
     )
+
+
+def block_scan(seq: SignSeq, k: int) -> ScanReport:
+    """Find the lowest-start zero-sum k-block, or certify there is none."""
+    return _scan(seq, k, 0, MODE_BLOCK)
+
+
+def ap_scan(seq: SignSeq, k: int, collect_per_d: bool = False) -> ScanReport:
+    """Find the least (difference, start) zero-sum k-term AP, or certify none."""
+    return _scan(seq, k, 0, MODE_AP, collect_per_d)
 
 
 def ap_scan_naive(seq: SignSeq, k: int) -> ScanReport:
@@ -313,7 +285,7 @@ def smallsum_block_scan(seq: SignSeq, k: int, t: int) -> ScanReport:
         raise ParameterError(f"t must satisfy 0 <= t < k, got t={t} k={k}")
     if t % 2 != k % 2:
         raise ParameterError(f"t and k must have the same parity, got t={t} k={k}")
-    return _tolerance_scan(seq, k, t, MODE_SMALLSUM)
+    return _scan(seq, k, t, MODE_SMALLSUM)
 
 
 @dataclass(frozen=True)
@@ -350,7 +322,8 @@ def interpolation_check(seq: SignSeq, k: int) -> InterpolationReport:
     if k % m != 0:
         raise ParameterError(f"(r + s) = {m} must divide k = {k}")
     _check_window_length(seq, k)
-    weights = list(_window_weights(seq.prefix_weights(), k))
+    prefix = seq.prefix_weights()
+    weights = [b - a for a, b in zip(prefix, prefix[k:])]
 
     has_neg = any(w < 0 for w in weights)
     has_pos = any(w > 0 for w in weights)

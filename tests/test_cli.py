@@ -321,6 +321,18 @@ class TestOracleCommand:
         assert result.exit_code == 0
         assert "verified" in result.output
 
+    @pytest.mark.parametrize("where", ["option", "env"])
+    def test_two_k_obeys_budget(self, runner, where):
+        """two-k is gated by the block DP's step bound against the shared
+        budget: (1,1,8) needs more than 5 steps."""
+        args = ["oracle", "--target", "two-k", "--k", "8"]
+        env = {"ZEROSUM_BUDGET": "5"} if where == "env" else {}
+        if where == "option":
+            args += ["--budget", "5"]
+        result = runner.invoke(cli, args, env=env)
+        assert result.exit_code == 2
+        assert "budget" in result.output
+
     def test_pow2(self, runner):
         result = runner.invoke(cli, ["oracle", "--target", "pow2", "--v", "3"])
         assert result.exit_code == 0

@@ -491,8 +491,20 @@ class TestTwoKProposition:
             verify_2k_proposition(5)
 
     def test_budget_refusal_large_k(self):
+        """k = 18 needs 1.44e9 DP steps, over the default 10^9."""
         with pytest.raises(BudgetExceededError):
-            verify_2k_proposition(14)
+            verify_2k_proposition(18)
+
+    def test_default_budget_runs_k14(self):
+        verdict = verify_2k_proposition(14)
+        assert verdict.ok
+        assert verdict.sequences_checked == math.comb(28, 14)
+
+    def test_explicit_budget_refuses_k14_with_dp_estimate(self):
+        with pytest.raises(BudgetExceededError) as info:
+            verify_2k_proposition(14, budget=10**7)
+        assert info.value.estimate == _block_dp_estimate(Params(1, 1, 14), 0)
+        assert info.value.budget == 10**7
 
 
 class TestPow2Rigidity:

@@ -218,8 +218,9 @@ def test_ap_scan_skewed_alphabets(r, s):
 
 
 def _reference_block_scan(seq: SignSeq, k: int, t: int | None = None) -> ScanReport:
-    """The per-window loop that block_scan (t None) and smallsum_block_scan
-    ran before they shared one window scan; kept as their reference."""
+    """Block (t None) and small-sum scans as a per-window loop over the
+    prefix sums, an engine the bit-parallel kernel does not use; kept as
+    their reference."""
     prefix = seq.prefix_weights()
     mode = MODE_BLOCK if t is None else MODE_SMALLSUM
     min_abs = None
@@ -260,6 +261,30 @@ def test_block_scans_match_reference_loop(k):
                 assert block_scan(seq, k) == _reference_block_scan(seq, k)
                 if params.modulus == 2:
                     for t in range(k % 2, k, 2):
+                        report = smallsum_block_scan(seq, k, t)
+                        assert report == _reference_block_scan(seq, k, t)
+
+
+@pytest.mark.parametrize("k", sorted({2**j + e for j in range(1, 9) for e in (-1, 0, 1)}))
+def test_block_scans_guard_width_edges(k):
+    """At k = 2**j - 1, 2**j and 2**j + 1, where the count fields of the
+    shared kernel change width, block and small-sum scans give the
+    reference loop's full report: random letters, all +s, all -r, zero-sum
+    blocks planted at the first and the last start when (r + s) | k, and
+    alphabets whose r + s does not divide k (no zero-sum window at all)."""
+    rng = random.Random(k)
+    for params in (Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5), Params(3, 4, 7)):
+        for n in (k, 2 * k + 7):
+            seqs = [_random_seq(rng, params, n)]
+            seqs += [SignSeq(params, n, bits) for bits in ((1 << n) - 1, 0)]
+            if k % params.modulus == 0:
+                for p in (0, n - k):
+                    seqs.append(_planted_seq(rng, params, n, k, p))
+                    assert block_scan(seqs[-1], k).witness == (p, 1)
+            for seq in seqs:
+                assert block_scan(seq, k) == _reference_block_scan(seq, k)
+                if params.modulus == 2:
+                    for t in {k % 2, k % 2 + 2, k - 4, k - 2} & set(range(k % 2, k, 2)):
                         report = smallsum_block_scan(seq, k, t)
                         assert report == _reference_block_scan(seq, k, t)
 
