@@ -95,7 +95,9 @@ class SignSeq:
 
     Bit i of ``bits`` is 0 for value -r and 1 for value +s at position i.
     ``from_values``, ``from_bitstring``, ``values`` and ``bitstring`` cost
-    O(n): one pass over the bitstring and one base-2 int/str conversion,
+    O(n): one C-level map/join pass (``from_values`` looks each value up
+    in a two-entry dict, so a hashable value equal to a letter, like
+    ``True`` or ``1.0``, counts as it) and one base-2 int/str conversion,
     which Python's int/str digit limit exempts.  Prefix weights cost O(n)
     once, built lazily, so full-sequence and window weights cost O(1) after
     the first query.  ``value(i)`` costs O(n - i).
@@ -115,18 +117,23 @@ class SignSeq:
 
     @classmethod
     def from_values(cls, params: Params, values: Iterable[int]) -> "SignSeq":
+        """Encode values equal to -r or s; raise ``ParameterError`` naming
+        the first other value and its position (a one-shot iterator is read
+        into a list first, for that second pass)."""
         s, neg_r = params.s, -params.r
-        # A bad value stays boxed in a tuple: the join fails, the error path
-        # still names it, and ``values`` may be a one-shot iterator.
-        letters = ["1" if v == s else (v,) if v != neg_r else "0" for v in values]
+        if iter(values) is values:
+            values = list(values)
         try:
-            bitstring = "".join(letters)
-        except TypeError:
-            n, (v,) = next((n, x) for n, x in enumerate(letters) if type(x) is tuple)
+            bitstring = "".join(map({s: "1", neg_r: "0"}.get, values))
+        except TypeError:  # a foreign value gave None, or was unhashable
+            n, v = next(
+                (n, v)
+                for n, v in enumerate(values)
+                if type(v).__hash__ is None or (v != s and v != neg_r)
+            )
             raise ParameterError(
                 f"value {v} at position {n} is neither -r = {neg_r} nor s = {s}"
             ) from None
-        del letters  # keep one full-length intermediate alive at a time
         return cls.from_bitstring(params, bitstring)
 
     @classmethod

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
+from itertools import islice
+from operator import sub
 
 from .core import ParameterError, SignSeq
 
 MODE_BLOCK = "block"
 MODE_AP = "ap"
 MODE_SMALLSUM = "smallsum"
-
-_SPREAD = 4096  # positions per string in _spread; a multiple of 8
 
 
 @dataclass(frozen=True)
@@ -87,20 +88,26 @@ def max_difference(n: int, k: int) -> int:
     return (n - 1) // (k - 1) if k > 1 else 1
 
 
-def _spread(bits: int, n: int, w: int) -> int:
-    """The n low bits of ``bits`` moved to w-bit fields, bit p to bit p*w.
+@cache
+def _spread_table(w: int) -> tuple[bytes, ...]:
+    """Byte b spread to w-bit fields: bit j of b moved to bit j*w, as the
+    w little-endian bytes that eight fields fill."""
+    return tuple(
+        sum(((b >> j) & 1) << (j * w) for j in range(8)).to_bytes(w, "little")
+        for b in range(256)
+    )
 
-    Each run of _SPREAD positions is read as one base-2 string with w - 1
-    zeros between its letters and packed into whole bytes, so no string of
-    n*w characters is held."""
-    letters, zeros = format(bits, "b").zfill(n)[::-1], "0" * (w - 1)
+
+def _spread(bits: int, n: int, w: int) -> int:
+    """The n bits of ``bits`` (below 2**n) moved to w-bit fields, bit p to
+    bit p*w.
+
+    Eight positions fill exactly w bytes, so each byte of ``bits`` is
+    looked up in a 256-entry table per w and the pieces are joined: C-level
+    passes over n/8 bytes, and the table entries are shared, not copied."""
+    table = _spread_table(w)
     return int.from_bytes(
-        b"".join(
-            int(zeros.join(letters[i : i + _SPREAD][::-1]), 2).to_bytes(
-                (min(_SPREAD, n - i) * w + 7) // 8, "little"
-            )
-            for i in range(0, n, _SPREAD)
-        ),
+        b"".join(map(table.__getitem__, bits.to_bytes((n + 7) // 8, "little"))),
         "little",
     )
 
@@ -316,24 +323,22 @@ def interpolation_check(seq: SignSeq, k: int) -> InterpolationReport:
     Requires (r + s) | k.  Checks that (a) a strictly negative and a
     strictly positive window force a zero window, (b) adjacent windows
     differ by at most r + s (they differ in exactly two elements), and
-    (c) every window weight is divisible by r + s.
+    (c) every window weight is divisible by r + s.  The weights come off
+    the prefix sums, and each fact is decided exactly over the set of
+    distinct weights or of distinct adjacent steps.
     """
     m = seq.params.modulus
     if k % m != 0:
         raise ParameterError(f"(r + s) = {m} must divide k = {k}")
     _check_window_length(seq, k)
     prefix = seq.prefix_weights()
-    weights = [b - a for a, b in zip(prefix, prefix[k:])]
+    weights = list(map(sub, islice(prefix, k, None), prefix))
+    seen = set(weights)
 
-    has_neg = any(w < 0 for w in weights)
-    has_pos = any(w > 0 for w in weights)
-    has_zero = any(w == 0 for w in weights)
-    sign_ok = (not (has_neg and has_pos)) or has_zero
-
-    step_ok = all(
-        abs(weights[i + 1] - weights[i]) <= m for i in range(len(weights) - 1)
-    )
-    residue_ok = all(w % m == 0 for w in weights)
+    sign_ok = not (min(seen) < 0 < max(seen)) or 0 in seen
+    steps = set(map(sub, islice(weights, 1, None), weights))
+    step_ok = max(map(abs, steps), default=0) <= m
+    residue_ok = not any(map(m.__rmod__, seen))
 
     detail = None
     if not sign_ok:

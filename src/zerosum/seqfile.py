@@ -3,7 +3,10 @@
 Line 1 is exactly ``# zerosum v1 r=<r> s=<s> n=<n>`` with decimal integers.
 The body is either whitespace-separated signed values, each -r or +s and
 n in total, or a single line ``b:<bitstring>`` of length n where 0 means
--r and 1 means +s.  A length-0 sequence has an empty body.
+-r and 1 means +s.  A length-0 sequence has an empty body.  Values written
+as ``str(-r)`` and ``str(s)`` (as ``format_sequence`` writes them) map
+straight to selector letters; any other spelling, like ``+2`` or ``02``,
+is read through ``int()``.
 """
 
 from __future__ import annotations
@@ -78,12 +81,16 @@ def parse_sequence(text: str, k: int = 1) -> SignSeq:
     tokens = " ".join(body).split()
     if len(tokens) != n:
         raise SequenceFileError(f"expected {n} values, found {len(tokens)}")
-    try:
-        return SignSeq.from_values(params, map(int, tokens))
-    except ParameterError as exc:
-        raise SequenceFileError(str(exc)) from exc
-    except ValueError as exc:  # from int(): from_values reads every token first
-        raise SequenceFileError(f"non-integer value in body: {exc}") from exc
+    try:  # canonical tokens map straight to selector letters
+        bitstring = "".join(map({str(-r): "0", str(s): "1"}.get, tokens))
+    except TypeError:  # some token is not canonical: read each through int()
+        try:
+            return SignSeq.from_values(params, map(int, tokens))
+        except ParameterError as exc:
+            raise SequenceFileError(str(exc)) from exc
+        except ValueError as exc:  # from int(): from_values reads every token first
+            raise SequenceFileError(f"non-integer value in body: {exc}") from exc
+    return SignSeq.from_bitstring(params, bitstring)
 
 
 def read_sequence(path: str | Path, k: int = 1) -> SignSeq:

@@ -224,6 +224,61 @@ def test_parse_sequence_reports_non_integer_before_foreign_value():
         parse_sequence("# zerosum v1 r=1 s=1 n=3\n5 -1 x\n")
 
 
+def test_parse_sequence_reads_non_canonical_tokens_through_int():
+    """Tokens other than str(-r) and str(s) still parse by value."""
+    canonical = parse_sequence("# zerosum v1 r=1 s=2 n=6\n2 2 -1 -1 2 -1\n")
+    mixed = parse_sequence("# zerosum v1 r=1 s=2 n=6\n+2 02 -1 -01 2 -1\n")
+    assert mixed == canonical
+    assert canonical.bitstring() == "110010"
+    rng = random.Random(11)
+    params = Params(2, 3, 5)
+    seq = SignSeq(params, 1000, rng.getrandbits(1000))
+    spellings = {-2: ("-2", "-02", "-002"), 3: ("3", "+3", "03", "+03")}
+    body = " ".join(rng.choice(spellings[v]) for v in seq.values())
+    assert parse_sequence(f"# zerosum v1 r=2 s=3 n=1000\n{body}\n", 5) == seq
+
+
+def test_parse_sequence_keeps_multi_digit_letters_apart():
+    """At (11, 1) the tokens -11 and 1 share a digit but not a letter."""
+    seq = parse_sequence("# zerosum v1 r=11 s=1 n=5\n-11 1 1 -11 1\n")
+    assert seq.bitstring() == "01101"
+    assert seq.values() == (-11, 1, 1, -11, 1)
+    for token in ("-1", "11"):
+        with pytest.raises(SequenceFileError) as exc:
+            parse_sequence(f"# zerosum v1 r=11 s=1 n=3\n-11 {token} 1\n")
+        assert str(exc.value) == (
+            f"value {int(token)} at position 1 is neither -r = -11 nor s = 1"
+        )
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("-1 3 2 2", "value 3 at position 1 is neither -r = -1 nor s = 2"),
+        ("-1 +2 03 2", "value 3 at position 2 is neither -r = -1 nor s = 2"),
+        # every token is read before any is checked, so x is named, not 1
+        ("-1 2 1 x", "non-integer value in body: "
+         "invalid literal for int() with base 10: 'x'"),
+        ("2.0 2 -1 2", "non-integer value in body: "
+         "invalid literal for int() with base 10: '2.0'"),
+    ],
+)
+def test_parse_sequence_messages_for_foreign_and_non_integer_tokens(body, message):
+    with pytest.raises(SequenceFileError) as exc:
+        parse_sequence(f"# zerosum v1 r=1 s=2 n=4\n{body}\n")
+    assert str(exc.value) == message
+
+
+def test_from_values_takes_any_iterable():
+    rng = random.Random(20000)
+    params = Params(2, 3, 5)
+    values = [rng.choice((-2, 3)) for _ in range(20000)]
+    expected = ref_from_values(params, values)
+    for source in ((v for v in values), values, tuple(values)):
+        seq = SignSeq.from_values(params, source)
+        assert (seq.n, seq.bits) == expected
+
+
 def test_prefix_and_window_weights():
     params = Params(1, 2, 3)
     seq = SignSeq.from_values(params, [-1, 2, 2, -1, -1, -1])

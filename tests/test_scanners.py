@@ -22,7 +22,13 @@ from zerosum import (
     pm1_smallsum_threshold,
     smallsum_block_scan,
 )
-from zerosum.scanners import MODE_BLOCK, MODE_SMALLSUM, _SPREAD, _spread, max_difference
+from zerosum.scanners import (
+    MODE_BLOCK,
+    MODE_SMALLSUM,
+    InterpolationReport,
+    _spread,
+    max_difference,
+)
 
 PM1 = Params(1, 1, 2)
 
@@ -196,11 +202,13 @@ def test_ap_scan_guard_width_edges(k):
 
 
 def test_spread_moves_bit_p_to_field_p():
-    """The AP scan's flag int, built in runs of _SPREAD positions, against
-    a bit-by-bit build, at lengths around the run boundaries."""
+    """The scan kernel's flag int, built a byte at a time from a table per
+    field width, against a bit-by-bit build, at lengths around byte
+    boundaries and around 4096 (the run length of an earlier string-based
+    build)."""
     rng = random.Random(8191)
-    for n in (0, 1, 7, _SPREAD - 1, _SPREAD, _SPREAD + 1, 2 * _SPREAD + 5):
-        for w in (2, 3, 8, 9, 11):
+    for n in (0, 1, 7, 8, 9, 15, 16, 17, 4095, 4096, 4097, 8197):
+        for w in (2, 3, 8, 9, 11, 17):
             bits = rng.getrandbits(n) if n else 0
             expected = sum(1 << p * w for p in range(n) if bits >> p & 1)
             assert _spread(bits, n, w) == expected, (n, w)
@@ -436,7 +444,99 @@ class TestSmallSum:
             smallsum_block_scan(other, 2, 0)
 
 
+def _reference_interpolation_check(seq: SignSeq, k: int) -> InterpolationReport:
+    """The interpolation facts as a per-window loop over the prefix sums;
+    kept as the reference for ``interpolation_check``'s set-based passes."""
+    m = seq.params.modulus
+    prefix = seq.prefix_weights()
+    weights = [b - a for a, b in zip(prefix, prefix[k:])]
+
+    has_neg = any(w < 0 for w in weights)
+    has_pos = any(w > 0 for w in weights)
+    has_zero = any(w == 0 for w in weights)
+    sign_ok = (not (has_neg and has_pos)) or has_zero
+
+    step_ok = all(
+        abs(weights[i + 1] - weights[i]) <= m for i in range(len(weights) - 1)
+    )
+    residue_ok = all(w % m == 0 for w in weights)
+
+    detail = None
+    if not sign_ok:
+        detail = "sign change without a zero window"
+    elif not step_ok:
+        detail = "adjacent windows differ by more than r + s"
+    elif not residue_ok:
+        detail = "window weight not divisible by r + s"
+    return InterpolationReport(
+        ok=sign_ok and step_ok and residue_ok,
+        sign_change_implies_zero=sign_ok,
+        adjacent_step_bounded=step_ok,
+        residues_vanish=residue_ok,
+        window_count=len(weights),
+        detail=detail,
+    )
+
+
+def _forged_seq(params: Params, k: int, weights: list[int]) -> SignSeq:
+    """A sequence whose cached prefix sums are replaced by ones whose
+    k-windows weigh ``weights``: no {-r, s}-sequence reaches the failure
+    branches, so they are reached through the cache."""
+    prefix = [0] * k
+    for w in weights:
+        prefix.append(prefix[-k] + w)
+    seq = SignSeq(params, len(prefix) - 1, 0)
+    seq._prefix = tuple(prefix)
+    return seq
+
+
 class TestInterpolation:
+    @pytest.mark.parametrize("r,s", [(1, 1), (1, 2), (2, 3), (3, 5)])
+    def test_matches_reference_loop(self, r, s):
+        """Random, periodic and one-letter sequences at k = m..6m, n = k to
+        k + 200 (both ends and a random sample between)."""
+        rng = random.Random(r * 100 + s)
+        m = r + s
+        params = Params(r, s, m)
+        for k in range(m, 6 * m + 1, m):
+            for n in (k, k + 200, *rng.sample(range(k + 1, k + 200), 12)):
+                period = rng.randrange(1, 2 * k)
+                pattern = rng.getrandbits(period)
+                cases = [
+                    _random_seq(rng, params, n),
+                    SignSeq.from_bitstring(
+                        params,
+                        "".join(str(pattern >> (i % period) & 1) for i in range(n)),
+                    ),
+                    SignSeq(params, n, 0),
+                    SignSeq(params, n, (1 << n) - 1),
+                ]
+                for seq in cases:
+                    report = interpolation_check(seq, k)
+                    assert report == _reference_interpolation_check(seq, k), (seq, k)
+
+    @pytest.mark.parametrize(
+        "r,s,k,weights,detail",
+        [
+            # a sign change without a zero, and a residue that fails with it
+            (1, 1, 2, [-1, 1, 1], "sign change without a zero window"),
+            # a sign change without a zero, and a step that fails with it
+            (1, 1, 2, [-2, 2, 2], "sign change without a zero window"),
+            (1, 2, 3, [0, 3, 9, 6], "adjacent windows differ by more than r + s"),
+            (1, 1, 2, [4, 0, 2], "adjacent windows differ by more than r + s"),
+            (1, 1, 4, [2, 2, 3, 2], "window weight not divisible by r + s"),
+            # a step and a residue at once: the step is named
+            (2, 3, 5, [0, 5, 12], "adjacent windows differ by more than r + s"),
+            (2, 3, 5, [-5, 0, 5], None),
+        ],
+    )
+    def test_failure_branches_match_reference(self, r, s, k, weights, detail):
+        seq = _forged_seq(Params(r, s, k), k, weights)
+        report = interpolation_check(seq, k)
+        assert report == _reference_interpolation_check(seq, k)
+        assert report.detail == detail
+        assert report.window_count == len(weights)
+
     def test_example_windows(self):
         seq = SignSeq.from_values(Params(1, 2, 3), [-1, -1, 2, 2, -1, -1])
         weights = [seq.window_weight(i, 3) for i in range(4)]
