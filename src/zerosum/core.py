@@ -205,55 +205,6 @@ def weight(seq: SignSeq, indices: Iterable[int]) -> Weight:
 
 
 @dataclass(frozen=True)
-class ResidueProfile:
-    """Residue structure of an m-term arithmetic progression taken mod m.
-
-    The distinct residues form an arithmetic progression with common
-    difference gcd(d, m); each appears with multiplicity gcd(d, m).
-    """
-
-    modulus: int
-    first_residue: int
-    step: int
-    distinct_count: int
-    multiplicity: int
-
-    def distinct_residues(self) -> tuple[int, ...]:
-        return tuple(
-            self.first_residue + i * self.step for i in range(self.distinct_count)
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "firstResidue": self.first_residue,
-            "step": self.step,
-            "distinctCount": self.distinct_count,
-            "multiplicity": self.multiplicity,
-        }
-
-
-def residue_profile(start: int, d: int, m: int) -> ResidueProfile:
-    """Profile the multiset {start, start+d, ..., start+(m-1)d} mod m.
-
-    With g = gcd(d, m) the progression visits exactly the m/g residues
-    congruent to start mod g, each exactly g times.
-    """
-    if d < 1:
-        raise ParameterError(f"common difference must be positive, got {d}")
-    if m < 1:
-        raise ParameterError(f"modulus must be positive, got {m}")
-    g = math.gcd(d, m)
-    return ResidueProfile(
-        modulus=m,
-        first_residue=start % g,
-        step=g,
-        distinct_count=m // g,
-        multiplicity=g,
-    )
-
-
-@dataclass(frozen=True)
 class WeightRange:
     """All achievable total weights of a {-r, s}-sequence of length alpha.
 

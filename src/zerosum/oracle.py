@@ -1,23 +1,21 @@
 """Exhaustive ground truth: exact thresholds for small parameters and
 full-enumeration checks of the structural propositions.
 
-Block mode runs a DP over (last k-1 letters, negatives so far) past the cap
-until no prefix lives, its work bounded up front (see _block_dp).  AP mode
-places the -r letters left to right as a position bitmask, one depth-first
-search per (length, negative count) in-process; each k-term AP is tested,
-against its own position bitmask, once its last letter is fixed (a zero-sum
-AP holds c* = sk/(r+s) negatives), and a prefix holding a zero-sum AP is
-dropped with its whole subtree, counted in closed form, so the candidate
-tally stays C(n, negs).  AP mode runs the block DP too: an AP avoider is a
-block avoider, so the DP bounds where AP avoiders can lie.
+Both modes run one DP over (last k-1 letters, negatives so far) past the
+cap until no prefix lives, its work bounded up front (see _block_dp): an AP
+avoider is a block avoider (a k-block is the d = 1 AP), so the DP bounds
+where avoiders of either kind can lie.  Avoiders come from one walk back
+through the DP's stored states (see _avoiders), which places one letter per
+step; AP mode also tests, against its own position bitmask, each k-term AP
+of difference d >= 2 as its first term is placed (a zero-sum AP holds
+c* = sk/(r+s) negatives), and drops a state holding one with its prefix
+count, so the walk's avoiders plus drops equal the DP's count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import BudgetExceededError, ParameterError, Params, SignSeq
@@ -122,16 +120,6 @@ def estimate_window_evaluations(
     return total
 
 
-def _ap_masks(n: int, k: int) -> list[list[int]]:
-    """Position bitmasks of the k-term APs in [0, n), listed by last term."""
-    ends: list[list[int]] = [[] for _ in range(n)]
-    for d in range(1, (n - 1) // (k - 1) + 1):
-        base = sum(1 << j * d for j in range(k))
-        for start in range(n - (k - 1) * d):
-            ends[start + (k - 1) * d].append(base << start)
-    return ends
-
-
 def _check_tally(n: int, negs: int, candidates: int) -> None:
     if candidates != math.comb(n, negs):
         raise AssertionError(
@@ -171,14 +159,15 @@ def _block_bounds(params: Params, q: int) -> tuple[list[int], list[int]]:
 
 def _block_dp(
     params: Params, q: int, through: int, probe: bool = True
-) -> tuple[list[int], list[array], int | None]:
+) -> tuple[list[int], list[dict[int, int]], int | None]:
     """Count avoiding prefixes per state ``negs << (k-1) | tail`` (the last
     k-1 letters, bit 0 the newest, a set bit a -r letter).  A step kills a
     prefix whose newest k-window holds c* negatives, and drops one that no
     avoider extends (see _block_bounds).  Runs through ``through``, then with
     ``probe`` on until no prefix lives or a later admissible length has an
-    avoider.  Returns the admissible avoiders and the sorted state keys per
-    length up to ``through``, and that later length or None."""
+    avoider.  Returns the admissible avoider count and the states (key to
+    prefix count) per length up to ``through``, and that later length or
+    None."""
     k, m, s, (hi, lo) = params.k, params.modulus, params.s, _block_bounds(params, q)
     c_star, shift, tail_mask = _zero_negs(params), k - 1, (1 << (k - 1)) - 1
     states, dead = {0: 1}, [0]  # dead[negs]: length-n prefixes killed or dropped
@@ -193,7 +182,7 @@ def _block_dp(
             avoiders += alive[n - b]
         if n <= through:
             counts.append(avoiders)
-            layers.append(array("Q", sorted(states)))
+            layers.append(states)
         elif avoiders and n >= k:
             return counts, layers, n
         if n >= through and not (probe and states):
@@ -212,12 +201,31 @@ def _block_dp(
         states, n = nxt, n + 1
 
 
-def _block_witnesses(params: Params, q: int, layers: list[array], n: int) -> list[SignSeq]:
-    """Every admissible avoider of length n, recovered by walking back
-    through the sorted state keys kept by _block_dp."""
+def _ap_starts(n: int, k: int) -> list[list[int]]:
+    """Position bitmasks of the k-term APs in [0, n) with difference d >= 2,
+    listed by first term (the block DP already kills every d = 1 window)."""
+    starts: list[list[int]] = [[] for _ in range(n)]
+    for d in range(2, (n - 1) // (k - 1) + 1):
+        base = sum(1 << j * d for j in range(k))
+        for start in range(n - (k - 1) * d):
+            starts[start].append(base << start)
+    return starts
+
+
+def _avoiders(
+    params: Params, q: int, layers: list[dict[int, int]], n: int,
+    starts: list[list[int]] | None = None,
+) -> list[SignSeq]:
+    """Every admissible avoider of length n, recovered by walking back from
+    the layer-n states kept by _block_dp, one letter per step; every state
+    it visits has a live prefix.  With ``starts`` (see _ap_starts), placing
+    letter t tests the APs whose first term is t, and a hit drops the state
+    with its prefix count.  Avoiders plus dropped counts must equal the DP's
+    avoider count at n."""
     k, shift, c_star = params.k, params.k - 1, _zero_negs(params)
     negs_ok = {n - b for b in admissible_pos_counts(params, q, n)}
     stack = [(key, n, 0) for key in layers[n] if key >> shift in negs_ok]
+    expected, dropped = sum(layers[n][key] for key, _, _ in stack), 0
     out: list[SignSeq] = []
     while stack:
         key, length, mask = stack.pop()
@@ -225,80 +233,24 @@ def _block_witnesses(params: Params, q: int, layers: list[array], n: int) -> lis
             out.append(SignSeq(params, n, ((1 << n) - 1) ^ mask))
             continue
         negs, tail, x = key >> shift, key & ((1 << shift) - 1), key & 1
+        mask |= x << (length - 1)
+        if starts and any((mask & ap).bit_count() == c_star for ap in starts[length - 1]):
+            dropped += layers[length][key]
+            continue
+        layer = layers[length - 1]
         for y in (0, 1):
             prev_tail = tail >> 1 | y << (shift - 1)
             if length >= k and prev_tail.bit_count() + x == c_star:
                 continue  # that transition was killed
             prev = (negs - x) << shift | prev_tail
-            layer = layers[length - 1]
-            i = bisect_left(layer, prev)
-            if i < len(layer) and layer[i] == prev:
-                stack.append((prev, length - 1, mask | x << (length - 1)))
+            if prev in layer:
+                stack.append((prev, length - 1, mask))
+    if len(out) + dropped != expected:
+        raise AssertionError(
+            f"walk accounted for {len(out)} avoiders and {dropped} dropped "
+            f"prefixes of the DP's {expected} avoiders at n={n}"
+        )
     return out
-
-
-def _enumerate_ap(ends: list[list[int]], negs: int, c_star: int) -> tuple[int, list[int]]:
-    """All placements of ``negs`` negatives in [0, n): (candidates, neg-position
-    bitmasks of avoiders).  Negatives go in left to right, and moving from one
-    at p to the next at t fixes the letters p+1..t, so only the APs ending
-    there (``ends``) are tested: one already holding c* - 1 negatives is
-    zero-sum if t is -r, one holding c* if t is +s, which drops every
-    placement whose next negative lies past t.  A complete placement also
-    tests the APs ending in its all-+s tail.  A dropped subtree counts
-    C(positions left, negatives left), so the tally stays C(n, negs)."""
-    n, near, comb = len(ends), c_star - 1, math.comb
-    avoiders, candidates = [], 0
-
-    def place(x: int, p: int, rem: int) -> None:
-        # x: the negatives up to p, none closing a zero-sum AP; rem to go.
-        nonlocal candidates
-        if not rem:
-            candidates += 1
-            for tail in ends[p + 1 :]:
-                for mask in tail:
-                    if (x & mask).bit_count() == c_star:
-                        return
-            avoiders.append(x)
-            return
-        for t in range(p + 1, n - rem + 1):
-            minus = plus = True
-            for mask in ends[t]:
-                c = (x & mask).bit_count()
-                if c == near:
-                    minus = False
-                elif c == c_star:
-                    plus = False
-            if minus:
-                place(x | 1 << t, t, rem - 1)
-            else:
-                candidates += comb(n - 1 - t, rem - 1)
-            if not plus:
-                candidates += comb(n - 1 - t, rem)
-                return
-
-    place(0, -1, negs)
-    return candidates, avoiders
-
-
-def _ap_search(params: Params, q: int, lengths: list[int]) -> tuple[int | None, list[SignSeq]]:
-    """Largest AP-avoiding length among ``lengths`` and its avoiders: one
-    depth-first search per (n, negs), in-process, that tests an AP once its
-    last term is fixed and drops a prefix that already holds a zero-sum AP
-    (see _enumerate_ap).  exact_threshold passes only the lengths where the
-    block DP left an avoider: an AP avoider is a block avoider, so the others
-    hold none, and the DP's own _check_tally accounts for their candidates."""
-    k, c_star = params.k, _zero_negs(params)
-    max_avoiding, masks_at_max = None, []
-    for n in lengths:
-        ends, length_masks = _ap_masks(n, k), []
-        for b in admissible_pos_counts(params, q, n):
-            candidates, avoiders = _enumerate_ap(ends, n - b, c_star)
-            _check_tally(n, n - b, candidates)
-            length_masks.extend(avoiders)
-        if length_masks:
-            max_avoiding, masks_at_max = n, length_masks
-    full = 0 if max_avoiding is None else (1 << max_avoiding) - 1
-    return max_avoiding, [SignSeq(params, max_avoiding, full ^ m) for m in masks_at_max]
 
 
 def exact_threshold(
@@ -316,8 +268,11 @@ def exact_threshold(
     max(k, last avoiding length + 1) and ``capped`` marks a lower bound (see
     ThresholdResult).  Both modes run the block DP past the cap: every AP
     avoider is a block avoider (a k-block is a k-term AP with d = 1), so a
-    block avoider beyond the cap leaves AP avoiders there open.  The
-    enumeration estimate and the DP's own bound must fit the budget.
+    block avoider beyond the cap leaves AP avoiders there open.  Both walk
+    back from the DP's states (see _avoiders) over the lengths with a block
+    avoider, top down, to the first with an avoider; AP mode also tests the
+    APs of difference d >= 2 as it places each letter.  The enumeration
+    estimate and the DP's own bound must fit the budget.
     ``shards`` has no effect; it is accepted for callers that pass it.
     """
     params.require_block_divisibility()
@@ -336,14 +291,12 @@ def exact_threshold(
     k = params.k
     lengths = [n for n in range(k, search_cap + 1) if admissible_pos_counts(params, q, n)]
     counts, layers, beyond = _block_dp(params, q, search_cap)
-    alive = [n for n in lengths if counts[n]]  # lengths with a block avoider
-    if mode == MODE_BLOCK:
-        max_avoiding = max(alive, default=None)
-        witnesses = []
-        if max_avoiding is not None:
-            witnesses = _block_witnesses(params, q, layers, max_avoiding)
-    else:
-        max_avoiding, witnesses = _ap_search(params, q, alive)
+    max_avoiding, witnesses = None, []
+    for n in reversed([n for n in lengths if counts[n]]):  # block avoiders, top down
+        witnesses = _avoiders(params, q, layers, n, _ap_starts(n, k) if mode == MODE_AP else None)
+        if witnesses:
+            max_avoiding = n
+            break
     notes = [] if lengths else ["no admissible length within the search cap"]
     derived = k if max_avoiding is None else max(k, max_avoiding + 1)
     lower = "; the derived threshold is only a lower bound"
@@ -401,7 +354,7 @@ def verify_2k_proposition(k: int, budget: int | None = None) -> TwoKVerdict:
     if estimate > ceiling:
         raise BudgetExceededError(estimate, ceiling)
     counts, layers, _ = _block_dp(params, 0, 2 * k, probe=False)
-    witnesses = _block_witnesses(params, 0, layers, 2 * k) if counts[2 * k] else []
+    witnesses = _avoiders(params, 0, layers, 2 * k)
     counterexample = min(witnesses, key=SignSeq.bitstring, default=None)
     return TwoKVerdict(
         k=k,

@@ -1,13 +1,11 @@
-"""Core type tests: the SignSeq codec, weights, residue profiles, weight
-ranges.
+"""Core type tests: the SignSeq codec, weights, weight ranges.
 
-Expected values for the profile and range descriptors are checked against
+Expected values for the range descriptors are checked against
 direct enumeration, which stays the oracle for the arithmetic shortcuts.
 The linear codec is checked against a per-bit reference kept here.
 """
 
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +17,6 @@ from zerosum import (
     SignSeq,
     format_sequence,
     parse_sequence,
-    residue_profile,
     weight,
     weight_range,
 )
@@ -319,42 +316,6 @@ def test_weight_magnitude_bound(data):
         assert abs(w) <= params.s * len(indices)
     if w <= 0:
         assert abs(w) <= params.r * len(indices)
-
-
-@pytest.mark.parametrize(
-    "start,d,m,first,step,distinct,mult",
-    [
-        (0, 1, 6, 0, 1, 6, 1),
-        (0, 2, 4, 0, 2, 2, 2),
-        (3, 10, 15, 3, 5, 3, 5),
-    ],
-)
-def test_residue_profile_examples(start, d, m, first, step, distinct, mult):
-    profile = residue_profile(start, d, m)
-    assert profile.first_residue == first
-    assert profile.step == step
-    assert profile.distinct_count == distinct
-    assert profile.multiplicity == mult
-
-
-def test_residue_profile_matches_enumeration():
-    """The profile predicts the exact residue multiset for every small case."""
-    for m in range(1, 65):
-        for d in list(range(1, min(m + 3, 20))) + [m, 2 * m + 1]:
-            for start in (-7, 0, 3, m - 1, 2 * m + 5):
-                actual = Counter((start + i * d) % m for i in range(m))
-                profile = residue_profile(start, d, m)
-                predicted = Counter(
-                    {res: profile.multiplicity for res in profile.distinct_residues()}
-                )
-                assert actual == predicted, (start, d, m)
-
-
-def test_residue_profile_preconditions():
-    with pytest.raises(ParameterError):
-        residue_profile(0, 0, 4)
-    with pytest.raises(ParameterError):
-        residue_profile(0, 1, 0)
 
 
 @pytest.mark.parametrize(

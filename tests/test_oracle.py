@@ -1,7 +1,9 @@
 """Oracle tests: exhaustive threshold searches against frozen brute-force
 values, candidate accounting, shard independence, and the proposition
-verifiers."""
+verifiers.  The unguided AP placement search is kept here as the
+reference for the oracle's avoider walk."""
 
+import functools
 import math
 
 import pytest
@@ -26,11 +28,10 @@ from zerosum import (
 )
 from zerosum import oracle
 from zerosum.oracle import (
-    _ap_masks,
+    _ap_starts,
+    _avoiders,
     _block_dp,
     _block_dp_estimate,
-    _block_witnesses,
-    _enumerate_ap,
     _zero_negs,
     admissible_pos_counts,
 )
@@ -190,7 +191,7 @@ def _dp_avoiders(n, k, negs, c_star):
     params = Params((k - c_star) // g, c_star // g, k)
     q = abs(params.s * (n - negs) - params.r * negs)
     _, layers, _ = _block_dp(params, q, n, probe=False)
-    masks = [((1 << n) - 1) ^ w.bits for w in _block_witnesses(params, q, layers, n)]
+    masks = [((1 << n) - 1) ^ w.bits for w in _avoiders(params, q, layers, n)]
     return sorted(m for m in masks if m.bit_count() == negs)
 
 
@@ -261,15 +262,88 @@ def test_block_dp_matches_every_bitmask(r, s, k):
         for n in range(k, top + 1):
             want = sorted(b for t in range(q + 1) for b in avoiders.get((n, t), []))
             got = sorted(
-                w.bitstring() for w in _block_witnesses(params, q, layers, n)
+                w.bitstring() for w in _avoiders(params, q, layers, n)
             )
             assert got == want, (q, n)
             assert counts[n] == len(want), (q, n)
 
 
+def _ap_masks(n, k):
+    """Position bitmasks of the k-term APs in [0, n), listed by last term."""
+    ends = [[] for _ in range(n)]
+    for d in range(1, (n - 1) // (k - 1) + 1):
+        base = sum(1 << j * d for j in range(k))
+        for start in range(n - (k - 1) * d):
+            ends[start + (k - 1) * d].append(base << start)
+    return ends
+
+
+def _enumerate_ap(ends, negs, c_star):
+    """The reference AP search: all placements of ``negs`` negatives in
+    [0, n), as (candidates, neg-position bitmasks of avoiders).  Negatives
+    go in left to right, and moving from one at p to the next at t fixes the
+    letters p+1..t, so only the APs ending there (``ends``) are tested: one
+    already holding c* - 1 negatives is zero-sum if t is -r, one holding c*
+    if t is +s, which drops every placement whose next negative lies past t.
+    A complete placement also tests the APs ending in its all-+s tail.  A
+    dropped subtree counts C(positions left, negatives left), so the tally
+    stays C(n, negs)."""
+    n, near, comb = len(ends), c_star - 1, math.comb
+    avoiders, candidates = [], 0
+
+    def place(x, p, rem):
+        # x: the negatives up to p, none closing a zero-sum AP; rem to go.
+        nonlocal candidates
+        if not rem:
+            candidates += 1
+            for tail in ends[p + 1 :]:
+                for mask in tail:
+                    if (x & mask).bit_count() == c_star:
+                        return
+            avoiders.append(x)
+            return
+        for t in range(p + 1, n - rem + 1):
+            minus = plus = True
+            for mask in ends[t]:
+                c = (x & mask).bit_count()
+                if c == near:
+                    minus = False
+                elif c == c_star:
+                    plus = False
+            if minus:
+                place(x | 1 << t, t, rem - 1)
+            else:
+                candidates += comb(n - 1 - t, rem - 1)
+            if not plus:
+                candidates += comb(n - 1 - t, rem)
+                return
+
+    place(0, -1, negs)
+    return candidates, avoiders
+
+
 def _ap_enumerate(n, k, negs, c_star):
-    """The AP enumerator at (n, negs): (candidates, avoider masks)."""
+    """The reference AP search at (n, negs): (candidates, avoider masks)."""
     return _enumerate_ap(_ap_masks(n, k), negs, c_star)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_ap_avoiders(r, s, k, q, n):
+    """Neg-position masks of every admissible AP avoider of length n, by the
+    reference search, each (n, negs) tallied to C(n, negs)."""
+    params = Params(r, s, k)
+    ends, c_star, out = _ap_masks(n, k), _zero_negs(params), []
+    for b in admissible_pos_counts(params, q, n):
+        candidates, avoiders = _enumerate_ap(ends, n - b, c_star)
+        assert candidates == math.comb(n, n - b), (n, n - b)
+        out.extend(avoiders)
+    return sorted(out)
+
+
+def _walk_ap_avoiders(params, q, layers, n):
+    """Neg-position masks of the walk's AP avoiders of length n."""
+    walked = _avoiders(params, q, layers, n, _ap_starts(n, params.k))
+    return sorted(((1 << n) - 1) ^ w.bits for w in walked)
 
 
 @pytest.mark.parametrize(
@@ -379,27 +453,73 @@ _AP_POINTS = [  # (r, s, k, q, cap): every AP-mode call above
 
 @pytest.mark.parametrize("r,s,k,q,cap", _AP_POINTS)
 def test_ap_search_skips_lengths_without_a_block_avoider(monkeypatch, r, s, k, q, cap):
-    """AP mode searches only the lengths where the block DP left an avoider,
-    and its report equals a search over every admissible length."""
+    """AP mode walks only the lengths where the block DP left an avoider,
+    and its report equals a reference search over every admissible length."""
     params = Params(r, s, k)
     counts = _block_dp(params, q, cap)[0]
     searched = []
-    enumerate_ap = oracle._enumerate_ap
+    avoiders = oracle._avoiders
 
-    def record(ends, negs, c_star):
-        searched.append(len(ends))
-        return enumerate_ap(ends, negs, c_star)
+    def record(params, q, layers, n, starts=None):
+        searched.append(n)
+        return avoiders(params, q, layers, n, starts)
 
-    monkeypatch.setattr(oracle, "_enumerate_ap", record)
+    monkeypatch.setattr(oracle, "_avoiders", record)
     result = exact_threshold(params, "ap", q=q, search_cap=cap)
     assert all(counts[n] for n in searched)
-    ap_search = oracle._ap_search
-    every_length = [n for n in range(k, cap + 1) if admissible_pos_counts(params, q, n)]
-    monkeypatch.setattr(
-        oracle, "_ap_search", lambda params, q, lengths: ap_search(params, q, every_length)
-    )
-    unskipped = exact_threshold(params, "ap", q=q, search_cap=cap)
-    assert result.to_json_dict() == unskipped.to_json_dict()
+    found = {n: _reference_ap_avoiders(r, s, k, q, n) for n in range(k, cap + 1)}
+    top = max((n for n in found if found[n]), default=None)
+    full = 0 if top is None else (1 << top) - 1
+    witnesses = sorted(SignSeq(params, top, full ^ m).bitstring() for m in found.get(top, []))
+    assert result.max_avoiding_n == top
+    assert result.derived_threshold == (k if top is None else max(k, top + 1))
+    assert [w.bitstring() for w in result.witnesses] == witnesses
+    assert result.avoiding_count_at_max == len(witnesses)
+
+
+@pytest.mark.parametrize("r,s,k,cap", sorted({(r, s, k, cap) for r, s, k, _, cap in _AP_POINTS}))
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_ap_walk_matches_the_reference_search(r, s, k, cap, q):
+    """At every length up to the point's cap, the walk's AP avoiders are
+    exactly the reference search's."""
+    params = Params(r, s, k)
+    layers = _block_dp(params, q, cap, probe=False)[1]
+    for n in range(k, cap + 1):
+        assert _walk_ap_avoiders(params, q, layers, n) == _reference_ap_avoiders(
+            r, s, k, q, n
+        ), n
+
+
+@pytest.mark.parametrize(
+    "r,s,k,q,cap",
+    [(1, 1, 4, 8, 16), (1, 2, 3, 8, 13), (2, 1, 3, 8, 13), (1, 1, 6, 5, 20), (1, 2, 6, 8, 20)],
+)
+def test_ap_walk_matches_the_reference_search_beyond_difference_two(r, s, k, q, cap):
+    """The AP points above hold no block avoider as long as 3k - 2, the
+    shortest length with a d = 3 AP, so their walks test only d = 2 and drop
+    only states of under k letters, each one prefix.  A large q keeps
+    avoiders alive past 3k - 2, so these walks test APs of d >= 3 and drop
+    states that count several prefixes."""
+    params = Params(r, s, k)
+    layers = _block_dp(params, q, cap, probe=False)[1]
+    walked = {n: _walk_ap_avoiders(params, q, layers, n) for n in range(k, cap + 1)}
+    assert any(walked[n] for n in range(3 * k - 2, cap + 1))
+    for n in range(k, cap + 1):
+        assert walked[n] == _reference_ap_avoiders(r, s, k, q, n), n
+
+
+@pytest.mark.parametrize("starts", [False, True])
+def test_walk_raises_when_a_layer_count_is_changed(starts):
+    """The walk's avoiders plus dropped counts must equal the DP's count: one
+    stored prefix count off by one is an AssertionError in either mode."""
+    params, n = Params(1, 1, 8), 12
+    layers = _block_dp(params, 0, n, probe=False)[1]
+    masks = _ap_starts(n, params.k) if starts else None
+    assert _avoiders(params, 0, layers, n, masks)
+    key = next(key for key in layers[n] if key >> (params.k - 1) == n // 2)
+    layers[n][key] += 1
+    with pytest.raises(AssertionError, match="walk accounted for"):
+        _avoiders(params, 0, layers, n, masks)
 
 
 def test_candidate_accounting_matches_binomials(monkeypatch):
