@@ -107,16 +107,24 @@ def _parse_factors(text: str) -> tuple[int, ...]:
         raise ParameterError(f"--factors must be comma-separated integers, got {text!r}") from None
 
 
-def _emit_json(command: str, params: dict, result: dict, started: float) -> None:
-    report = {
-        "command": command,
-        "params": params,
-        "result": result,
-        "toolVersion": __version__,
-        "elapsedMillis": int((time.perf_counter() - started) * 1000),
-        "indexing": "0-based",
-    }
-    click.echo(json.dumps(report, indent=2, sort_keys=False))
+def _finish(
+    command: str, params: dict, result: dict, lines: list[str], as_json: bool,
+    started: float, code: int = EXIT_OK,
+) -> None:
+    """Print the v1 JSON report (``result`` under ``params``) or the human
+    ``lines``, then exit with ``code``."""
+    if as_json:
+        lines = [json.dumps({
+            "command": command,
+            "params": params,
+            "result": result,
+            "toolVersion": __version__,
+            "elapsedMillis": int((time.perf_counter() - started) * 1000),
+            "indexing": "0-based",
+        }, indent=2)]
+    for line in lines:
+        click.echo(line)
+    sys.exit(code)
 
 
 @click.group()
@@ -142,48 +150,34 @@ def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: boo
             raise ParameterError("--t requires r = s = 1")
         value = pm1_smallsum_threshold(k, t, q or 0)
         result = {"kind": "smallsum-threshold", "value": value, "t": t, "q": q or 0}
-        human = [f"smallsum threshold (k={k}, t={t}, q={q or 0}): n >= {value}"]
+        lines = [f"smallsum threshold (k={k}, t={t}, q={q or 0}): n >= {value}"]
+    elif (r, s) == (1, 1):
+        value = pm1_block_threshold(k, q or 0)
+        result = {"kind": "pm1-block-threshold", "value": value, "q": q or 0}
+        lines = [
+            f"N({r},{s},{k}) = {value}" if q is None
+            else f"block threshold for r=s=1 (k={k}, q={q}): n >= {value}"
+        ]
     elif q is not None:
-        if (r, s) == (1, 1):
-            value = pm1_block_threshold(k, q)
-            result = {"kind": "pm1-block-threshold", "value": value, "q": q}
-            human = [f"block threshold for r=s=1 (k={k}, q={q}): n >= {value}"]
-        else:
-            bound = sufficient_block_bound(params, q)
-            value = bound.n_sufficient
-            result = {"kind": "sufficient-block-bound", "value": value}
-            result.update(bound.to_json_dict())
-            human = [f"sufficient block bound (k={k}, q={q}): n >= {value}"]
+        bound = sufficient_block_bound(params, q)
+        value = bound.n_sufficient
+        result = {"kind": "sufficient-block-bound", "value": value, **bound.to_json_dict()}
+        lines = [f"sufficient block bound (k={k}, q={q}): n >= {value}"]
     else:
-        if (r, s) == (1, 1):
-            value = pm1_block_threshold(k, 0)
-            result = {"kind": "pm1-block-threshold", "value": value, "q": 0}
-            human = [f"N({r},{s},{k}) = {value}"]
-        else:
-            report = exact_block_threshold_symmetric(params)
-            value = report.n_exact
-            result = {"kind": "exact-block-threshold", "value": value}
-            result.update(report.to_json_dict())
-            human = [
-                f"N({r},{s},{k}) = {value}",
-                f"  t={report.t} t'={report.t_prime} M1={report.m1} M2={report.m2}",
-            ]
-            human.extend(f"  note: {note}" for note in report.notes)
-    if as_json:
-        _emit_json("bound", {"r": r, "s": s, "k": k, "q": q, "t": t}, result, started)
-    else:
-        for line in human:
-            click.echo(line)
+        report = exact_block_threshold_symmetric(params)
+        value = report.n_exact
+        result = {"kind": "exact-block-threshold", "value": value, **report.to_json_dict()}
+        lines = [
+            f"N({r},{s},{k}) = {value}",
+            f"  t={report.t} t'={report.t_prime} M1={report.m1} M2={report.m2}",
+            *(f"  note: {note}" for note in report.notes),
+        ]
+    _finish("bound", {"r": r, "s": s, "k": k, "q": q, "t": t}, result, lines, as_json, started)
 
 
 _KIND_CHOICES = [
-    BLOCK_EXTREMAL,
-    BLOCK_EXTREMAL_NEGATED,
-    AP_MOD_K,
-    AP_MOD_K_PRODUCT,
-    AP_MOD_K_PLUS1,
-    AP_GOOD_SHIFT,
-    AP_TWO_P,
+    BLOCK_EXTREMAL, BLOCK_EXTREMAL_NEGATED, AP_MOD_K, AP_MOD_K_PRODUCT, AP_MOD_K_PLUS1,
+    AP_GOOD_SHIFT, AP_TWO_P,
 ]
 
 
@@ -199,70 +193,41 @@ _KIND_CHOICES = [
 @click.option("--bits", "use_bits", is_flag=True, help="Write the b:<bitstring> body instead of values.")
 @_exit_codes()
 def cmd_construct(
-    kind: str,
-    r: int,
-    s: int,
-    k: int | None,
-    alpha: int | None,
-    factors: str | None,
-    p: int | None,
-    out_path: str,
-    use_bits: bool,
+    kind: str, r: int, s: int, k: int | None, alpha: int | None, factors: str | None,
+    p: int | None, out_path: str, use_bits: bool,
 ) -> None:
     """Generate an extremal sequence and write it as a sequence file."""
-    if kind in (AP_MOD_K, AP_MOD_K_PRODUCT, AP_MOD_K_PLUS1, AP_TWO_P) and (
-        (r, s) != (1, 1)
-    ):
+    if (r, s) != (1, 1) and kind in (AP_MOD_K, AP_MOD_K_PRODUCT, AP_MOD_K_PLUS1, AP_TWO_P):
         raise ParameterError(f"{kind} is defined for r = s = 1 only")
-    if kind == AP_TWO_P:
-        if p is None:
-            raise ParameterError("--p is required for ap-two-p")
-        construction = build_ap_two_p(p)
-    elif kind == AP_MOD_K_PRODUCT:
-        if k is None or factors is None:
-            raise ParameterError("--k and --factors are required for ap-product")
+    if None in {AP_TWO_P: (p,), AP_MOD_K_PRODUCT: (k, factors)}.get(kind, (k,)):
+        needed = {AP_TWO_P: "--p is", AP_MOD_K_PRODUCT: "--k and --factors are"}
+        raise ParameterError(f"{needed.get(kind, '--k is')} required for {kind}")
+    if kind == AP_MOD_K_PRODUCT:
         fn = build_ap_mod_k_product(k, _parse_factors(factors))
-        seq = fn.as_sequence()
-        write_sequence(out_path, seq, ENCODING_BITS if use_bits else ENCODING_VALUES)
-        click.echo(
-            f"n={fn.modulus} residue function with {fn.count_plus()} ones and "
-            f"{fn.count_minus()} minus-ones; every full progression over the "
-            f"residues has nonzero weight (positions 0-based)"
+        seq, claim = fn.as_sequence(), (
+            f"residue function with {fn.count_plus()} ones and {fn.count_minus()} minus-ones; "
+            "every full progression over the residues has nonzero weight"
         )
-        return
-    elif kind == AP_MOD_K:
-        if k is None:
-            raise ParameterError("--k is required for ap-mod-k")
-        construction = build_ap_mod_k(k)
-    elif kind == AP_MOD_K_PLUS1:
-        if k is None:
-            raise ParameterError("--k is required for ap-mod-k1")
-        construction = build_ap_mod_k_plus1(k)
-    elif kind == AP_GOOD_SHIFT:
-        if k is None:
-            raise ParameterError("--k is required for ap-good-shift")
-        params = Params(r, s, k)
-        shift = min_good_shift(params) if alpha is None else alpha
-        construction = build_ap_good_shift(params, shift)
     else:
-        if k is None:
-            raise ParameterError("--k is required for block constructions")
-        params = Params(r, s, k)
-        builder = (
-            build_block_extremal
-            if kind == BLOCK_EXTREMAL
-            else build_block_extremal_negated
-        )
-        construction = builder(params)
-    write_sequence(
-        out_path, construction.seq, ENCODING_BITS if use_bits else ENCODING_VALUES
-    )
-    if construction.degenerate:
-        click.echo(
-            "warning: degenerate construction of length 0 at these parameters",
-            err=True,
-        )
-    click.echo(f"n={construction.length} {construction.claim.description} (positions 0-based)")
+        if kind == AP_TWO_P:
+            construction = build_ap_two_p(p)
+        elif kind == AP_MOD_K:
+            construction = build_ap_mod_k(k)
+        elif kind == AP_MOD_K_PLUS1:
+            construction = build_ap_mod_k_plus1(k)
+        elif kind == AP_GOOD_SHIFT:
+            params = Params(r, s, k)
+            shift = min_good_shift(params) if alpha is None else alpha
+            construction = build_ap_good_shift(params, shift)
+        elif kind == BLOCK_EXTREMAL:
+            construction = build_block_extremal(Params(r, s, k))
+        else:
+            construction = build_block_extremal_negated(Params(r, s, k))
+        seq, claim = construction.seq, construction.claim.description
+    write_sequence(out_path, seq, ENCODING_BITS if use_bits else ENCODING_VALUES)
+    if seq.n == 0:
+        click.echo("warning: degenerate construction of length 0 at these parameters", err=True)
+    click.echo(f"n={seq.n} {claim} (positions 0-based)")
 
 
 @cli.command("verify")
@@ -284,26 +249,22 @@ def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) ->
         if t is None:
             raise ParameterError("--t is required for smallsum mode")
         report = smallsum_block_scan(seq, k, t)
-    if as_json:
-        _emit_json(
-            "verify",
-            {"mode": mode, "k": k, "t": t, "in": os.fspath(in_path)},
-            report.to_json_dict(),
-            started,
+    if report.found:
+        start, diff = report.witness
+        line = (
+            f"witness found: start={start} difference={diff} "
+            f"(positions 0-based, scanned {report.scanned_count})"
         )
     else:
-        if report.found:
-            start, diff = report.witness
-            click.echo(
-                f"witness found: start={start} difference={diff} "
-                f"(positions 0-based, scanned {report.scanned_count})"
-            )
-        else:
-            click.echo(
-                f"no witness: minAbsWeight={report.min_abs_weight} over "
-                f"{report.scanned_count} windows (positions 0-based)"
-            )
-    sys.exit(EXIT_WITNESS if report.found else EXIT_OK)
+        line = (
+            f"no witness: minAbsWeight={report.min_abs_weight} over "
+            f"{report.scanned_count} windows (positions 0-based)"
+        )
+    _finish(
+        "verify", {"mode": mode, "k": k, "t": t, "in": os.fspath(in_path)},
+        report.to_json_dict(), [line], as_json, started,
+        EXIT_WITNESS if report.found else EXIT_OK,
+    )
 
 
 @cli.command("oracle")
@@ -323,16 +284,8 @@ def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) ->
 @click.option("--json", "as_json", is_flag=True)
 @_exit_codes()
 def cmd_oracle(
-    target: str,
-    r: int,
-    s: int,
-    k: int | None,
-    q: int,
-    cap: int | None,
-    v: int | None,
-    factors: str | None,
-    budget: int | None,
-    as_json: bool,
+    target: str, r: int, s: int, k: int | None, q: int, cap: int | None, v: int | None,
+    factors: str | None, budget: int | None, as_json: bool,
 ) -> None:
     """Exhaustive searches and full-enumeration proposition checks."""
     started = time.perf_counter()
@@ -347,55 +300,40 @@ def cmd_oracle(
             search_cap=cap,
             budget=budget,
         )
-        if as_json:
-            _emit_json("oracle", cli_params, result.to_json_dict(), started)
-        else:
-            label = "exact" if result.exhaustive and not result.capped else "lower bound"
-            click.echo(
-                f"derivedThreshold={result.derived_threshold} ({label}), "
-                f"maxAvoidingN={result.max_avoiding_n}, "
-                f"{result.avoiding_count_at_max} avoiding sequence(s) at the max"
-            )
-            for note in result.notes:
-                click.echo(f"note: {note}")
-        sys.exit(EXIT_OK)
-    if target == "two-k":
-        if k is None:
-            raise ParameterError("--k is required for two-k")
-        verdict = verify_2k_proposition(k, budget=budget)
-        if as_json:
-            _emit_json("oracle", cli_params, verdict.to_json_dict(), started)
-        else:
-            state = "verified" if verdict.ok else "COUNTEREXAMPLE FOUND"
-            click.echo(f"two-k {state}: {verdict.sequences_checked} sequences checked")
-        sys.exit(EXIT_OK if verdict.ok else EXIT_WITNESS)
+        label = "exact" if result.exhaustive and not result.capped else "lower bound"
+        lines = [
+            f"derivedThreshold={result.derived_threshold} ({label}), "
+            f"maxAvoidingN={result.max_avoiding_n}, "
+            f"{result.avoiding_count_at_max} avoiding sequence(s) at the max",
+            *(f"note: {note}" for note in result.notes),
+        ]
+        _finish("oracle", cli_params, result.to_json_dict(), lines, as_json, started)
     if target == "pow2":
         if v is None:
             raise ParameterError("--v is required for pow2")
-        verdict = verify_pow2_rigidity(v)
-        if as_json:
-            _emit_json("oracle", cli_params, verdict.to_json_dict(), started)
-        else:
-            state = "verified" if verdict.ok else "FAILED"
-            click.echo(
-                f"pow2 {state}: {len(verdict.survivors)} of "
-                f"{verdict.functions_checked} functions survive"
-            )
-        sys.exit(EXIT_OK if verdict.ok else EXIT_WITNESS)
-    # residue-lemma
-    if k is None:
-        raise ParameterError("--k is required for residue-lemma")
-    fac = (k // 2,) if factors is None else _parse_factors(factors)
-    verdict = verify_lemma_residue_properties(k, fac)
-    if as_json:
-        _emit_json("oracle", cli_params, verdict.to_json_dict(), started)
-    else:
-        state = "verified" if verdict.ok else "FAILED"
-        click.echo(
-            f"residue-lemma {state}: counts {verdict.plus_count}/"
-            f"{verdict.minus_count}, {verdict.progressions_checked} progressions"
+        verdict = verify_pow2_rigidity(v, budget)
+        line = (
+            f"pow2 {'verified' if verdict.ok else 'FAILED'}: {len(verdict.survivors)} "
+            f"of {verdict.functions_checked} functions survive"
         )
-    sys.exit(EXIT_OK if verdict.ok else EXIT_WITNESS)
+    elif k is None:
+        raise ParameterError(f"--k is required for {target}")
+    elif target == "two-k":
+        verdict = verify_2k_proposition(k, budget)
+        state = "verified" if verdict.ok else "COUNTEREXAMPLE FOUND"
+        line = f"two-k {state}: {verdict.sequences_checked} sequences checked"
+    else:
+        fac = (k // 2,) if factors is None else _parse_factors(factors)
+        verdict = verify_lemma_residue_properties(k, fac, budget)
+        line = (
+            f"residue-lemma {'verified' if verdict.ok else 'FAILED'}: counts "
+            f"{verdict.plus_count}/{verdict.minus_count}, "
+            f"{verdict.progressions_checked} progressions"
+        )
+    _finish(
+        "oracle", cli_params, verdict.to_json_dict(), [line], as_json, started,
+        EXIT_OK if verdict.ok else EXIT_WITNESS,
+    )
 
 
 @cli.command("shift")
@@ -413,18 +351,14 @@ def cmd_shift(
     started = time.perf_counter()
     params = Params(r, s, k)
     shift = prime_shift(params) if use_prime else min_good_shift(params, max_alpha)
-    if as_json:
-        _emit_json(
-            "shift",
-            {"r": r, "s": s, "k": k, "maxAlpha": max_alpha, "prime": use_prime},
-            shift.to_json_dict(),
-            started,
-        )
-    else:
-        click.echo(
-            f"alpha={shift.alpha} (k + alpha = {shift.a} with prime factors "
-            f"{list(shift.prime_factors)})"
-        )
+    line = (
+        f"alpha={shift.alpha} (k + alpha = {shift.a} with prime factors "
+        f"{list(shift.prime_factors)})"
+    )
+    _finish(
+        "shift", {"r": r, "s": s, "k": k, "maxAlpha": max_alpha, "prime": use_prime},
+        shift.to_json_dict(), [line], as_json, started,
+    )
 
 
 @cli.command("table")

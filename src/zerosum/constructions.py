@@ -169,12 +169,9 @@ class ResidueFunction:
         return SignSeq.from_values(Params(1, 1, self.modulus), self.values)
 
 
-def build_ap_mod_k_product(k: int, factors: tuple[int, ...] | list[int]) -> ResidueFunction:
-    """Product-of-signs residue function for k = 2 * a1 * ... * am.
-
-    Each factor contributes -1 on its small residues (j mod a_i < (a_i-1)/2)
-    and +1 otherwise; the factors must be odd, > 1, and pairwise coprime.
-    """
+def product_factors(k: int, factors: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """The factors as ints, checked: odd, > 1, pairwise coprime, and
+    k = 2 * a1 * ... * am."""
     factors = tuple(int(a) for a in factors)
     if not factors:
         raise ParameterError("at least one factor is required")
@@ -194,6 +191,16 @@ def build_ap_mod_k_product(k: int, factors: tuple[int, ...] | list[int]) -> Resi
         raise ParameterError(
             f"factorization 2 * {' * '.join(map(str, factors))} = {prod} != k = {k}"
         )
+    return factors
+
+
+def build_ap_mod_k_product(k: int, factors: tuple[int, ...] | list[int]) -> ResidueFunction:
+    """Product-of-signs residue function for k = 2 * a1 * ... * am.
+
+    Each factor contributes -1 on its small residues (j mod a_i < (a_i-1)/2)
+    and +1 otherwise; the factors must be odd, > 1, and pairwise coprime.
+    """
+    factors = product_factors(k, factors)
     values = []
     for j in range(k):
         f = 1

@@ -25,15 +25,28 @@ class FormulaDomainError(ValueError):
     """A threshold formula produced a non-integer where one is required."""
 
 
-class BudgetExceededError(RuntimeError):
-    """An exhaustive search would exceed the configured work ceiling."""
+def _compact(n: int) -> str:
+    """n in full below 2^64, else as the power of two at or just below it."""
+    e = n.bit_length() - 1
+    return str(n) if e < 64 else f"{'' if n == 1 << e else 'over '}2^{e}"
 
-    def __init__(self, estimate: int, budget: int) -> None:
-        super().__init__(
-            f"estimated {estimate} window evaluations exceed budget {budget}"
-        )
-        self.estimate = estimate
-        self.budget = budget
+
+class BudgetExceededError(RuntimeError):
+    """An exhaustive search would exceed the configured work ceiling.
+
+    An estimate of 2^64 or more prints as the power of two at or below it.
+    One too large to build is passed as ``log2`` alone (it is exactly
+    2^log2); ``estimate`` builds it only when read."""
+
+    def __init__(self, estimate: int | None, budget: int, log2: int | None = None) -> None:
+        self._estimate, self.budget = estimate, budget
+        self.log2 = estimate.bit_length() - 1 if log2 is None else log2
+        shown = _compact(self.estimate) if self.log2 < 64 or log2 is None else f"2^{_compact(log2)}"
+        super().__init__(f"estimated {shown} window evaluations exceed budget {budget}")
+
+    @property
+    def estimate(self) -> int:
+        return 1 << self.log2 if self._estimate is None else self._estimate
 
 
 class ShiftSearchError(RuntimeError):

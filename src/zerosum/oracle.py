@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 
 from .core import BudgetExceededError, ParameterError, Params, SignSeq
-from .constructions import ResidueFunction, build_ap_mod_k_product
+from .constructions import ResidueFunction, build_ap_mod_k_product, product_factors
 
 MODE_BLOCK = "block"
 MODE_AP = "ap"
@@ -42,6 +42,15 @@ def resolve_budget(budget: int | None = None) -> int:
     if budget < 0:
         raise ParameterError(f"budget must be >= 0, got {budget}")
     return budget
+
+
+def _require_budget(estimate: int | None, budget: int | None, log2: int | None = None) -> None:
+    """Refuse work estimated above the ceiling (see resolve_budget).  An
+    estimate of exactly 2^log2 may come as ``log2`` alone; it is compared by
+    bit length and never built."""
+    ceiling = resolve_budget(budget)
+    if (estimate > ceiling) if log2 is None else (log2 >= ceiling.bit_length()):
+        raise BudgetExceededError(estimate, ceiling, log2)
 
 
 @dataclass(frozen=True)
@@ -281,12 +290,8 @@ def exact_threshold(
     if mode not in (MODE_BLOCK, MODE_AP):
         raise ParameterError(f"mode must be 'block' or 'ap', got {mode!r}")
     ceiling = resolve_budget(budget)
-    for estimate in (
-        estimate_window_evaluations(params, mode, q, search_cap),
-        _block_dp_estimate(params, q),
-    ):
-        if estimate > ceiling:
-            raise BudgetExceededError(estimate, ceiling)
+    _require_budget(estimate_window_evaluations(params, mode, q, search_cap), ceiling)
+    _require_budget(_block_dp_estimate(params, q), ceiling)
 
     k = params.k
     lengths = [n for n in range(k, search_cap + 1) if admissible_pos_counts(params, q, n)]
@@ -350,9 +355,7 @@ def verify_2k_proposition(k: int, budget: int | None = None) -> TwoKVerdict:
     if k < 2 or k % 2:
         raise ParameterError(f"k must be even and >= 2, got {k}")
     params = Params(1, 1, k)
-    estimate, ceiling = _block_dp_estimate(params, 0), resolve_budget(budget)
-    if estimate > ceiling:
-        raise BudgetExceededError(estimate, ceiling)
+    _require_budget(_block_dp_estimate(params, 0), budget)
     counts, layers, _ = _block_dp(params, 0, 2 * k, probe=False)
     witnesses = _avoiders(params, 0, layers, 2 * k)
     counterexample = min(witnesses, key=SignSeq.bitstring, default=None)
@@ -383,9 +386,10 @@ class Pow2Verdict:
         }
 
 
-def verify_pow2_rigidity(v: int) -> Pow2Verdict:
+def verify_pow2_rigidity(v: int, budget: int | None = None) -> Pow2Verdict:
     """Enumerate all sign functions on {0, ..., 2^v - 1} and keep those with
     no zero-sum dyadic progression; exactly the two constants must remain.
+    The 2^(2^v) functions must fit the budget.
 
     The progressions checked have common difference 2^v' and 2^(v-v') terms
     for every v' in [0, v - 1]; v' = 0 is the full-length progression, and
@@ -393,9 +397,8 @@ def verify_pow2_rigidity(v: int) -> Pow2Verdict:
     """
     if v < 2:
         raise ParameterError(f"v must be at least 2, got {v}")
-    if v > 4:
-        raise BudgetExceededError(1 << (1 << v), DEFAULT_BUDGET)
     k = 1 << v
+    _require_budget(None, budget, log2=k)
     checks: list[tuple[int, int]] = []
     for vp in range(v):
         step = 1 << vp
@@ -451,13 +454,14 @@ class ResidueLemmaVerdict:
 
 
 def verify_lemma_residue_properties(
-    k: int, factors: tuple[int, ...] | list[int]
+    k: int, factors: tuple[int, ...] | list[int], budget: int | None = None
 ) -> ResidueLemmaVerdict:
     """Build the product residue function and check both of its properties:
     the +1/-1 counts are k/2 + 1 and k/2 - 1, and every full d-spaced
-    progression over the residues has nonzero weight, for every d | k."""
-    if k > 2310:
-        raise BudgetExceededError(k * k, DEFAULT_BUDGET)
+    progression over the residues has nonzero weight, for every d | k.
+    Valid factors come first, then k^2 must fit the budget."""
+    factors = product_factors(k, factors)
+    _require_budget(k * k, budget)
     fn: ResidueFunction = build_ap_mod_k_product(k, factors)
     plus, minus = fn.count_plus(), fn.count_minus()
     counts_ok = plus == k // 2 + 1 and minus == k // 2 - 1

@@ -2,6 +2,8 @@
 JSON schema stability, CSV output."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -19,6 +21,32 @@ from zerosum.cli import cli
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+_ELAPSED = re.compile(r'"elapsedMillis": \d+')
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
+def test_golden_output(runner, tmp_path, case):
+    """Every command's exit code, stdout, stderr and written files, byte for
+    byte: the README tour, each bound branch, each construct kind and its
+    missing option, hit and miss per verify mode, the oracle targets, shift
+    found and exhausted, and table's errors, with and without --json.
+    ``{tmp}`` stands for the test's directory and elapsedMillis reads 0."""
+    for name, text in case["files"].items():
+        (tmp_path / name).write_text(text)
+    args = [arg.replace("{tmp}", str(tmp_path)) for arg in case["args"]]
+    result = runner.invoke(cli, args, env=case["env"])
+
+    def mask(text):
+        return _ELAPSED.sub('"elapsedMillis": 0', text.replace(str(tmp_path), "{tmp}"))
+
+    assert (result.exit_code, mask(result.stdout), mask(result.stderr)) == (
+        case["exit"], case["stdout"], case["stderr"]
+    )
+    for name, text in case["written"].items():
+        assert (tmp_path / name).read_text() == text
 
 
 class TestSequenceFile:
@@ -341,6 +369,44 @@ class TestOracleCommand:
     def test_residue_lemma_default_factors(self, runner):
         result = runner.invoke(cli, ["oracle", "--target", "residue-lemma", "--k", "30"])
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("where", ["option", "env"])
+    @pytest.mark.parametrize(
+        "args",
+        [["--target", "pow2", "--v", "3"], ["--target", "residue-lemma", "--k", "30"]],
+        ids=["pow2", "residue-lemma"],
+    )
+    def test_enumeration_checks_obey_budget(self, runner, args, where):
+        """pow2 (2^(2^v) functions) and residue-lemma (k^2) fit the shared
+        ceiling: 256 and 900 both exceed a budget of 1."""
+        env = {"ZEROSUM_BUDGET": "1"} if where == "env" else {}
+        extra = ["--budget", "1"] if where == "option" else []
+        result = runner.invoke(cli, ["oracle", *args, *extra], env=env)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: estimated ") and "budget 1\n" in result.stderr
+
+    @pytest.mark.parametrize(
+        "v,shown",
+        [("14", "2^16384"), ("100", "2^2^100"), ("20000", "2^2^20000")],
+        ids=["v14", "v100", "v20000"],
+    )
+    def test_huge_pow2_is_one_line(self, runner, v, shown):
+        """2^(2^14) has 4933 digits and 2^(2^100) cannot be built; each
+        refusal prints one line."""
+        result = runner.invoke(cli, ["oracle", "--target", "pow2", "--v", v])
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: estimated {shown} window evaluations exceed budget 1000000000\n"
+        )
+
+    def test_residue_lemma_checks_factors_before_budget(self, runner):
+        result = runner.invoke(
+            cli,
+            ["oracle", "--target", "residue-lemma", "--k", "4620", "--factors",
+             "3,5,7,11", "--budget", "100000000000"],
+        )
+        assert result.exit_code == 2
+        assert result.output == "error: factorization 2 * 3 * 5 * 7 * 11 = 2310 != k = 4620\n"
 
     def test_budget_env_refusal(self, runner):
         result = runner.invoke(

@@ -642,6 +642,21 @@ class TestPow2Rigidity:
         with pytest.raises(BudgetExceededError):
             verify_pow2_rigidity(5)
 
+    def test_budget_gates_the_function_count(self):
+        """v = 3 enumerates 2^8 functions: a budget of 256 runs it, 255 refuses."""
+        assert verify_pow2_rigidity(3, budget=256).ok
+        with pytest.raises(BudgetExceededError) as info:
+            verify_pow2_rigidity(3, budget=255)
+        assert (info.value.estimate, info.value.budget) == (256, 255)
+
+    def test_huge_v_is_refused_without_building_the_estimate(self):
+        """2^(2^100) is never built: the refusal compares bit lengths and
+        prints the estimate as a power of two."""
+        with pytest.raises(BudgetExceededError) as info:
+            verify_pow2_rigidity(100)
+        assert info.value.log2 == 1 << 100
+        assert str(info.value) == "estimated 2^2^100 window evaluations exceed budget 1000000000"
+
 
 class TestResidueLemma:
     @pytest.mark.parametrize(
@@ -666,8 +681,34 @@ class TestResidueLemma:
             verify_lemma_residue_properties(30, (3, 7))
 
     def test_budget_cap(self):
-        with pytest.raises(BudgetExceededError):
-            verify_lemma_residue_properties(4620, (3, 5, 7, 11))
+        """The k^2 estimate must fit the budget: 210^2 = 44100."""
+        with pytest.raises(BudgetExceededError) as info:
+            verify_lemma_residue_properties(210, (3, 5, 7), budget=210 * 210 - 1)
+        assert (info.value.estimate, info.value.budget) == (44100, 44099)
+        assert verify_lemma_residue_properties(210, (3, 5, 7), budget=210 * 210).ok
+
+    def test_factors_are_checked_before_the_budget(self):
+        """2 * 3 * 5 * 7 * 11 = 2310, not 4620: an input error, whatever the budget."""
+        with pytest.raises(ParameterError, match="2310 != k = 4620"):
+            verify_lemma_residue_properties(4620, (3, 5, 7, 11), budget=0)
+
+    def test_default_budget_admits_k_past_2310(self):
+        """2 * 3 * 5 * 7 * 11 * 13 = 30030 and 30030^2 < 10^9."""
+        verdict = verify_lemma_residue_properties(30030, (3, 5, 7, 11, 13))
+        assert verdict.ok and verdict.plus_count == 15016
+
+
+@pytest.mark.parametrize(
+    "estimate,shown",
+    [(10**18, "1000000000000000000"), (1 << 20000, "2^20000"), ((1 << 70) + 1, "over 2^70")],
+    ids=["full", "power-of-two", "over-power-of-two"],
+)
+def test_budget_error_prints_oversize_estimates_compactly(estimate, shown):
+    """Past 2^64 the message gives a power of two, not thousands of digits
+    (2^20000 has 6021, past str()'s default limit); ``estimate`` stays exact."""
+    exc = BudgetExceededError(estimate, 10**9)
+    assert str(exc) == f"estimated {shown} window evaluations exceed budget 1000000000"
+    assert (exc.estimate, exc.budget) == (estimate, 10**9)
 
 
 def test_threshold_json_keys():
