@@ -2,14 +2,16 @@
 full-enumeration checks of the structural propositions.
 
 Both modes run one DP over (last k-1 letters, negatives so far) past the
-cap until no prefix lives, its work bounded up front (see _block_dp): an AP
-avoider is a block avoider (a k-block is the d = 1 AP), so the DP bounds
-where avoiders of either kind can lie.  Avoiders come from one walk back
-through the DP's stored states (see _avoiders), which places one letter per
-step; AP mode also tests, against its own position bitmask, each k-term AP
-of difference d >= 2 as its first term is placed (a zero-sum AP holds
-c* = sk/(r+s) negatives), and drops a state holding one with its prefix
-count, so the walk's avoiders plus drops equal the DP's count.
+cap until no prefix lives, its work bounded up front by (r, s, k, q) alone
+(see _block_dp_estimate): an AP avoider is a block avoider (a k-block is
+the d = 1 AP), so the DP bounds where avoiders of either kind can lie.
+Avoiders come from one walk back through the DP's stored states (see
+_avoiders), which places one letter per step; AP mode also tests, against
+its own position bitmask, each k-term AP of difference d >= 2 as its first
+term is placed (a zero-sum AP holds c* = sk/(r+s) negatives), and drops a
+state holding one with its prefix count, so the walk's avoiders plus drops
+equal the DP's count.  Each walk is bounded, before it starts, by that
+count (see exact_threshold); no work grows with the search cap.
 """
 
 from __future__ import annotations
@@ -103,29 +105,19 @@ def admissible_pos_counts(params: Params, q: int, n: int) -> list[int]:
     return list(range(max(lo, 0), min(hi, n) + 1))
 
 
-def _block_window_count(n: int, k: int) -> int:
-    return n - k + 1
-
-
-def _ap_window_count(n: int, k: int) -> int:
-    if k == 1:
-        return n
-    total = 0
-    for d in range(1, (n - 1) // (k - 1) + 1):
-        total += n - (k - 1) * d
-    return total
-
-
 def estimate_window_evaluations(
     params: Params, mode: str, q: int, search_cap: int
 ) -> int:
-    """Upper bound on scanner-window evaluations for an exhaustive search."""
-    windows = _block_window_count if mode == MODE_BLOCK else _ap_window_count
-    total = 0
-    for n in range(params.k, search_cap + 1):
-        per = windows(n, params.k)
+    """Scanner-window evaluations of a full enumeration: every admissible
+    sequence up to ``search_cap`` times its k-blocks (k-term APs in AP mode).
+    No oracle path gates on it; the benchmark's per-layer
+    ``oracle.*.estimate_windows`` metric is its one consumer."""
+    k, total = params.k, 0
+    for n in range(k, search_cap + 1):
+        top = 1 if mode == MODE_BLOCK or k == 1 else (n - 1) // (k - 1)  # differences
+        windows = top * n - (k - 1) * top * (top + 1) // 2  # n - (k-1)d over d <= top
         for b in admissible_pos_counts(params, q, n):
-            total += math.comb(n, n - b) * per
+            total += math.comb(n, b) * windows
     return total
 
 
@@ -172,11 +164,12 @@ def _block_dp(
     """Count avoiding prefixes per state ``negs << (k-1) | tail`` (the last
     k-1 letters, bit 0 the newest, a set bit a -r letter).  A step kills a
     prefix whose newest k-window holds c* negatives, and drops one that no
-    avoider extends (see _block_bounds).  Runs through ``through``, then with
-    ``probe`` on until no prefix lives or a later admissible length has an
+    avoider extends (see _block_bounds).  With ``probe`` off it runs through
+    ``through``; with it on, until no prefix lives (short of ``through`` too,
+    as every later tally is vacuous) or a later admissible length has an
     avoider.  Returns the admissible avoider count and the states (key to
-    prefix count) per length up to ``through``, and that later length or
-    None."""
+    prefix count) per length run, up to ``through``, and that later length
+    or None."""
     k, m, s, (hi, lo) = params.k, params.modulus, params.s, _block_bounds(params, q)
     c_star, shift, tail_mask = _zero_negs(params), k - 1, (1 << (k - 1)) - 1
     states, dead = {0: 1}, [0]  # dead[negs]: length-n prefixes killed or dropped
@@ -194,7 +187,7 @@ def _block_dp(
             layers.append(states)
         elif avoiders and n >= k:
             return counts, layers, n
-        if n >= through and not (probe and states):
+        if not (states if probe else n < through):
             return counts, layers, None
         dead = [a + b for a, b in zip(dead + [0], [0] + dead)]
         nxt: dict[int, int] = {}
@@ -280,8 +273,13 @@ def exact_threshold(
     block avoider beyond the cap leaves AP avoiders there open.  Both walk
     back from the DP's states (see _avoiders) over the lengths with a block
     avoider, top down, to the first with an avoider; AP mode also tests the
-    APs of difference d >= 2 as it places each letter.  The enumeration
-    estimate and the DP's own bound must fit the budget.
+    APs of difference d >= 2 as it places each letter.  The DP's own bound
+    (see _block_dp_estimate) must fit the budget, and so must the running
+    total of (2n + 1) times the DP's avoider count at each length n before
+    it is walked: every state the walk pops leads to at least one of those
+    avoiders, and distinct pops at one depth to disjoint sets of them, so a
+    walk makes at most n + 1 pops per avoider and spends n letters on each
+    witness.  Neither bound depends on the cap.
     ``shards`` has no effect; it is accepted for callers that pass it.
     """
     params.require_block_divisibility()
@@ -290,19 +288,20 @@ def exact_threshold(
     if mode not in (MODE_BLOCK, MODE_AP):
         raise ParameterError(f"mode must be 'block' or 'ap', got {mode!r}")
     ceiling = resolve_budget(budget)
-    _require_budget(estimate_window_evaluations(params, mode, q, search_cap), ceiling)
     _require_budget(_block_dp_estimate(params, q), ceiling)
 
     k = params.k
-    lengths = [n for n in range(k, search_cap + 1) if admissible_pos_counts(params, q, n)]
     counts, layers, beyond = _block_dp(params, q, search_cap)
-    max_avoiding, witnesses = None, []
-    for n in reversed([n for n in lengths if counts[n]]):  # block avoiders, top down
+    max_avoiding, witnesses, walk = None, [], 0
+    for n in reversed([n for n in range(k, len(counts)) if counts[n]]):  # block avoiders, top down
+        walk += (2 * n + 1) * counts[n]  # n + 1 pops and n letters per avoider
+        _require_budget(walk, ceiling)
         witnesses = _avoiders(params, q, layers, n, _ap_starts(n, k) if mode == MODE_AP else None)
         if witnesses:
             max_avoiding = n
             break
-    notes = [] if lengths else ["no admissible length within the search cap"]
+    admissible = any(admissible_pos_counts(params, q, n) for n in range(k, search_cap + 1))
+    notes = [] if admissible else ["no admissible length within the search cap"]
     derived = k if max_avoiding is None else max(k, max_avoiding + 1)
     lower = "; the derived threshold is only a lower bound"
     if beyond is not None and mode == MODE_BLOCK:

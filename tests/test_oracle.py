@@ -5,6 +5,7 @@ reference for the oracle's avoider walk."""
 
 import functools
 import math
+import time
 
 import pytest
 
@@ -379,12 +380,15 @@ def test_pruned_ap_shard_matches_brute_force(r, s, k):
 
 @pytest.mark.parametrize(
     "r,s,k,cap,threshold,count",
-    [(1, 1, 8, 27, 13, 20), (1, 2, 9, 29, 16, 21)],
+    [(1, 1, 8, 27, 13, 20), (1, 1, 8, 28, 13, 20), (1, 2, 9, 29, 16, 21),
+     (1, 1, 14, 48, 49, 2)],
 )
 def test_ap_threshold_at_the_pruned_reach(r, s, k, cap, threshold, count):
     """M(1,1,8) = 13 and M(1,2,9) = 16, as the unpruned enumerator also
-    found; both caps fit the default budget.  The witnesses pass the naive
-    AP rescan, and M is at least the good-shift construction's length."""
+    found, and M(1,1,14) = 49; every cap fits the default budget, which
+    gates on the DP's work, not on a full enumeration to the cap (2.8e15
+    windows at (1,1,14,48)).  The witnesses pass the naive AP rescan, and
+    M is at least the good-shift construction's length."""
     params = Params(r, s, k)
     result = exact_threshold(params, "ap", q=0, search_cap=cap)
     assert result.derived_threshold == threshold
@@ -444,7 +448,7 @@ def test_uncapped_ap_result_matches_the_run_at_n_minus_1():
                 ), (params, q, cap)
 
 
-_AP_POINTS = [  # (r, s, k, q, cap): every AP-mode call above
+_AP_POINTS = [  # (r, s, k, q, cap): the AP-mode calls above, short of k = 14 and cap 28
     (1, 1, 4, 0, 12), (1, 1, 6, 0, 12), (1, 1, 6, 0, 10), (1, 2, 6, 0, 12),
     (1, 1, 8, 0, 14), (1, 1, 8, 0, 27), (1, 2, 9, 0, 29), (1, 1, 10, 0, 23),
     (1, 1, 12, 0, 27), (1, 1, 6, 2, 13),
@@ -584,11 +588,44 @@ def test_ap_avoiders_at_the_cap_leave_an_exact_result():
 
 
 def test_budget_refusal():
-    estimate = estimate_window_evaluations(Params(1, 1, 6), "block", 0, 20)
+    estimate = _block_dp_estimate(Params(1, 1, 6), 0)
     with pytest.raises(BudgetExceededError) as exc_info:
         exact_threshold(Params(1, 1, 6), "block", q=0, search_cap=20, budget=10)
-    assert exc_info.value.estimate == estimate
+    assert exc_info.value.estimate == estimate == 11646
     assert exc_info.value.budget == 10
+
+
+def test_walk_gate_reads_the_dp_count():
+    """(1,2,12) at q = 30 passes the DP's own bound, but the walk's bound,
+    2n + 1 per avoider the DP counts at n, refuses its 8276525 avoiders at
+    n = 24 under a budget of 10^8, and its 29641793 at n = 26 under the
+    default."""
+    params = Params(1, 2, 12)
+    assert _block_dp_estimate(params, 30) <= 10**8
+    with pytest.raises(BudgetExceededError) as exc_info:
+        exact_threshold(params, "block", q=30, search_cap=24, budget=10**8)
+    assert exc_info.value.estimate == 49 * 8276525 == 405549725
+    with pytest.raises(BudgetExceededError) as exc_info:
+        exact_threshold(params, "block", q=30, search_cap=26)
+    assert exc_info.value.estimate == 53 * 29641793 == 1571015029
+
+
+def test_the_cap_costs_nothing():
+    """(1,1,6)'s live prefixes die out near n = 9, and the DP stops there,
+    so a cap of 10^6 settles N = 9 as fast as a cap of 20."""
+    params = Params(1, 1, 6)
+    assert len(_block_dp(params, 0, 10**6)[0]) < 20
+    start = time.perf_counter()
+    result = exact_threshold(params, "block", 0, 10**6)
+    assert time.perf_counter() - start < 1.0
+    assert (result.derived_threshold, result.capped, result.notes) == (9, False, ())
+
+
+def test_default_budget_admits_block_2_3_10_at_cap_30():
+    """A full enumeration to cap 30 would score 1.87e9 windows; the DP and
+    its walk settle N(2,3,10) = 26 under the default budget."""
+    result = exact_threshold(Params(2, 3, 10), "block", q=0, search_cap=30)
+    assert (result.derived_threshold, result.capped) == (26, False)
 
 
 def test_mode_validation():
