@@ -4,13 +4,14 @@ Exit codes are uniform across commands: 0 when a value was computed or a
 claim verified, 1 when a witness or counterexample was found (or a shift
 search failed), 2 on usage, input, or budget errors.  All positions in
 output are 0-based.
+
+Start-up loads only ``core`` and ``seqfile``; each command imports the
+modules it runs in its own body.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import os
 import sys
 import time
@@ -19,13 +20,6 @@ import click
 
 from . import __version__
 from .core import (
-    BudgetExceededError,
-    FormulaDomainError,
-    ParameterError,
-    Params,
-    ShiftSearchError,
-)
-from .constructions import (
     AP_GOOD_SHIFT,
     AP_MOD_K,
     AP_MOD_K_PLUS1,
@@ -33,30 +27,12 @@ from .constructions import (
     AP_TWO_P,
     BLOCK_EXTREMAL,
     BLOCK_EXTREMAL_NEGATED,
-    build_ap_good_shift,
-    build_ap_mod_k,
-    build_ap_mod_k_plus1,
-    build_ap_mod_k_product,
-    build_ap_two_p,
-    build_block_extremal,
-    build_block_extremal_negated,
+    BudgetExceededError,
+    FormulaDomainError,
+    ParameterError,
+    Params,
+    ShiftSearchError,
 )
-from .formulas import (
-    ap_lower_bound_value,
-    block_threshold,
-    exact_block_threshold_symmetric,
-    pm1_block_threshold,
-    pm1_smallsum_threshold,
-    sufficient_block_bound,
-)
-from .good_shift import min_good_shift, prime_shift
-from .oracle import (
-    exact_threshold,
-    verify_2k_proposition,
-    verify_lemma_residue_properties,
-    verify_pow2_rigidity,
-)
-from .scanners import ap_scan, block_scan, smallsum_block_scan
 from .seqfile import (
     ENCODING_BITS,
     ENCODING_VALUES,
@@ -114,6 +90,8 @@ def _finish(
     """Print the v1 JSON report (``result`` under ``params``) or the human
     ``lines``, then exit with ``code``."""
     if as_json:
+        import json
+
         lines = [json.dumps({
             "command": command,
             "params": params,
@@ -143,6 +121,13 @@ def cli() -> None:
 @_exit_codes()
 def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: bool) -> None:
     """Evaluate a threshold formula for (r, s, k)."""
+    from .formulas import (
+        exact_block_threshold_symmetric,
+        pm1_block_threshold,
+        pm1_smallsum_threshold,
+        sufficient_block_bound,
+    )
+
     started = time.perf_counter()
     params = Params(r, s, k)
     if t is not None:
@@ -197,6 +182,17 @@ def cmd_construct(
     p: int | None, out_path: str, use_bits: bool,
 ) -> None:
     """Generate an extremal sequence and write it as a sequence file."""
+    from .constructions import (
+        build_ap_good_shift,
+        build_ap_mod_k,
+        build_ap_mod_k_plus1,
+        build_ap_mod_k_product,
+        build_ap_two_p,
+        build_block_extremal,
+        build_block_extremal_negated,
+    )
+    from .good_shift import min_good_shift
+
     if (r, s) != (1, 1) and kind in (AP_MOD_K, AP_MOD_K_PRODUCT, AP_MOD_K_PLUS1, AP_TWO_P):
         raise ParameterError(f"{kind} is defined for r = s = 1 only")
     if None in {AP_TWO_P: (p,), AP_MOD_K_PRODUCT: (k, factors)}.get(kind, (k,)):
@@ -239,6 +235,8 @@ def cmd_construct(
 @_exit_codes()
 def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) -> None:
     """Scan a sequence file; exit 0 when the avoidance claim holds, 1 on a witness."""
+    from .scanners import ap_scan, block_scan, smallsum_block_scan
+
     started = time.perf_counter()
     seq = read_sequence(in_path, k=k)
     if mode == "block":
@@ -280,7 +278,7 @@ def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) ->
 @click.option("--cap", type=int, default=None, help="Largest length to enumerate.")
 @click.option("--v", "v", type=int, default=None, help="Exponent for the pow2 target.")
 @click.option("--factors", type=str, default=None, help="Factors for residue-lemma (default: k/2).")
-@click.option("--budget", type=int, default=None, help="Window-evaluation ceiling override.")
+@click.option("--budget", type=int, default=None, help="Work-unit ceiling override.")
 @click.option("--json", "as_json", is_flag=True)
 @_exit_codes()
 def cmd_oracle(
@@ -288,6 +286,13 @@ def cmd_oracle(
     factors: str | None, budget: int | None, as_json: bool,
 ) -> None:
     """Exhaustive searches and full-enumeration proposition checks."""
+    from .oracle import (
+        exact_threshold,
+        verify_2k_proposition,
+        verify_lemma_residue_properties,
+        verify_pow2_rigidity,
+    )
+
     started = time.perf_counter()
     cli_params = {"target": target, "r": r, "s": s, "k": k, "q": q, "cap": cap, "v": v}
     if target in ("block-threshold", "ap-threshold"):
@@ -348,6 +353,8 @@ def cmd_shift(
     r: int, s: int, k: int, max_alpha: int | None, use_prime: bool, as_json: bool
 ) -> None:
     """Find the minimum good shift (or the prime-certified shift) for (r, s, k)."""
+    from .good_shift import min_good_shift, prime_shift
+
     started = time.perf_counter()
     params = Params(r, s, k)
     shift = prime_shift(params) if use_prime else min_good_shift(params, max_alpha)
@@ -371,6 +378,11 @@ def cmd_shift(
 @_exit_codes()
 def cmd_table(r: int, s: int, k_min: int, k_max: int, what: str, out_path: str) -> None:
     """Write a k,value CSV over the k-range (k restricted to multiples of r + s)."""
+    import csv
+
+    from .formulas import ap_lower_bound_value, block_threshold
+    from .good_shift import min_good_shift
+
     if k_min < 1 or k_max < k_min:
         raise ParameterError(f"bad k range [{k_min}, {k_max}]")
     rows: list[tuple[int, int]] = []

@@ -15,16 +15,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ParameterError, Params, SignSeq
+from .core import (
+    AP_GOOD_SHIFT,
+    AP_MOD_K,
+    AP_MOD_K_PLUS1,
+    AP_MOD_K_PRODUCT,
+    AP_TWO_P,
+    BLOCK_EXTREMAL,
+    BLOCK_EXTREMAL_NEGATED,
+    ParameterError,
+    Params,
+    SignSeq,
+)
 from .good_shift import GoodShift, certified_shift, is_prime
-
-BLOCK_EXTREMAL = "block-extremal"
-BLOCK_EXTREMAL_NEGATED = "block-extremal-neg"
-AP_MOD_K = "ap-mod-k"
-AP_MOD_K_PRODUCT = "ap-product"
-AP_MOD_K_PLUS1 = "ap-mod-k1"
-AP_GOOD_SHIFT = "ap-good-shift"
-AP_TWO_P = "ap-two-p"
 
 
 @dataclass(frozen=True)

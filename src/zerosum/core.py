@@ -16,6 +16,16 @@ from typing import Iterable, Iterator, TypeAlias
 
 Weight: TypeAlias = int
 
+# Construction kind names: ``constructions`` tags its builders with them and
+# the CLI offers them as ``--kind`` choices without loading the builders.
+BLOCK_EXTREMAL = "block-extremal"
+BLOCK_EXTREMAL_NEGATED = "block-extremal-neg"
+AP_MOD_K = "ap-mod-k"
+AP_MOD_K_PRODUCT = "ap-product"
+AP_MOD_K_PLUS1 = "ap-mod-k1"
+AP_GOOD_SHIFT = "ap-good-shift"
+AP_TWO_P = "ap-two-p"
+
 
 class ParameterError(ValueError):
     """A precondition on (r, s, k), an index, or an argument was violated."""

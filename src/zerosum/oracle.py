@@ -31,8 +31,10 @@ BUDGET_ENV_VAR = "ZEROSUM_BUDGET"
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Window-evaluation ceiling: explicit value, else env override, else
-    default; a negative ceiling from either source is rejected."""
+    """Work-unit ceiling: explicit value, else env override, else default;
+    a negative ceiling from either source is rejected.  A unit is one
+    block-DP step (threshold targets and two-k), one avoider-walk pop, one
+    pow2 function or one residue-lemma progression."""
     if budget is None:
         env = os.environ.get(BUDGET_ENV_VAR)
         try:

@@ -1,0 +1,122 @@
+"""Start-up contract: which ``zerosum`` modules an import or a command loads,
+and the lazily resolved public API of the package."""
+
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import zerosum
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The public names of the package; none may be dropped.
+PUBLIC = {
+    "__version__",
+    "BudgetExceededError", "FormulaDomainError", "ParameterError", "Params",
+    "ShiftSearchError", "SignSeq", "WeightRange", "weight", "weight_range",
+    "BoundReport", "SufficientBound", "ap_lower_bound_value", "block_threshold",
+    "exact_block_threshold", "exact_block_threshold_symmetric", "pm1_block_threshold",
+    "pm1_smallsum_threshold", "sufficient_block_bound",
+    "ClaimedProperty", "Construction", "ResidueFunction", "build_ap_good_shift",
+    "build_ap_mod_k", "build_ap_mod_k_plus1", "build_ap_mod_k_product", "build_ap_two_p",
+    "build_block_extremal", "build_block_extremal_negated",
+    "InterpolationReport", "ScanReport", "ap_scan", "ap_scan_naive", "block_scan",
+    "interpolation_check", "smallsum_block_scan",
+    "GoodShift", "is_good_shift", "is_prime", "min_good_shift", "prime_factors",
+    "prime_shift",
+    "Pow2Verdict", "ResidueLemmaVerdict", "ThresholdResult", "TwoKVerdict",
+    "estimate_window_evaluations", "exact_threshold", "verify_2k_proposition",
+    "verify_lemma_residue_properties", "verify_pow2_rigidity",
+    "SequenceFileError", "format_sequence", "parse_sequence", "read_sequence",
+    "write_sequence",
+}
+
+REPORT = (
+    "import sys\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'zerosum')))\n"
+)
+
+
+def _loaded(code: str, cwd: Path) -> set[str]:
+    """The ``zerosum`` modules in ``sys.modules`` after a fresh interpreter
+    runs ``code`` (with ``src`` on its path), read off the last stdout line."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\n" + REPORT],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_import_zerosum_loads_no_submodule(tmp_path):
+    assert _loaded("import zerosum", tmp_path) == {"zerosum"}
+
+
+def test_import_cli_loads_core_and_seqfile_only(tmp_path):
+    # None of oracle, scanners, constructions, formulas or good_shift.
+    loaded = _loaded("import zerosum.cli", tmp_path)
+    assert loaded == {"zerosum", "zerosum.cli", "zerosum.core", "zerosum.seqfile"}
+
+
+# The CLI itself runs as __main__ (as under ``python -m zerosum.cli``), so
+# ``zerosum.cli`` is not among the loaded modules; start-up adds ``core`` and
+# ``seqfile``, each command its own modules.
+START = {"zerosum", "zerosum.core", "zerosum.seqfile"}
+SEQ_FILE = "# zerosum v1 r=1 s=2 n=9\n-1 -1 -1 2 2 2 -1 -1 -1\n"
+
+
+@pytest.mark.parametrize(
+    "args, extra",
+    [
+        (["bound", "--r", "1", "--s", "2", "--k", "6"], {"formulas", "good_shift"}),
+        (["construct", "--kind", "block-extremal", "--r", "1", "--s", "2", "--k", "6",
+          "--out", "out.txt"], {"constructions", "good_shift"}),
+        (["verify", "--mode", "block", "--k", "6", "--in", "s.txt"], {"scanners"}),
+        (["oracle", "--target", "pow2", "--v", "2"], {"oracle", "constructions", "good_shift"}),
+        (["shift", "--r", "1", "--s", "2", "--k", "21", "--json"], {"good_shift"}),
+        (["table", "--r", "1", "--s", "1", "--k-min", "6", "--k-max", "8", "--what", "ap-lb",
+          "--out", "t.csv"], {"formulas", "good_shift"}),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_command_loads_only_its_modules(tmp_path, args, extra):
+    (tmp_path / "s.txt").write_text(SEQ_FILE)
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['zerosum', *{args!r}]\n"
+        "try:\n"
+        "    runpy.run_module('zerosum.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (0, None), exc.code\n"
+    )
+    assert _loaded(code, tmp_path) == START | {f"zerosum.{m}" for m in extra}
+
+
+def test_all_keeps_every_public_name():
+    assert PUBLIC <= set(zerosum.__all__)
+    assert len(zerosum.__all__) == len(set(zerosum.__all__))
+
+
+@pytest.mark.parametrize("name", [n for n in zerosum.__all__ if n != "__version__"])
+def test_export_resolves_to_its_home_module_object(name):
+    home = f"zerosum.{zerosum._HOME[name]}"
+    value = getattr(zerosum, name)
+    assert value is getattr(import_module(home), name)
+    assert value.__module__ == home
+    assert getattr(zerosum, name) is value
+
+
+def test_star_import_binds_all_and_dir_covers_it():
+    namespace: dict = {}
+    exec("from zerosum import *", namespace)
+    assert set(zerosum.__all__) <= namespace.keys()
+    assert set(zerosum.__all__) <= set(dir(zerosum))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        zerosum.no_such_name  # noqa: B018
