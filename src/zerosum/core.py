@@ -52,7 +52,7 @@ class BudgetExceededError(RuntimeError):
         self._estimate, self.budget = estimate, budget
         self.log2 = estimate.bit_length() - 1 if log2 is None else log2
         shown = _compact(self.estimate) if self.log2 < 64 or log2 is None else f"2^{_compact(log2)}"
-        super().__init__(f"estimated {shown} window evaluations exceed budget {budget}")
+        super().__init__(f"estimated {shown} work units exceed budget {budget}")
 
     @property
     def estimate(self) -> int:

@@ -12,6 +12,11 @@ term is placed (a zero-sum AP holds c* = sk/(r+s) negatives), and drops a
 state holding one with its prefix count, so the walk's avoiders plus drops
 equal the DP's count.  Each walk is bounded, before it starts, by that
 count (see exact_threshold); no work grows with the search cap.
+
+The pow2 check enumerates the 2^(2^v) sign functions on Z/2^v bit-sliced,
+2^16 to a word (one big int per position, one bit per function), so its
+memory does not grow with v: a ripple-carry counter sums a progression's
+words, and one AND over the count's digits marks every function it hits.
 """
 
 from __future__ import annotations
@@ -155,8 +160,11 @@ def _block_bounds(params: Params, q: int) -> tuple[list[int], list[int]]:
     w, pos, neg = [0], [0], [0]  # per tail of i letters: its weight, slacks
     for i in range(1, k):  # prepend the oldest letter, +s then -r
         w = [v + s for v in w] + [v - r for v in w]
-        pos = [max(p, min(r * (k - i), v - m)) for p, v in zip(pos + pos, w)]
-        neg = [max(p, min(s * (k - i), -v - m)) for p, v in zip(neg + neg, w)]
+        top, bot = r * (k - i), s * (k - i)  # max(p, min(top, v - m)) without builtin calls
+        pos = [p if p >= top or p >= v - m else top if top < v - m else v - m
+               for p, v in zip(pos + pos, w)]
+        neg = [p if p >= bot or p >= -v - m else bot if bot < -v - m else -v - m
+               for p, v in zip(neg + neg, w)]
     return [q + p for p in pos], [q + p for p in neg]
 
 
@@ -193,15 +201,18 @@ def _block_dp(
             return counts, layers, None
         dead = [a + b for a, b in zip(dead + [0], [0] + dead)]
         nxt: dict[int, int] = {}
+        get, grown, closes = nxt.get, s * (n + 1), n >= shift  # closes: a k-window ends here
         for key, count in states.items():
             negs, tail = key >> shift, key & tail_mask
+            ones, older = tail.bit_count(), tail << 1 & tail_mask
             for x in (0, 1):
-                j, after, new = tail.bit_count() + x, negs + x, (tail << 1 | x) & tail_mask
-                w = s * (n + 1) - m * after  # the new prefix's weight
-                if n >= shift and (j == c_star or (w > hi[new] if j < c_star else -w > lo[new])):
+                j, after, new = ones + x, negs + x, older | x
+                w = grown - m * after  # the new prefix's weight
+                if closes and (j == c_star or (w > hi[new] if j < c_star else -w > lo[new])):
                     dead[after] += count
                 else:
-                    nxt[after << shift | new] = nxt.get(after << shift | new, 0) + count
+                    new |= after << shift
+                    nxt[new] = get(new, 0) + count
         states, n = nxt, n + 1
 
 
@@ -238,7 +249,8 @@ def _avoiders(
             continue
         negs, tail, x = key >> shift, key & ((1 << shift) - 1), key & 1
         mask |= x << (length - 1)
-        if starts and any((mask & ap).bit_count() == c_star for ap in starts[length - 1]):
+        aps = starts[length - 1] if starts else None  # empty from n - 2k + 2 on
+        if aps and any((mask & ap).bit_count() == c_star for ap in aps):
             dropped += layers[length][key]
             continue
         layer = layers[length - 1]
@@ -387,6 +399,33 @@ class Pow2Verdict:
         }
 
 
+_SLICE_BITS = 16  # 2^16 functions per word, so memory does not grow with v
+
+
+def _column(i: int, width: int) -> int:
+    """Bit g set when function g has a 1 at position i, over g < 2^width:
+    2^i zeros then 2^i ones, doubled up to 2^width bits."""
+    col, period = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+    while period < 1 << width:
+        col |= col << period
+        period <<= 1
+    return col
+
+
+def _count_is(columns: list[int], target: int, full: int) -> int:
+    """The bits of ``full`` at which exactly ``target`` of ``columns`` are
+    set: a ripple-carry counter sums them, one big int per binary digit."""
+    digits = [0] * max(len(columns), target).bit_length()
+    for carry in columns:
+        for j, d in enumerate(digits):
+            digits[j], carry = d ^ carry, d & carry
+            if not carry:
+                break
+    for j, d in enumerate(digits):
+        full &= d if target >> j & 1 else ~d
+    return full
+
+
 def verify_pow2_rigidity(v: int, budget: int | None = None) -> Pow2Verdict:
     """Enumerate all sign functions on {0, ..., 2^v - 1} and keep those with
     no zero-sum dyadic progression; exactly the two constants must remain.
@@ -395,27 +434,29 @@ def verify_pow2_rigidity(v: int, budget: int | None = None) -> Pow2Verdict:
     The progressions checked have common difference 2^v' and 2^(v-v') terms
     for every v' in [0, v - 1]; v' = 0 is the full-length progression, and
     without it non-constant period-2 functions would slip through.
+
+    Functions base .. base + 2^16 - 1 share one word per position, bit g
+    for function base + g (see _column); from position 16 on, the word is
+    all ones or zero.
     """
     if v < 2:
         raise ParameterError(f"v must be at least 2, got {v}")
     k = 1 << v
     _require_budget(None, budget, log2=k)
-    checks: list[tuple[int, int]] = []
-    for vp in range(v):
-        step = 1 << vp
-        terms = k // step
-        for j in range(step):
-            mask = 0
-            for t in range(terms):
-                mask |= 1 << (j + t * step)
-            checks.append((mask, terms // 2))
+    width = min(k, _SLICE_BITS)
+    full, low = (1 << (1 << width)) - 1, [_column(i, width) for i in range(width)]
     survivors: list[int] = []
-    for fn in range(1 << k):
-        for mask, half in checks:
-            if (fn & mask).bit_count() == half:
-                break
-        else:
-            survivors.append(fn)
+    for base in range(0, 1 << k, 1 << width):
+        cols = low + [full if base >> i & 1 else 0 for i in range(width, k)]
+        hit = 0
+        for vp in range(v):
+            step = 1 << vp
+            for j in range(step):
+                hit |= _count_is(cols[j::step], k // step // 2, full)
+        miss = full ^ hit
+        while miss:
+            survivors.append(base + (miss & -miss).bit_length() - 1)
+            miss &= miss - 1
     expected = [0, (1 << k) - 1]
     bitstrings = tuple(format(fn, f"0{k}b")[::-1] for fn in survivors)
     return Pow2Verdict(

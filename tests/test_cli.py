@@ -396,7 +396,7 @@ class TestOracleCommand:
         result = runner.invoke(cli, ["oracle", "--target", "pow2", "--v", v])
         assert result.exit_code == 2
         assert result.output == (
-            f"error: estimated {shown} window evaluations exceed budget 1000000000\n"
+            f"error: estimated {shown} work units exceed budget 1000000000\n"
         )
 
     def test_residue_lemma_checks_factors_before_budget(self, runner):

@@ -31,6 +31,7 @@ from zerosum import oracle
 from zerosum.oracle import (
     _ap_starts,
     _avoiders,
+    _block_bounds,
     _block_dp,
     _block_dp_estimate,
     _zero_negs,
@@ -183,6 +184,27 @@ def test_block_dp_estimate_bounds_its_work(r, s, k, q):
     _, layers, _ = _block_dp(params, q, horizon, probe=False)
     assert len(layers[horizon]) == 0
     assert sum(2 * len(layer) for layer in layers) <= _block_dp_estimate(params, q)
+
+
+@pytest.mark.parametrize(
+    "r,s,k",
+    [(1, 1, 6), (1, 1, 12), (1, 2, 6), (1, 2, 9), (2, 1, 9), (2, 3, 10), (3, 4, 7), (3, 4, 14)],
+)
+@pytest.mark.parametrize("q", [0, 1, 3])
+def test_block_bounds_match_their_definition(r, s, k, q):
+    """Each tail's slack read straight off its definition: q + max(0, max
+    over i of min(r(k-i), W(newest i letters) - (r+s))), and the mirror in
+    s for negative windows.  Bit 0 of a tail is its newest letter, a set
+    bit a -r letter."""
+    m = r + s
+    want_hi, want_lo = [], []
+    for tail in range(1 << (k - 1)):
+        weights = []  # W(newest i letters), i = 1 .. k-1
+        for i in range(k - 1):
+            weights.append((weights[-1] if weights else 0) + (-r if tail >> i & 1 else s))
+        want_hi.append(q + max([0] + [min(r * (k - i), w - m) for i, w in enumerate(weights, 1)]))
+        want_lo.append(q + max([0] + [min(s * (k - i), -w - m) for i, w in enumerate(weights, 1)]))
+    assert _block_bounds(Params(r, s, k), q) == (want_hi, want_lo)
 
 
 def _dp_avoiders(n, k, negs, c_star):
@@ -664,6 +686,23 @@ class TestTwoKProposition:
         assert info.value.budget == 10**7
 
 
+def _pow2_survivors_one_at_a_time(v):
+    """The per-function enumeration the bit-sliced pow2 check replaced:
+    every function against every dyadic progression's position mask."""
+    k = 1 << v
+    checks = []
+    for vp in range(v):
+        step = 1 << vp
+        for j in range(step):
+            mask = sum(1 << (j + t * step) for t in range(k // step))
+            checks.append((mask, k // step // 2))
+    survivors = [
+        fn for fn in range(1 << k)
+        if not any((fn & mask).bit_count() == half for mask, half in checks)
+    ]
+    return tuple(format(fn, f"0{k}b")[::-1] for fn in survivors), 1 << k
+
+
 class TestPow2Rigidity:
     @pytest.mark.parametrize("v,checked", [(2, 16), (3, 256), (4, 65536)])
     def test_exactly_two_survivors(self, v, checked):
@@ -672,6 +711,34 @@ class TestPow2Rigidity:
         assert verdict.functions_checked == checked
         k = 1 << v
         assert verdict.survivors == ("0" * k, "1" * k)
+
+    @pytest.mark.parametrize("v", [2, 3, 4])
+    def test_sliced_check_matches_the_per_function_loop(self, v):
+        verdict = verify_pow2_rigidity(v)
+        assert (verdict.survivors, verdict.functions_checked) == _pow2_survivors_one_at_a_time(v)
+
+    @pytest.mark.parametrize(
+        "positions,target",
+        [((0, 2, 3, 7), 2), ((1, 4, 5), 0), ((1, 4, 5), 3), ((0, 1, 2, 3, 4, 5, 6, 7, 8), 4),
+         ((6,), 1), ((2, 5, 8), 1), ((), 0), ((0, 3), 5)],
+    )
+    def test_sliced_count_matches_bit_count(self, positions, target):
+        """Off the dyadic sets and their two targets, the counter's mask is
+        exactly the functions with ``target`` ones at ``positions``."""
+        k = 9
+        columns = [oracle._column(i, k) for i in range(k)]
+        got = oracle._count_is([columns[i] for i in positions], target, (1 << (1 << k)) - 1)
+        mask = sum(1 << i for i in positions)
+        for fn in range(1 << k):
+            assert (got >> fn & 1) == ((fn & mask).bit_count() == target), fn
+
+    @pytest.mark.parametrize("v", [3, 4])
+    def test_narrow_slices_give_the_one_word_verdict(self, monkeypatch, v):
+        """At 2^4 functions per word the positions from 4 on are constant
+        within each word, and the verdict must not change."""
+        one_word = verify_pow2_rigidity(v)
+        monkeypatch.setattr(oracle, "_SLICE_BITS", 4)
+        assert verify_pow2_rigidity(v) == one_word
 
     def test_range_validation(self):
         with pytest.raises(ParameterError):
@@ -692,7 +759,7 @@ class TestPow2Rigidity:
         with pytest.raises(BudgetExceededError) as info:
             verify_pow2_rigidity(100)
         assert info.value.log2 == 1 << 100
-        assert str(info.value) == "estimated 2^2^100 window evaluations exceed budget 1000000000"
+        assert str(info.value) == "estimated 2^2^100 work units exceed budget 1000000000"
 
 
 class TestResidueLemma:
@@ -744,7 +811,7 @@ def test_budget_error_prints_oversize_estimates_compactly(estimate, shown):
     """Past 2^64 the message gives a power of two, not thousands of digits
     (2^20000 has 6021, past str()'s default limit); ``estimate`` stays exact."""
     exc = BudgetExceededError(estimate, 10**9)
-    assert str(exc) == f"estimated {shown} window evaluations exceed budget 1000000000"
+    assert str(exc) == f"estimated {shown} work units exceed budget 1000000000"
     assert (exc.estimate, exc.budget) == (estimate, 10**9)
 
 
