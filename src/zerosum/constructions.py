@@ -113,13 +113,11 @@ def build_block_extremal_negated(params: Params) -> Construction:
     {-r, s}-sequence whose k-windows all weigh -(r + s): negation swaps the
     letters, so it complements the selector bits.
     """
-    params.require_block_divisibility()
     r, s, k = params.r, params.s, params.k
-    n = _block_extremal_length(s, r, k)
-    swapped = _periodic(Params(s, r, k), k, r * k // params.modulus - 1, n)
+    swapped = build_block_extremal(Params(s, r, k)).seq
     return _construction(
         BLOCK_EXTREMAL_NEGATED,
-        SignSeq(params, n, swapped.bits ^ ((1 << n) - 1)),
+        SignSeq(params, swapped.n, swapped.bits ^ ((1 << swapped.n) - 1)),
         f"every {k}-window has weight exactly {-(r + s)}; no zero-sum {k}-block",
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Iterable, Iterator, TypeAlias
 
@@ -68,8 +68,46 @@ class ShiftSearchError(RuntimeError):
         self.alpha_max = alpha_max
 
 
+class Report:
+    """Base of every dataclass reported as a v1 JSON object.
+
+    ``to_json_dict`` emits the fields in order, each keyed by its name in
+    camelCase unless its metadata names the key (``"json"``).  A 2-tuple
+    field with ``"pair"`` metadata becomes an object under those names, and
+    a None field marked ``"optional"`` is left out.  Values nest: a report
+    is its own object, a SignSeq is ``"b:<bits>"``, a tuple is a list, and
+    a dict has its keys sorted, then stringified.
+    """
+
+    def to_json_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if value is None and meta.get("optional"):
+                continue
+            head, *rest = f.name.split("_")
+            key = meta.get("json", head + "".join(map(str.capitalize, rest)))
+            if value is not None and "pair" in meta:
+                out[key] = dict(zip(meta["pair"], value))
+            else:
+                out[key] = _encode(value)
+        return out
+
+
+def _encode(value):
+    if isinstance(value, Report):
+        return value.to_json_dict()
+    if isinstance(value, SignSeq):
+        return f"b:{value.bitstring()}"
+    if isinstance(value, tuple):
+        return list(map(_encode, value))
+    if isinstance(value, dict):
+        return {str(key): _encode(v) for key, v in sorted(value.items())}
+    return value
+
+
 @dataclass(frozen=True)
-class Params:
+class Params(Report):
     """The triple (r, s, k): letters -r and +s, target subsequence length k.
 
     gcd(r, s) = 1 is required; dividing both letters by their gcd leaves
@@ -108,9 +146,6 @@ class Params:
                 f"(r + s) = {self.modulus} must divide k = {self.k} "
                 f"for zero-sum k-subsequences to exist"
             )
-
-    def to_json_dict(self) -> dict:
-        return {"r": self.r, "s": self.s, "k": self.k}
 
 
 class SignSeq:
@@ -228,7 +263,7 @@ def weight(seq: SignSeq, indices: Iterable[int]) -> Weight:
 
 
 @dataclass(frozen=True)
-class WeightRange:
+class WeightRange(Report):
     """All achievable total weights of a {-r, s}-sequence of length alpha.
 
     An arithmetic progression from -r*alpha to s*alpha with alpha + 1 terms
@@ -253,14 +288,6 @@ class WeightRange:
 
     def values(self) -> tuple[int, ...]:
         return tuple(self)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "low": self.low,
-            "step": self.step,
-            "count": self.count,
-        }
 
 
 def weight_range(alpha: int, params: Params) -> WeightRange:

@@ -15,15 +15,15 @@ FormulaDomainError is raised on violation, never a silent rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import FormulaDomainError, ParameterError, Params
+from .core import FormulaDomainError, ParameterError, Params, Report
 from .good_shift import GoodShift, certified_shift
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Report):
     """Evaluated exact-threshold formulas for one parameter triple."""
 
     params: Params
@@ -31,35 +31,17 @@ class BoundReport:
     t_prime: int
     m1: int
     m2: int
-    n_exact: int
+    n_exact: int = field(metadata={"json": "n_exact"})
     notes: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_json_dict(),
-            "t": self.t,
-            "tPrime": self.t_prime,
-            "m1": self.m1,
-            "m2": self.m2,
-            "n_exact": self.n_exact,
-            "notes": list(self.notes),
-        }
 
 
 @dataclass(frozen=True)
-class SufficientBound:
+class SufficientBound(Report):
     """Least n certified to force a zero-sum k-block given |total| <= q."""
 
     params: Params
     q: int
-    n_sufficient: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_json_dict(),
-            "q": self.q,
-            "n_sufficient": self.n_sufficient,
-        }
+    n_sufficient: int = field(metadata={"json": "n_sufficient"})
 
 
 def shift_residue(x: int, modulus: int) -> int:
@@ -73,12 +55,27 @@ def _as_int(value: Fraction, what: str) -> int:
     return int(value)
 
 
+def _shift_and_term(r: int, s: int, k: int, name: str) -> tuple[int, int]:
+    """(t, M1) for the letters (r, s); the letters exchanged give (t', M2).
+
+    t is the unique member of [0, r+s) with sk/(r+s) - 1 + t divisible by
+    r + s, and M1 splits on whether t exceeds r.
+    """
+    m = r + s
+    sk = s * k // m
+    t = shift_residue(sk, m)
+    c = Fraction(r * s * k, m * m)
+    if t <= r:
+        term = (c - Fraction(r + s * t, m)) * k + sk + t
+    else:
+        term = (c - Fraction(r + r * (m - t), m)) * k + sk - (m - t)
+    return t, _as_int(term, name)
+
+
 def exact_block_threshold(params: Params) -> BoundReport:
     """Exact threshold N(r, s, k) = max(k, M1, M2) for r < s.
 
-    t is the unique member of [0, r+s) with sk/(r+s) - 1 + t divisible by
-    r + s, and t' the analogue with rk/(r+s).  M1 and M2 each split on
-    whether the shift exceeds r (resp. s).
+    M2 and t' are M1 and t with r and s exchanged (see _shift_and_term).
     """
     r, s, k = params.r, params.s, params.k
     if r >= s:
@@ -87,28 +84,10 @@ def exact_block_threshold(params: Params) -> BoundReport:
             f"use the symmetric entry point or the +-1 formula"
         )
     params.require_block_divisibility()
-    m = params.modulus
-    sk = s * k // m
-    rk = r * k // m
-    t = shift_residue(sk, m)
-    t_prime = shift_residue(rk, m)
-
-    c = Fraction(r * s * k, m * m)
-    if t <= r:
-        m1 = _as_int((c - Fraction(r + s * t, m)) * k + sk + t, "M1")
-    else:
-        m1 = _as_int((c - Fraction(r + r * (m - t), m)) * k + sk - (m - t), "M1")
-    if t_prime <= s:
-        m2 = _as_int((c - Fraction(s + r * t_prime, m)) * k + rk + t_prime, "M2")
-    else:
-        m2 = _as_int(
-            (c - Fraction(s + s * (m - t_prime), m)) * k + rk - (m - t_prime), "M2"
-        )
-
-    notes = []
-    if r == 1:
-        # t' <= s always holds then; the other branch cannot be exercised.
-        notes.append("t' > s branch unreachable for r = 1")
+    t, m1 = _shift_and_term(r, s, k, "M1")
+    t_prime, m2 = _shift_and_term(s, r, k, "M2")
+    # For r = 1, t' <= s always holds; the other branch cannot be exercised.
+    notes = ("t' > s branch unreachable for r = 1",) if r == 1 else ()
     return BoundReport(
         params=params,
         t=t,
@@ -116,7 +95,7 @@ def exact_block_threshold(params: Params) -> BoundReport:
         m1=m1,
         m2=m2,
         n_exact=max(k, m1, m2),
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -126,28 +105,17 @@ def exact_block_threshold_symmetric(params: Params) -> BoundReport:
     Negating every term maps {-r, s}-sequences to {-s, r}-sequences and
     preserves zero-sum blocks, so the thresholds coincide.
     """
-    if params.r == params.s:
+    r, s = params.r, params.s
+    if r == s:
         raise ParameterError(
             "r = s is out of this formula's range; for r = s = 1 use "
             "pm1_block_threshold"
         )
-    if params.r < params.s:
+    if r < s:
         return exact_block_threshold(params)
-    swapped = Params(params.s, params.r, params.k)
-    report = exact_block_threshold(swapped)
-    return BoundReport(
-        params=swapped,
-        t=report.t,
-        t_prime=report.t_prime,
-        m1=report.m1,
-        m2=report.m2,
-        n_exact=report.n_exact,
-        notes=report.notes
-        + (
-            f"negation symmetry applied: evaluated at (r, s) = "
-            f"({swapped.r}, {swapped.s})",
-        ),
-    )
+    report = exact_block_threshold(Params(s, r, params.k))
+    note = f"negation symmetry applied: evaluated at (r, s) = ({s}, {r})"
+    return replace(report, notes=report.notes + (note,))
 
 
 def pm1_block_threshold(k: int, q: int = 0) -> int:

@@ -13,9 +13,9 @@ prime-gap bound, and such a shift is automatically good.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .core import ParameterError, Params, ShiftSearchError, WeightRange, weight_range
+from .core import ParameterError, Params, Report, ShiftSearchError, WeightRange, weight_range
 
 PRIME_GAP_EXPONENT = 0.525
 
@@ -59,31 +59,19 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class GoodShift:
+class GoodShift(Report):
     """Verdict for one shift, with the certificate data that decides it."""
 
     params: Params
     alpha: int
     a: int
-    prime_factors: tuple[int, ...]
+    prime_factors: tuple[int, ...] = field(metadata={"json": "primeFactorsOfA"})
     s_alpha: WeightRange
     good: bool
-    blocking: tuple[int, int] | None  # (prime p, weight w in S_alpha with p | w)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_json_dict(),
-            "alpha": self.alpha,
-            "a": self.a,
-            "primeFactorsOfA": list(self.prime_factors),
-            "sAlpha": self.s_alpha.to_json_dict(),
-            "good": self.good,
-            "blockingWitness": (
-                None
-                if self.blocking is None
-                else {"prime": self.blocking[0], "weight": self.blocking[1]}
-            ),
-        }
+    # (prime p, weight w in S_alpha with p | w)
+    blocking: tuple[int, int] | None = field(
+        metadata={"json": "blockingWitness", "pair": ("prime", "weight")}
+    )
 
 
 def divisible_weight(p: int, params: Params, alpha: int) -> int | None:
@@ -149,32 +137,29 @@ def certified_shift(params: Params, alpha: int | GoodShift) -> GoodShift:
 
 
 def _prime_horizon(params: Params) -> int | None:
-    """First alpha >= 1 with k + alpha prime and k + alpha > s * alpha, or
-    None when there is none.
+    """First alpha >= 1 with k + alpha prime when (r + s) | k, else None.
 
-    Such a shift is itself good (see prime_shift), so a minimum-shift
-    search never needs to look past it.  For s >= 2, k + alpha > s * alpha
-    fails for every alpha >= k/(s - 1), so the scan stops at
-    floor((k - 1)/(s - 1)); for s = 1 Bertrand's postulate puts a prime in
-    (k, 2k], so alpha <= k suffices.
+    For k = (r + s)c such a shift is good, so a minimum-shift search never
+    needs to look past it: the one prime p = k + alpha exceeds r + s, and
+    -r*alpha + (r + s)i = 0 mod p only at i = p - rc mod p, since
+    (r + s)(p - rc) - r*alpha = s*p.  Both p - rc = sc + alpha > alpha and
+    -rc < 0 lie outside [0, alpha].  Bertrand's postulate puts a prime in
+    (k, 2k], so alpha <= k.
     """
-    k, s = params.k, params.s
-    top = k if s == 1 else (k - 1) // (s - 1)
-    return next((alpha for alpha in range(1, top + 1) if is_prime(k + alpha)), None)
+    k = params.k
+    if k % params.modulus:
+        return None
+    return next(alpha for alpha in range(1, k + 1) if is_prime(k + alpha))
 
 
 def min_good_shift(params: Params, horizon: int | None = None) -> GoodShift:
     """Smallest alpha >= 1 that is a good shift, searched up to ``horizon``.
 
-    With no horizon given, the search is bounded by the first alpha for
-    which k + alpha is prime and k + alpha > s * alpha, which exists for
-    every large k by the prime-gap bound and is itself good whenever
-    r <= s and (r + s) | k.  Small k with large s may have no such alpha
-    (alpha < k/(s - 1) leaves too few candidates, e.g. (1, 4, 5)); the
-    search then runs to alpha = 1000.  Every coprime r, s <= 40 with
-    k = m(r + s), m <= 40 and no prime horizon has its minimum good shift
-    at alpha <= 13.  Exhausting the horizon raises ShiftSearchError with
-    the scanned range.
+    With no horizon given, the search stops at the first alpha with
+    k + alpha prime when (r + s) | k, a shift that is itself good (see
+    _prime_horizon).  For other k no shift is known good in advance, and
+    the search runs to alpha = 1000.  Exhausting the horizon raises
+    ShiftSearchError with the scanned range.
     """
     limit = horizon if horizon is not None else _prime_horizon(params) or _FALLBACK_HORIZON
     if limit < 1:

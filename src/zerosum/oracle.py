@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .core import BudgetExceededError, ParameterError, Params, SignSeq
+from .core import BudgetExceededError, ParameterError, Params, Report, SignSeq
 from .constructions import ResidueFunction, build_ap_mod_k_product, product_factors
 
 MODE_BLOCK = "block"
@@ -63,7 +63,7 @@ def _require_budget(estimate: int | None, budget: int | None, log2: int | None =
 
 
 @dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(Report):
     """Outcome of an exhaustive threshold search.
 
     derived_threshold = max(k, max_avoiding_n + 1) over admissible lengths,
@@ -87,21 +87,6 @@ class ThresholdResult:
     capped: bool
     avoiding_count_at_max: int
     notes: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_json_dict(),
-            "mode": self.mode,
-            "q": self.q,
-            "maxAvoidingN": self.max_avoiding_n,
-            "derivedThreshold": self.derived_threshold,
-            "witnesses": [f"b:{w.bitstring()}" for w in self.witnesses],
-            "searchCap": self.search_cap,
-            "exhaustive": self.exhaustive,
-            "capped": self.capped,
-            "avoidingCountAtMax": self.avoiding_count_at_max,
-            "notes": list(self.notes),
-        }
 
 
 def admissible_pos_counts(params: Params, q: int, n: int) -> list[int]:
@@ -341,24 +326,13 @@ def exact_threshold(
 
 
 @dataclass(frozen=True)
-class TwoKVerdict:
+class TwoKVerdict(Report):
     """Every zero-sum {-1,1}-sequence of length 2k has a zero-sum k-block."""
 
     k: int
     ok: bool
     sequences_checked: int
     counterexample: SignSeq | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "ok": self.ok,
-            "sequencesChecked": self.sequences_checked,
-            "counterexample": (
-                None if self.counterexample is None
-                else f"b:{self.counterexample.bitstring()}"
-            ),
-        }
 
 
 def verify_2k_proposition(k: int, budget: int | None = None) -> TwoKVerdict:
@@ -381,7 +355,7 @@ def verify_2k_proposition(k: int, budget: int | None = None) -> TwoKVerdict:
 
 
 @dataclass(frozen=True)
-class Pow2Verdict:
+class Pow2Verdict(Report):
     """Only the two constant sign functions on Z/2^v avoid every zero-sum
     dyadic progression (difference 2^v', full length, for all v' < v)."""
 
@@ -389,14 +363,6 @@ class Pow2Verdict:
     ok: bool
     functions_checked: int
     survivors: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "v": self.v,
-            "ok": self.ok,
-            "functionsChecked": self.functions_checked,
-            "survivors": list(self.survivors),
-        }
 
 
 _SLICE_BITS = 16  # 2^16 functions per word, so memory does not grow with v
@@ -468,7 +434,7 @@ def verify_pow2_rigidity(v: int, budget: int | None = None) -> Pow2Verdict:
 
 
 @dataclass(frozen=True)
-class ResidueLemmaVerdict:
+class ResidueLemmaVerdict(Report):
     """Counts and full-progression nonvanishing for a product residue function."""
 
     k: int
@@ -477,22 +443,7 @@ class ResidueLemmaVerdict:
     plus_count: int
     minus_count: int
     progressions_checked: int
-    failure: tuple[int, int] | None  # (difference, start)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "factors": list(self.factors),
-            "ok": self.ok,
-            "plusCount": self.plus_count,
-            "minusCount": self.minus_count,
-            "progressionsChecked": self.progressions_checked,
-            "failure": (
-                None
-                if self.failure is None
-                else {"difference": self.failure[0], "start": self.failure[1]}
-            ),
-        }
+    failure: tuple[int, int] | None = field(metadata={"pair": ("difference", "start")})
 
 
 def verify_lemma_residue_properties(

@@ -21,12 +21,12 @@ engine the scanners do not use.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
 from operator import sub
 
-from .core import ParameterError, SignSeq
+from .core import ParameterError, Report, SignSeq
 
 MODE_BLOCK = "block"
 MODE_AP = "ap"
@@ -34,7 +34,7 @@ MODE_SMALLSUM = "smallsum"
 
 
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Report):
     """Outcome of one scan: a witness or a certificate of absence.
 
     ``witness`` is (start, difference), difference 1 for blocks.
@@ -48,32 +48,13 @@ class ScanReport:
     mode: str
     k: int
     found: bool
-    witness: tuple[int, int] | None
+    witness: tuple[int, int] | None = field(metadata={"pair": ("start", "difference")})
     min_abs_weight: int
     scanned_count: int
-    t: int | None = None
-    per_d_min_abs: dict[int, int] | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "k": self.k,
-            "found": self.found,
-            "witness": (
-                None
-                if self.witness is None
-                else {"start": self.witness[0], "difference": self.witness[1]}
-            ),
-            "minAbsWeight": self.min_abs_weight,
-            "scannedCount": self.scanned_count,
-        }
-        if self.t is not None:
-            out["t"] = self.t
-        if self.per_d_min_abs is not None:
-            out["perDifferenceMinAbs"] = {
-                str(d): v for d, v in sorted(self.per_d_min_abs.items())
-            }
-        return out
+    t: int | None = field(default=None, metadata={"optional": True})
+    per_d_min_abs: dict[int, int] | None = field(
+        default=None, metadata={"json": "perDifferenceMinAbs", "optional": True}
+    )
 
 
 def _check_window_length(seq: SignSeq, k: int) -> None:
@@ -296,7 +277,7 @@ def smallsum_block_scan(seq: SignSeq, k: int, t: int) -> ScanReport:
 
 
 @dataclass(frozen=True)
-class InterpolationReport:
+class InterpolationReport(Report):
     """All three window-weight facts behind the intermediate-value argument."""
 
     ok: bool
@@ -305,16 +286,6 @@ class InterpolationReport:
     residues_vanish: bool
     window_count: int
     detail: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "signChangeImpliesZero": self.sign_change_implies_zero,
-            "adjacentStepBounded": self.adjacent_step_bounded,
-            "residuesVanish": self.residues_vanish,
-            "windowCount": self.window_count,
-            "detail": self.detail,
-        }
 
 
 def interpolation_check(seq: SignSeq, k: int) -> InterpolationReport:

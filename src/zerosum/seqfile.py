@@ -16,8 +16,6 @@ from pathlib import Path
 
 from .core import ParameterError, Params, SignSeq
 
-FORMAT_VERSION = "v1"
-
 _HEADER_RE = re.compile(
     r"^# zerosum v1 r=(\d+) s=(\d+) n=(\d+)\s*$"
 )

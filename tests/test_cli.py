@@ -498,6 +498,13 @@ class TestShiftCommand:
         assert result.exit_code == 0
         assert "alpha=2" in result.output
 
+    def test_min_shift_past_the_first_prime(self, runner):
+        """5 does not divide 7, so 7 + 4 = 11 prime proves nothing; the
+        least good shift is 6."""
+        result = runner.invoke(cli, ["shift", "--r", "4", "--s", "1", "--k", "7"])
+        assert result.exit_code == 0
+        assert "alpha=6" in result.output
+
     def test_prime_shift(self, runner):
         result = runner.invoke(
             cli, ["shift", "--r", "1", "--s", "2", "--k", "24", "--prime"]

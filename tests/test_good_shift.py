@@ -79,22 +79,49 @@ _NO_PRIME_HORIZON = [
 ]
 
 
-def test_no_prime_horizon_points_are_listed():
-    """The list above is every such point: the prime horizon exists
-    everywhere else on that grid."""
-    listed = {(r, s, k) for r, s, k, _ in _NO_PRIME_HORIZON}
+def test_prime_horizon_is_good_wherever_r_plus_s_divides_k():
+    """On coprime r, s <= 8 and k <= 8(r + s), wherever (r + s) | k the
+    search horizon is the first alpha with k + alpha prime; it lies at
+    alpha <= k and is good.  Elsewhere there is none."""
     for r in range(1, 9):
         for s in range(1, 9):
             if math.gcd(r, s) == 1:
-                for k in range(r + s, 8 * (r + s) + 1, r + s):
-                    missing = _prime_horizon(Params(r, s, k)) is None
-                    assert missing == ((r, s, k) in listed), (r, s, k)
+                for k in range(1, 8 * (r + s) + 1):
+                    params = Params(r, s, k)
+                    alpha = _prime_horizon(params)
+                    if k % (r + s):
+                        assert alpha is None, (r, s, k)
+                        continue
+                    assert 1 <= alpha <= k and is_prime(k + alpha), (r, s, k)
+                    assert not any(is_prime(k + a) for a in range(1, alpha)), (r, s, k)
+                    assert is_good_shift(params, alpha).good, (r, s, k)
+
+
+def test_min_good_shift_matches_brute_force():
+    """On coprime r, s <= 6 and k <= 40 the search returns the least good
+    alpha found by trying every alpha up to 1000, and fails where there is
+    none.  Points like (4, 1, 7), whose least good shift 6 lies past the
+    first prime 11 = k + 4, are among them."""
+    for r in range(1, 7):
+        for s in range(1, 7):
+            if math.gcd(r, s) == 1:
+                for k in range(1, 41):
+                    params = Params(r, s, k)
+                    least = next(
+                        (a for a in range(1, 1001) if is_good_shift(params, a).good), None
+                    )
+                    if least is None:
+                        with pytest.raises(ShiftSearchError):
+                            min_good_shift(params)
+                    else:
+                        assert min_good_shift(params).alpha == least, (r, s, k)
 
 
 @pytest.mark.parametrize("r,s,k,alpha", _NO_PRIME_HORIZON)
 def test_min_good_shift_without_prime_horizon(r, s, k, alpha):
-    """Small k with large s has no prime horizon; the search falls back to
-    a fixed horizon and still finds the least good shift."""
+    """Small k with large s has no prime k + alpha above s * alpha, the
+    certificate prime_shift needs; the search still finds the least good
+    shift."""
     params = Params(r, s, k)
     assert min_good_shift(params).alpha == alpha
     assert not any(is_good_shift(params, a).good for a in range(1, alpha))
