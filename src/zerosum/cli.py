@@ -5,18 +5,17 @@ claim verified, 1 when a witness or counterexample was found (or a shift
 search failed), 2 on usage, input, or budget errors.  All positions in
 output are 0-based.
 
-Start-up loads only ``core`` and ``seqfile``; each command imports the
-modules it runs in its own body.
+Each command declares one option table; ``main`` parses against it (usage errors in click's
+wording, pinned by the golden tests), runs the command and maps its exceptions to exit codes.
+Start-up loads only ``core`` and ``seqfile``; each command imports the modules it runs.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import sys
 import time
-
-import click
+from collections import namedtuple
 
 from . import __version__
 from .core import (
@@ -41,39 +40,154 @@ from .seqfile import (
     write_sequence,
 )
 
-EXIT_OK = 0
-EXIT_WITNESS = 1
-EXIT_ERROR = 2
+EXIT_OK, EXIT_WITNESS, EXIT_ERROR = 0, 1, 2
 
 _EXIT_2_ERRORS = (
-    ParameterError,
-    FormulaDomainError,
-    SequenceFileError,
-    BudgetExceededError,
-    OSError,
-)
+    ParameterError, FormulaDomainError, SequenceFileError, BudgetExceededError, OSError)
+
+# A command's option table holds one Option per flag.  ``type`` is int, str, a tuple of
+# choices, FLAG (takes no value), IN_FILE (must exist, not as a directory) or OUT_FILE (not
+# a directory); these three double as help metavars.  ``dest`` defaults to the flag's name.
+FLAG, IN_FILE, OUT_FILE = "", " FILE", " PATH"
+Option = namedtuple("Option", "flag type required default help dest",
+                    defaults=(int, False, None, "", None))
+_HELP = Option("--help", FLAG, help="Show this message and exit.")
+_GROUP = (Option("--version", FLAG, help="Show the version and exit."), _HELP)
+_ABOUT = "Zero-sum block and arithmetic-subsequence toolkit for {-r,s}-sequences."
+_COMMANDS: dict = {}  # name -> (command, option table)
 
 
-def _exit_codes(shift_failure: str = "error: {exc}"):
-    """Map a command's exceptions to exit codes, each reported as one stderr
-    line: 1 for an exhausted shift search (``shift_failure`` formatted with
-    ``exc``), 2 for usage, input, budget and file errors."""
+class _UsageError(Exception):
+    """``(message)``, printed below the usage lines, or ``(message, True)``, printed bare."""
 
-    def decorate(command):
-        @functools.wraps(command)
-        def run(*args, **kwargs):
-            try:
-                return command(*args, **kwargs)
-            except ShiftSearchError as exc:
-                click.echo(shift_failure.format(exc=exc), err=True)
-                sys.exit(EXIT_WITNESS)
-            except _EXIT_2_ERRORS as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(EXIT_ERROR)
 
-        return run
+def _command(*options: Option):
+    """Register ``cmd_<name>`` as command ``<name>`` with its option table."""
+    return lambda command: _COMMANDS.setdefault(command.__name__[4:], (command, options))[0]
 
-    return decorate
+
+def _no_such(what: str, name: str, candidates) -> _UsageError:
+    from difflib import get_close_matches
+
+    shown = ", ".join(map(repr, found := sorted(get_close_matches(name, candidates))))
+    hint = f" (Did you mean one of: {shown}?)" if len(found) > 1 else (
+        f" Did you mean {shown}?" if found else "")
+    return _UsageError(f"No such {what} {name!r}.{hint}")
+
+
+def _scan(options, args: list[str]) -> tuple[dict, list[str]]:
+    """``{flag: raw value}`` (first-appearance order, last value kept) and positionals."""
+    by_flag, rest = {opt.flag: opt for opt in options}, iter(args)
+    given, positional = {}, []
+    for arg in rest:
+        if arg == "--":
+            return given, positional + list(rest)
+        if arg[:1] != "-" or arg == "-":
+            positional.append(arg)
+            continue
+        flag, eq, value = arg.partition("=") if arg[:2] == "--" else (arg[:2], "", "")
+        if flag not in by_flag:
+            raise _no_such("option", flag, by_flag if arg[:2] == "--" else ())
+        if by_flag[flag].type == FLAG:
+            if eq:
+                raise _UsageError(f"Option '{flag}' does not take a value.", True)
+            value = True
+        elif not eq and (value := next(rest, None)) is None:
+            raise _UsageError(f"Option '{flag}' requires an argument.", True)
+        given[flag] = value
+    return given, positional
+
+
+def _value(opt: Option, given: dict):
+    """``opt``'s given text, converted, else its default; or a _UsageError."""
+    kind, value = opt.type, given.get(opt.flag)
+    if value is None:
+        if not opt.required:
+            return False if kind == FLAG else opt.default
+        listing = ". Choose from:\n\t" + ",\n\t".join(kind) if isinstance(kind, tuple) else "."
+        raise _UsageError(f"Missing option '{opt.flag}'{listing}")
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            problem = f"{value!r} is not a valid integer."
+    elif isinstance(kind, tuple) and value not in kind:
+        problem = f"{value!r} is not one of {', '.join(map(repr, kind))}."
+    elif kind in (IN_FILE, OUT_FILE) and os.path.isdir(value):
+        problem = f"File {value!r} is a directory."
+    elif kind == IN_FILE and not os.path.exists(value):
+        problem = f"File {value!r} does not exist."
+    else:
+        return value
+    raise _UsageError(f"Invalid value for '{opt.flag}': {problem}")
+
+
+def _help(usage: str, about: str, options, commands: dict | None = None) -> str:
+    """The --help text: usage and summary, then a line per option and command."""
+    lines = [f"Usage: {usage}", "", f"  {about}", "", "Options:"]
+    for opt in options:
+        kind, default = opt.type, opt.default
+        meta = f" [{'|'.join(kind)}]" if isinstance(kind, tuple) else (
+            " INTEGER" if kind is int else " TEXT" if kind is str else kind)
+        note = "[required]" if opt.required else f"[default: {default}]" * (default is not None)
+        lines.append(f"  {opt.flag + meta:<17}  " + "  ".join(filter(None, (opt.help, note))))
+    if commands:
+        lines += ["", "Commands:"]
+        lines += [f"  {name:<17}  {cmd.__doc__}" for name, (cmd, _) in commands.items()]
+    return "\n".join(line.rstrip() for line in lines)
+
+
+def _echo(*lines: str) -> int:
+    """Print ``lines`` on stdout and return EXIT_OK.  Once a reader closes the pipe
+    (``| head``), stdout points at the null device and the rest drops quietly."""
+    try:
+        print(*lines, sep="\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_OK
+
+
+def main(argv: list[str] | None = None, prog: str | None = None) -> int:
+    """Run one command line; return its exit code.  ``prog`` defaults to argv[0]'s basename."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    where = prog = prog or os.path.basename(sys.argv[0])
+    usage = f"{prog} [OPTIONS] COMMAND [ARGS]..."
+    try:
+        cmd_at = next((i for i, arg in enumerate(args) if arg[:1] != "-" or arg == "-"), len(args))
+        given, rest = _scan(_GROUP, args[:cmd_at])[0], args[cmd_at:]
+        if given:
+            return _echo(f"zerosum, version {__version__}" if next(iter(given)) == "--version"
+                         else _help(usage, _ABOUT, _GROUP, _COMMANDS))
+        if not rest:  # no command: the help, as an error
+            print(_help(usage, _ABOUT, _GROUP, _COMMANDS), file=sys.stderr)
+            return EXIT_ERROR
+        if rest[0] not in _COMMANDS:
+            raise _no_such("command", rest[0], _COMMANDS)
+        command, options = _COMMANDS[rest[0]]
+        where, usage = f"{prog} {rest[0]}", f"{prog} {rest[0]} [OPTIONS]"
+        given, extra = _scan((*options, _HELP), rest[1:])
+        if "--help" in given:
+            return _echo(_help(usage, command.__doc__, (*options, _HELP)))
+        # click's order: the options given, as given, then the rest as declared.
+        order = [*given, *(opt.flag for opt in options)]
+        values = {opt.dest or opt.flag[2:].replace("-", "_"): _value(opt, given)
+                  for opt in sorted(options, key=lambda opt: order.index(opt.flag))}
+        if extra:
+            plural = "s" * (len(extra) > 1)
+            raise _UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+        return command(**values)
+    except _UsageError as exc:
+        message, *bare = exc.args
+        head = "" if bare else f"Usage: {usage}\nTry '{where} --help' for help.\n\n"
+        print(f"{head}Error: {message}", file=sys.stderr)
+        return EXIT_ERROR
+    except (ShiftSearchError, *_EXIT_2_ERRORS) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WITNESS if isinstance(exc, ShiftSearchError) else EXIT_ERROR
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        return EXIT_WITNESS
 
 
 def _parse_factors(text: str) -> tuple[int, ...]:
@@ -86,40 +200,32 @@ def _parse_factors(text: str) -> tuple[int, ...]:
 def _finish(
     command: str, params: dict, result: dict, lines: list[str], as_json: bool,
     started: float, code: int = EXIT_OK,
-) -> None:
+) -> int:
     """Print the v1 JSON report (``result`` under ``params``) or the human
-    ``lines``, then exit with ``code``."""
+    ``lines``, and return the exit code ``code``."""
     if as_json:
         import json
 
         lines = [json.dumps({
-            "command": command,
-            "params": params,
-            "result": result,
-            "toolVersion": __version__,
-            "elapsedMillis": int((time.perf_counter() - started) * 1000),
-            "indexing": "0-based",
+            "command": command, "params": params, "result": result, "toolVersion": __version__,
+            "elapsedMillis": int((time.perf_counter() - started) * 1000), "indexing": "0-based",
         }, indent=2)]
-    for line in lines:
-        click.echo(line)
-    sys.exit(code)
+    _echo(*lines)
+    return code
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="zerosum")
-def cli() -> None:
-    """Zero-sum block and arithmetic-subsequence toolkit for {-r,s}-sequences."""
+_JSON = Option("--json", FLAG, help="Emit a JSON report.", dest="as_json")
 
 
-@cli.command("bound")
-@click.option("--r", "r", type=int, required=True, help="Magnitude of the negative letter.")
-@click.option("--s", "s", type=int, required=True, help="Positive letter.")
-@click.option("--k", "k", type=int, required=True, help="Target subsequence length.")
-@click.option("--q", "q", type=int, default=None, help="Slack on |total weight|; selects the sufficient bound.")
-@click.option("--t", "t", type=int, default=None, help="Small-sum tolerance; requires r = s = 1.")
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON report.")
-@_exit_codes()
-def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: bool) -> None:
+@_command(
+    Option("--r", required=True, help="Magnitude of the negative letter."),
+    Option("--s", required=True, help="Positive letter."),
+    Option("--k", required=True, help="Target subsequence length."),
+    Option("--q", help="Slack on |total weight|; selects the sufficient bound."),
+    Option("--t", help="Small-sum tolerance; requires r = s = 1."),
+    _JSON,
+)
+def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: bool) -> int:
     """Evaluate a threshold formula for (r, s, k)."""
     from .formulas import (
         exact_block_threshold_symmetric,
@@ -157,30 +263,26 @@ def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: boo
             f"  t={report.t} t'={report.t_prime} M1={report.m1} M2={report.m2}",
             *(f"  note: {note}" for note in report.notes),
         ]
-    _finish("bound", {"r": r, "s": s, "k": k, "q": q, "t": t}, result, lines, as_json, started)
+    return _finish("bound", {"r": r, "s": s, "k": k, "q": q, "t": t}, result, lines,
+                   as_json, started)
 
 
-_KIND_CHOICES = [
-    BLOCK_EXTREMAL, BLOCK_EXTREMAL_NEGATED, AP_MOD_K, AP_MOD_K_PRODUCT, AP_MOD_K_PLUS1,
-    AP_GOOD_SHIFT, AP_TWO_P,
-]
-
-
-@cli.command("construct")
-@click.option("--kind", type=click.Choice(_KIND_CHOICES), required=True)
-@click.option("--r", "r", type=int, default=1, show_default=True)
-@click.option("--s", "s", type=int, default=1, show_default=True)
-@click.option("--k", "k", type=int, default=None, help="Target length (not used by ap-two-p).")
-@click.option("--alpha", type=int, default=None, help="Shift for ap-good-shift; minimum good shift when omitted.")
-@click.option("--factors", type=str, default=None, help="Comma-separated odd coprime factors for ap-product.")
-@click.option("--p", "p", type=int, default=None, help="Odd prime for ap-two-p.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-@click.option("--bits", "use_bits", is_flag=True, help="Write the b:<bitstring> body instead of values.")
-@_exit_codes()
+@_command(
+    Option("--kind", (BLOCK_EXTREMAL, BLOCK_EXTREMAL_NEGATED, AP_MOD_K, AP_MOD_K_PRODUCT,
+                      AP_MOD_K_PLUS1, AP_GOOD_SHIFT, AP_TWO_P), required=True),
+    Option("--r", default=1),
+    Option("--s", default=1),
+    Option("--k", help="Target length (not used by ap-two-p)."),
+    Option("--alpha", help="Shift for ap-good-shift; minimum good shift when omitted."),
+    Option("--factors", str, help="Comma-separated odd coprime factors for ap-product."),
+    Option("--p", help="Odd prime for ap-two-p."),
+    Option("--out", OUT_FILE, required=True, dest="out_path"),
+    Option("--bits", FLAG, help="Write the b:<bitstring> body instead of values.", dest="use_bits"),
+)
 def cmd_construct(
     kind: str, r: int, s: int, k: int | None, alpha: int | None, factors: str | None,
     p: int | None, out_path: str, use_bits: bool,
-) -> None:
+) -> int:
     """Generate an extremal sequence and write it as a sequence file."""
     from .constructions import (
         build_ap_good_shift,
@@ -222,18 +324,18 @@ def cmd_construct(
         seq, claim = construction.seq, construction.claim.description
     write_sequence(out_path, seq, ENCODING_BITS if use_bits else ENCODING_VALUES)
     if seq.n == 0:
-        click.echo("warning: degenerate construction of length 0 at these parameters", err=True)
-    click.echo(f"n={seq.n} {claim} (positions 0-based)")
+        print("warning: degenerate construction of length 0 at these parameters", file=sys.stderr)
+    return _echo(f"n={seq.n} {claim} (positions 0-based)")
 
 
-@cli.command("verify")
-@click.option("--mode", type=click.Choice(["block", "ap", "smallsum"]), required=True)
-@click.option("--k", "k", type=int, required=True)
-@click.option("--t", "t", type=int, default=None, help="Tolerance for smallsum mode.")
-@click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--json", "as_json", is_flag=True)
-@_exit_codes()
-def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) -> None:
+@_command(
+    Option("--mode", ("block", "ap", "smallsum"), required=True),
+    Option("--k", required=True),
+    Option("--t", help="Tolerance for smallsum mode."),
+    Option("--in", IN_FILE, required=True, dest="in_path"),
+    _JSON,
+)
+def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) -> int:
     """Scan a sequence file; exit 0 when the avoidance claim holds, 1 on a witness."""
     from .scanners import ap_scan, block_scan, smallsum_block_scan
 
@@ -258,33 +360,30 @@ def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) ->
             f"no witness: minAbsWeight={report.min_abs_weight} over "
             f"{report.scanned_count} windows (positions 0-based)"
         )
-    _finish(
+    return _finish(
         "verify", {"mode": mode, "k": k, "t": t, "in": os.fspath(in_path)},
         report.to_json_dict(), [line], as_json, started,
         EXIT_WITNESS if report.found else EXIT_OK,
     )
 
 
-@cli.command("oracle")
-@click.option(
-    "--target",
-    type=click.Choice(["block-threshold", "ap-threshold", "two-k", "pow2", "residue-lemma"]),
-    required=True,
+@_command(
+    Option("--target", ("block-threshold", "ap-threshold", "two-k", "pow2", "residue-lemma"),
+           required=True),
+    Option("--r", default=1),
+    Option("--s", default=1),
+    Option("--k"),
+    Option("--q", default=0),
+    Option("--cap", help="Largest length to enumerate."),
+    Option("--v", help="Exponent for the pow2 target."),
+    Option("--factors", str, help="Factors for residue-lemma (default: k/2)."),
+    Option("--budget", help="Work-unit ceiling override."),
+    _JSON,
 )
-@click.option("--r", "r", type=int, default=1, show_default=True)
-@click.option("--s", "s", type=int, default=1, show_default=True)
-@click.option("--k", "k", type=int, default=None)
-@click.option("--q", "q", type=int, default=0, show_default=True)
-@click.option("--cap", type=int, default=None, help="Largest length to enumerate.")
-@click.option("--v", "v", type=int, default=None, help="Exponent for the pow2 target.")
-@click.option("--factors", type=str, default=None, help="Factors for residue-lemma (default: k/2).")
-@click.option("--budget", type=int, default=None, help="Work-unit ceiling override.")
-@click.option("--json", "as_json", is_flag=True)
-@_exit_codes()
 def cmd_oracle(
     target: str, r: int, s: int, k: int | None, q: int, cap: int | None, v: int | None,
     factors: str | None, budget: int | None, as_json: bool,
-) -> None:
+) -> int:
     """Exhaustive searches and full-enumeration proposition checks."""
     from .oracle import (
         exact_threshold,
@@ -312,7 +411,7 @@ def cmd_oracle(
             f"{result.avoiding_count_at_max} avoiding sequence(s) at the max",
             *(f"note: {note}" for note in result.notes),
         ]
-        _finish("oracle", cli_params, result.to_json_dict(), lines, as_json, started)
+        return _finish("oracle", cli_params, result.to_json_dict(), lines, as_json, started)
     if target == "pow2":
         if v is None:
             raise ParameterError("--v is required for pow2")
@@ -335,48 +434,52 @@ def cmd_oracle(
             f"{verdict.plus_count}/{verdict.minus_count}, "
             f"{verdict.progressions_checked} progressions"
         )
-    _finish(
+    return _finish(
         "oracle", cli_params, verdict.to_json_dict(), [line], as_json, started,
         EXIT_OK if verdict.ok else EXIT_WITNESS,
     )
 
 
-@cli.command("shift")
-@click.option("--r", "r", type=int, required=True)
-@click.option("--s", "s", type=int, required=True)
-@click.option("--k", "k", type=int, required=True)
-@click.option("--max-alpha", type=int, default=None, help="Explicit search horizon.")
-@click.option("--prime", "use_prime", is_flag=True, help="Search for the prime-certified shift.")
-@click.option("--json", "as_json", is_flag=True)
-@_exit_codes("no good shift found for alpha in [{exc.alpha_min}, {exc.alpha_max}]")
+@_command(
+    Option("--r", required=True),
+    Option("--s", required=True),
+    Option("--k", required=True),
+    Option("--max-alpha", help="Explicit search horizon."),
+    Option("--prime", FLAG, help="Search for the prime-certified shift.", dest="use_prime"),
+    _JSON,
+)
 def cmd_shift(
     r: int, s: int, k: int, max_alpha: int | None, use_prime: bool, as_json: bool
-) -> None:
+) -> int:
     """Find the minimum good shift (or the prime-certified shift) for (r, s, k)."""
     from .good_shift import min_good_shift, prime_shift
 
     started = time.perf_counter()
     params = Params(r, s, k)
-    shift = prime_shift(params) if use_prime else min_good_shift(params, max_alpha)
+    try:
+        shift = prime_shift(params) if use_prime else min_good_shift(params, max_alpha)
+    except ShiftSearchError as e:
+        print(f"no good shift found for alpha in [{e.alpha_min}, {e.alpha_max}]", file=sys.stderr)
+        return EXIT_WITNESS
     line = (
         f"alpha={shift.alpha} (k + alpha = {shift.a} with prime factors "
         f"{list(shift.prime_factors)})"
     )
-    _finish(
+    return _finish(
         "shift", {"r": r, "s": s, "k": k, "maxAlpha": max_alpha, "prime": use_prime},
         shift.to_json_dict(), [line], as_json, started,
     )
 
 
-@cli.command("table")
-@click.option("--r", "r", type=int, required=True)
-@click.option("--s", "s", type=int, required=True)
-@click.option("--k-min", type=int, required=True)
-@click.option("--k-max", type=int, required=True)
-@click.option("--what", type=click.Choice(["N", "shift", "ap-lb"]), required=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-@_exit_codes()
-def cmd_table(r: int, s: int, k_min: int, k_max: int, what: str, out_path: str) -> None:
+@_command(
+    Option("--r", required=True),
+    Option("--s", required=True),
+    Option("--k-min", required=True),
+    Option("--k-max", required=True),
+    Option("--what", ("N", "shift", "ap-lb"), required=True),
+    Option("--out", OUT_FILE, required=True, dest="out_path"),
+)
+def cmd_table(r: int, s: int, k_min: int, k_max: int, what: str, out_path: str) -> int:
     """Write a k,value CSV over the k-range (k restricted to multiples of r + s)."""
     import csv
 
@@ -402,12 +505,8 @@ def cmd_table(r: int, s: int, k_min: int, k_max: int, what: str, out_path: str) 
         writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONE)
         writer.writerow(["k", "value"])
         writer.writerows(rows)
-    click.echo(f"wrote {len(rows)} rows to {out_path}")
-
-
-def main() -> None:
-    cli()
+    return _echo(f"wrote {len(rows)} rows to {out_path}")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(prog="python -m zerosum.cli"))

@@ -1,12 +1,18 @@
 """Sequence file format and CLI contract tests: round-trips, exit codes,
 JSON schema stability, CSV output."""
 
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 
 from zerosum import (
     Params,
@@ -15,12 +21,35 @@ from zerosum import (
     format_sequence,
     parse_sequence,
 )
-from zerosum.cli import cli
+from zerosum.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class Runner:
+    """Runs ``cli.main`` in process under the program name ``cli``, with
+    ``env`` set for the call and both streams captured."""
+
+    def invoke(self, args, env=None) -> Result:
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+            code = main(args, prog="cli")
+        return Result(code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
@@ -37,7 +66,7 @@ def test_golden_output(runner, tmp_path, case):
     for name, text in case["files"].items():
         (tmp_path / name).write_text(text)
     args = [arg.replace("{tmp}", str(tmp_path)) for arg in case["args"]]
-    result = runner.invoke(cli, args, env=case["env"])
+    result = runner.invoke(args, env=case["env"])
 
     def mask(text):
         return _ELAPSED.sub('"elapsedMillis": 0', text.replace(str(tmp_path), "{tmp}"))
@@ -89,50 +118,50 @@ class TestSequenceFile:
 
 class TestBoundCommand:
     def test_exact(self, runner):
-        result = runner.invoke(cli, ["bound", "--r", "1", "--s", "2", "--k", "6"])
+        result = runner.invoke(["bound", "--r", "1", "--s", "2", "--k", "6"])
         assert result.exit_code == 0
         assert "N(1,2,6) = 10" in result.output
 
     def test_pm1(self, runner):
-        result = runner.invoke(cli, ["bound", "--r", "1", "--s", "1", "--k", "6"])
+        result = runner.invoke(["bound", "--r", "1", "--s", "1", "--k", "6"])
         assert result.exit_code == 0
         assert "= 9" in result.output
 
     def test_smallsum(self, runner):
         result = runner.invoke(
-            cli, ["bound", "--r", "1", "--s", "1", "--k", "6", "--t", "2"]
+            ["bound", "--r", "1", "--s", "1", "--k", "6", "--t", "2"]
         )
         assert result.exit_code == 0
         assert "n >= 6" in result.output
 
     def test_pm1_q_bound(self, runner):
         result = runner.invoke(
-            cli, ["bound", "--r", "1", "--s", "1", "--k", "4", "--q", "2"]
+            ["bound", "--r", "1", "--s", "1", "--k", "4", "--q", "2"]
         )
         assert result.exit_code == 0
         assert "n >= 7" in result.output
 
     def test_sufficient_q_bound(self, runner):
         result = runner.invoke(
-            cli, ["bound", "--r", "1", "--s", "2", "--k", "6", "--q", "0"]
+            ["bound", "--r", "1", "--s", "2", "--k", "6", "--q", "0"]
         )
         assert result.exit_code == 0
         assert "n >= 11" in result.output
 
     def test_smallsum_requires_pm1(self, runner):
         result = runner.invoke(
-            cli, ["bound", "--r", "1", "--s", "2", "--k", "6", "--t", "2"]
+            ["bound", "--r", "1", "--s", "2", "--k", "6", "--t", "2"]
         )
         assert result.exit_code == 2
 
     def test_invalid_params_exit_2(self, runner):
-        result = runner.invoke(cli, ["bound", "--r", "2", "--s", "4", "--k", "6"])
+        result = runner.invoke(["bound", "--r", "2", "--s", "4", "--k", "6"])
         assert result.exit_code == 2
         assert "gcd" in result.output
 
     def test_json_is_integer_only(self, runner):
         result = runner.invoke(
-            cli, ["bound", "--r", "1", "--s", "2", "--k", "6", "--json"]
+            ["bound", "--r", "1", "--s", "2", "--k", "6", "--json"]
         )
         assert result.exit_code == 0
         report = json.loads(result.output)
@@ -157,7 +186,6 @@ class TestConstructVerifyPipeline:
     def test_block_extremal_round_trip(self, runner, tmp_path):
         out = tmp_path / "s.txt"
         result = runner.invoke(
-            cli,
             ["construct", "--kind", "block-extremal", "--r", "1", "--s", "2",
              "--k", "6", "--out", str(out)],
         )
@@ -165,7 +193,7 @@ class TestConstructVerifyPipeline:
         assert "n=9" in result.output
         assert out.read_text().splitlines()[1] == "-1 -1 -1 2 2 2 -1 -1 -1"
         verify = runner.invoke(
-            cli, ["verify", "--mode", "block", "--k", "6", "--in", str(out)]
+            ["verify", "--mode", "block", "--k", "6", "--in", str(out)]
         )
         assert verify.exit_code == 0
         assert "minAbsWeight=3" in verify.output
@@ -173,32 +201,30 @@ class TestConstructVerifyPipeline:
     def test_bits_encoding(self, runner, tmp_path):
         out = tmp_path / "s.txt"
         runner.invoke(
-            cli,
             ["construct", "--kind", "ap-mod-k1", "--r", "1", "--s", "1",
              "--k", "8", "--out", str(out), "--bits"],
         )
         assert out.read_text() == "# zerosum v1 r=1 s=1 n=12\nb:000111111000\n"
         verify = runner.invoke(
-            cli, ["verify", "--mode", "ap", "--k", "8", "--in", str(out)]
+            ["verify", "--mode", "ap", "--k", "8", "--in", str(out)]
         )
         assert verify.exit_code == 0
 
     def test_ap_two_p(self, runner, tmp_path):
         out = tmp_path / "s.txt"
         result = runner.invoke(
-            cli, ["construct", "--kind", "ap-two-p", "--p", "3", "--out", str(out)]
+            ["construct", "--kind", "ap-two-p", "--p", "3", "--out", str(out)]
         )
         assert result.exit_code == 0
         assert "n=8" in result.output
         verify = runner.invoke(
-            cli, ["verify", "--mode", "ap", "--k", "6", "--in", str(out)]
+            ["verify", "--mode", "ap", "--k", "6", "--in", str(out)]
         )
         assert verify.exit_code == 0
 
     def test_good_shift_defaults_to_min_alpha(self, runner, tmp_path):
         out = tmp_path / "s.txt"
         result = runner.invoke(
-            cli,
             ["construct", "--kind", "ap-good-shift", "--r", "1", "--s", "2",
              "--k", "12", "--out", str(out)],
         )
@@ -210,7 +236,6 @@ class TestConstructVerifyPipeline:
         the default search still finds alpha = 2."""
         out = tmp_path / "s.txt"
         result = runner.invoke(
-            cli,
             ["construct", "--kind", "ap-good-shift", "--r", "1", "--s", "4",
              "--k", "5", "--out", str(out)],
         )
@@ -220,7 +245,6 @@ class TestConstructVerifyPipeline:
     def test_bad_good_shift_exit_2(self, runner, tmp_path):
         out = tmp_path / "s.txt"
         result = runner.invoke(
-            cli,
             ["construct", "--kind", "ap-good-shift", "--r", "1", "--s", "2",
              "--k", "21", "--alpha", "1", "--out", str(out)],
         )
@@ -232,7 +256,7 @@ class TestConstructVerifyPipeline:
     def test_degenerate_warns_but_succeeds(self, runner, tmp_path):
         out = tmp_path / "s.txt"
         result = runner.invoke(
-            cli, ["construct", "--kind", "ap-mod-k", "--k", "6", "--out", str(out)]
+            ["construct", "--kind", "ap-mod-k", "--k", "6", "--out", str(out)]
         )
         assert result.exit_code == 0
         assert "degenerate" in result.output
@@ -241,7 +265,6 @@ class TestConstructVerifyPipeline:
     def test_pm1_kinds_reject_other_letters(self, runner, tmp_path):
         out = tmp_path / "s.txt"
         result = runner.invoke(
-            cli,
             ["construct", "--kind", "ap-mod-k1", "--r", "1", "--s", "2",
              "--k", "8", "--out", str(out)],
         )
@@ -251,7 +274,7 @@ class TestConstructVerifyPipeline:
     def test_infeasible_inputs_exit_2(self, runner, tmp_path):
         out = tmp_path / "s.txt"
         result = runner.invoke(
-            cli, ["construct", "--kind", "ap-two-p", "--p", "4", "--out", str(out)]
+            ["construct", "--kind", "ap-two-p", "--p", "4", "--out", str(out)]
         )
         assert result.exit_code == 2
         assert "odd prime" in result.output
@@ -259,7 +282,7 @@ class TestConstructVerifyPipeline:
     def test_construct_into_missing_directory_exit_2(self, runner, tmp_path):
         out = tmp_path / "missing" / "x.txt"
         result = runner.invoke(
-            cli, ["construct", "--kind", "ap-mod-k", "--k", "6", "--out", str(out)]
+            ["construct", "--kind", "ap-mod-k", "--k", "6", "--out", str(out)]
         )
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
@@ -269,7 +292,7 @@ class TestConstructVerifyPipeline:
         path = tmp_path / "alt.txt"
         path.write_text("# zerosum v1 r=1 s=1 n=4\n1 -1 1 -1\n")
         result = runner.invoke(
-            cli, ["verify", "--mode", "block", "--k", "2", "--in", str(path)]
+            ["verify", "--mode", "block", "--k", "2", "--in", str(path)]
         )
         assert result.exit_code == 1
         assert "start=0" in result.output
@@ -278,7 +301,7 @@ class TestConstructVerifyPipeline:
         path = tmp_path / "bad.txt"
         path.write_text("not a sequence file\n")
         result = runner.invoke(
-            cli, ["verify", "--mode", "block", "--k", "2", "--in", str(path)]
+            ["verify", "--mode", "block", "--k", "2", "--in", str(path)]
         )
         assert result.exit_code == 2
 
@@ -291,7 +314,7 @@ class TestConstructVerifyPipeline:
         path = tmp_path / "bad.txt"
         path.write_bytes(b"# zerosum v1 r=1 s=1 n=2\n" + body)
         result = runner.invoke(
-            cli, ["verify", "--mode", "block", "--k", "2", "--in", str(path)]
+            ["verify", "--mode", "block", "--k", "2", "--in", str(path)]
         )
         assert result.exit_code == 2
         assert result.output == f"error: non-ASCII byte at offset {offset}\n"
@@ -300,12 +323,12 @@ class TestConstructVerifyPipeline:
         path = tmp_path / "s.txt"
         path.write_text("# zerosum v1 r=1 s=1 n=9\n1 1 1 1 1 1 1 1 1\n")
         clean = runner.invoke(
-            cli, ["verify", "--mode", "smallsum", "--k", "4", "--t", "2",
-                  "--in", str(path)]
+            ["verify", "--mode", "smallsum", "--k", "4", "--t", "2",
+             "--in", str(path)]
         )
         assert clean.exit_code == 0
         missing_t = runner.invoke(
-            cli, ["verify", "--mode", "smallsum", "--k", "4", "--in", str(path)]
+            ["verify", "--mode", "smallsum", "--k", "4", "--in", str(path)]
         )
         assert missing_t.exit_code == 2
 
@@ -313,7 +336,7 @@ class TestConstructVerifyPipeline:
         path = tmp_path / "s.txt"
         path.write_text("# zerosum v1 r=1 s=2 n=9\n-1 -1 -1 2 2 2 -1 -1 -1\n")
         result = runner.invoke(
-            cli, ["verify", "--mode", "block", "--k", "6", "--in", str(path), "--json"]
+            ["verify", "--mode", "block", "--k", "6", "--in", str(path), "--json"]
         )
         assert result.exit_code == 0
         report = json.loads(result.output)
@@ -325,7 +348,6 @@ class TestConstructVerifyPipeline:
 class TestOracleCommand:
     def test_block_threshold(self, runner):
         result = runner.invoke(
-            cli,
             ["oracle", "--target", "block-threshold", "--r", "1", "--s", "2",
              "--k", "6", "--cap", "18"],
         )
@@ -334,7 +356,6 @@ class TestOracleCommand:
 
     def test_ap_threshold(self, runner):
         result = runner.invoke(
-            cli,
             ["oracle", "--target", "ap-threshold", "--r", "1", "--s", "1",
              "--k", "6", "--cap", "10", "--json"],
         )
@@ -345,7 +366,7 @@ class TestOracleCommand:
         assert payload["mode"] == "ap"
 
     def test_two_k(self, runner):
-        result = runner.invoke(cli, ["oracle", "--target", "two-k", "--k", "6"])
+        result = runner.invoke(["oracle", "--target", "two-k", "--k", "6"])
         assert result.exit_code == 0
         assert "verified" in result.output
 
@@ -357,17 +378,17 @@ class TestOracleCommand:
         env = {"ZEROSUM_BUDGET": "5"} if where == "env" else {}
         if where == "option":
             args += ["--budget", "5"]
-        result = runner.invoke(cli, args, env=env)
+        result = runner.invoke(args, env=env)
         assert result.exit_code == 2
         assert "budget" in result.output
 
     def test_pow2(self, runner):
-        result = runner.invoke(cli, ["oracle", "--target", "pow2", "--v", "3"])
+        result = runner.invoke(["oracle", "--target", "pow2", "--v", "3"])
         assert result.exit_code == 0
         assert "2 of 256" in result.output
 
     def test_residue_lemma_default_factors(self, runner):
-        result = runner.invoke(cli, ["oracle", "--target", "residue-lemma", "--k", "30"])
+        result = runner.invoke(["oracle", "--target", "residue-lemma", "--k", "30"])
         assert result.exit_code == 0
 
     @pytest.mark.parametrize("where", ["option", "env"])
@@ -381,7 +402,7 @@ class TestOracleCommand:
         ceiling: 256 and 900 both exceed a budget of 1."""
         env = {"ZEROSUM_BUDGET": "1"} if where == "env" else {}
         extra = ["--budget", "1"] if where == "option" else []
-        result = runner.invoke(cli, ["oracle", *args, *extra], env=env)
+        result = runner.invoke(["oracle", *args, *extra], env=env)
         assert result.exit_code == 2
         assert result.stderr.startswith("error: estimated ") and "budget 1\n" in result.stderr
 
@@ -393,7 +414,7 @@ class TestOracleCommand:
     def test_huge_pow2_is_one_line(self, runner, v, shown):
         """2^(2^14) has 4933 digits and 2^(2^100) cannot be built; each
         refusal prints one line."""
-        result = runner.invoke(cli, ["oracle", "--target", "pow2", "--v", v])
+        result = runner.invoke(["oracle", "--target", "pow2", "--v", v])
         assert result.exit_code == 2
         assert result.output == (
             f"error: estimated {shown} work units exceed budget 1000000000\n"
@@ -401,7 +422,6 @@ class TestOracleCommand:
 
     def test_residue_lemma_checks_factors_before_budget(self, runner):
         result = runner.invoke(
-            cli,
             ["oracle", "--target", "residue-lemma", "--k", "4620", "--factors",
              "3,5,7,11", "--budget", "100000000000"],
         )
@@ -410,7 +430,6 @@ class TestOracleCommand:
 
     def test_budget_env_refusal(self, runner):
         result = runner.invoke(
-            cli,
             ["oracle", "--target", "block-threshold", "--r", "1", "--s", "1",
              "--k", "6", "--cap", "16"],
             env={"ZEROSUM_BUDGET": "5"},
@@ -420,7 +439,6 @@ class TestOracleCommand:
 
     def test_threshold_json_keys(self, runner):
         result = runner.invoke(
-            cli,
             ["oracle", "--target", "block-threshold", "--r", "1", "--s", "2",
              "--k", "6", "--cap", "12", "--json"],
         )
@@ -435,7 +453,6 @@ class TestOracleCommand:
     def test_block_threshold_lower_bound_past_cap(self, runner):
         """N(2,3,10) = 26 with an avoider at n = 25, past cap 24."""
         result = runner.invoke(
-            cli,
             ["oracle", "--target", "block-threshold", "--r", "2", "--s", "3",
              "--k", "10", "--cap", "24", "--budget", "10000000000"],
         )
@@ -445,7 +462,7 @@ class TestOracleCommand:
 
     def test_malformed_factors_residue_lemma(self, runner):
         result = runner.invoke(
-            cli, ["oracle", "--target", "residue-lemma", "--k", "30", "--factors", "3,x"]
+            ["oracle", "--target", "residue-lemma", "--k", "30", "--factors", "3,x"]
         )
         assert result.exit_code == 2
         assert "error: --factors" in result.output
@@ -454,7 +471,6 @@ class TestOracleCommand:
     def test_malformed_factors_construct(self, runner, tmp_path):
         out = tmp_path / "s.txt"
         result = runner.invoke(
-            cli,
             ["construct", "--kind", "ap-product", "--k", "30", "--factors", "3,x",
              "--out", str(out)],
         )
@@ -469,7 +485,6 @@ class TestOracleCommand:
     )
     def test_negative_budget_is_a_usage_error(self, runner, args, env):
         result = runner.invoke(
-            cli,
             ["oracle", "--target", "ap-threshold", "--k", "4", "--cap", "10", *args],
             env=env,
         )
@@ -479,7 +494,6 @@ class TestOracleCommand:
     def test_threads_is_an_unknown_option(self, runner):
         """The oracle runs in-process and takes no ``--threads``."""
         result = runner.invoke(
-            cli,
             ["oracle", "--target", "ap-threshold", "--r", "1", "--s", "1",
              "--k", "6", "--cap", "12", "--threads", "2"],
         )
@@ -489,32 +503,32 @@ class TestOracleCommand:
 
 class TestShiftCommand:
     def test_min_shift(self, runner):
-        result = runner.invoke(cli, ["shift", "--r", "1", "--s", "1", "--k", "100"])
+        result = runner.invoke(["shift", "--r", "1", "--s", "1", "--k", "100"])
         assert result.exit_code == 0
         assert "alpha=1" in result.output
 
     def test_min_shift_parity_case(self, runner):
-        result = runner.invoke(cli, ["shift", "--r", "1", "--s", "2", "--k", "21"])
+        result = runner.invoke(["shift", "--r", "1", "--s", "2", "--k", "21"])
         assert result.exit_code == 0
         assert "alpha=2" in result.output
 
     def test_min_shift_past_the_first_prime(self, runner):
         """5 does not divide 7, so 7 + 4 = 11 prime proves nothing; the
         least good shift is 6."""
-        result = runner.invoke(cli, ["shift", "--r", "4", "--s", "1", "--k", "7"])
+        result = runner.invoke(["shift", "--r", "4", "--s", "1", "--k", "7"])
         assert result.exit_code == 0
         assert "alpha=6" in result.output
 
     def test_prime_shift(self, runner):
         result = runner.invoke(
-            cli, ["shift", "--r", "1", "--s", "2", "--k", "24", "--prime"]
+            ["shift", "--r", "1", "--s", "2", "--k", "24", "--prime"]
         )
         assert result.exit_code == 0
         assert "alpha=5" in result.output
 
     def test_search_failure_exit_1(self, runner):
         result = runner.invoke(
-            cli, ["shift", "--r", "1", "--s", "2", "--k", "21", "--max-alpha", "1"]
+            ["shift", "--r", "1", "--s", "2", "--k", "21", "--max-alpha", "1"]
         )
         assert result.exit_code == 1
         assert "[1, 1]" in result.output
@@ -524,7 +538,6 @@ class TestTableCommand:
     def test_ap_lb_table(self, runner, tmp_path):
         out = tmp_path / "t.csv"
         result = runner.invoke(
-            cli,
             ["table", "--r", "1", "--s", "1", "--k-min", "6", "--k-max", "12",
              "--what", "ap-lb", "--out", str(out)],
         )
@@ -534,7 +547,6 @@ class TestTableCommand:
     def test_n_table_skips_non_divisible_k(self, runner, tmp_path):
         out = tmp_path / "t.csv"
         result = runner.invoke(
-            cli,
             ["table", "--r", "1", "--s", "2", "--k-min", "3", "--k-max", "9",
              "--what", "N", "--out", str(out)],
         )
@@ -544,7 +556,6 @@ class TestTableCommand:
     def test_shift_table(self, runner, tmp_path):
         out = tmp_path / "t.csv"
         result = runner.invoke(
-            cli,
             ["table", "--r", "1", "--s", "2", "--k-min", "18", "--k-max", "24",
              "--what", "shift", "--out", str(out)],
         )
@@ -553,7 +564,6 @@ class TestTableCommand:
 
     def test_letters_summing_to_zero_exit_2(self, runner, tmp_path):
         result = runner.invoke(
-            cli,
             ["table", "--r", "-1", "--s", "1", "--k-min", "2", "--k-max", "4",
              "--what", "N", "--out", str(tmp_path / "t.csv")],
         )
@@ -565,7 +575,6 @@ class TestTableCommand:
         # alphabet; it is still rejected, as it is when a row does.
         out = tmp_path / "t.csv"
         result = runner.invoke(
-            cli,
             ["table", "--r", "2", "--s", "4", "--k-min", "1", "--k-max", "5",
              "--what", "N", "--out", str(out)],
         )
@@ -576,10 +585,77 @@ class TestTableCommand:
     def test_table_into_missing_directory_exit_2(self, runner, tmp_path):
         out = tmp_path / "missing" / "t.csv"
         result = runner.invoke(
-            cli,
             ["table", "--r", "1", "--s", "1", "--k-min", "6", "--k-max", "8",
              "--what", "N", "--out", str(out)],
         )
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
         assert result.output.count("\n") == 1
+
+
+class TestStreams:
+    """What a command does when its reader goes away, when it is
+    interrupted, and when no command is given."""
+
+    @staticmethod
+    def _popen(args, stdout):
+        return subprocess.Popen(
+            [sys.executable, "-m", "zerosum.cli", *args], stdout=stdout,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+
+    def test_reader_closing_stdout_early_is_quiet(self):
+        """As under ``| head -c 100``: the 346 KB report outgrows the pipe, the
+        reader leaves after 100 bytes, and the command still exits 0 with
+        nothing on stderr."""
+        proc = self._popen(
+            ["oracle", "--target", "block-threshold", "--r", "1", "--s", "1", "--k", "8",
+             "--cap", "30", "--q", "6", "--json"], subprocess.PIPE,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (0, b"")
+        assert head.startswith(b'{\n  "command": "oracle"')
+
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path):
+        """With the reader gone before the first write, a witness still exits 1."""
+        path = tmp_path / "alt.txt"
+        path.write_text("# zerosum v1 r=1 s=1 n=4\n1 -1 1 -1\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = self._popen(["verify", "--mode", "block", "--k", "2", "--in", str(path)],
+                           write_end)
+        os.close(write_end)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+
+    def test_interrupt_prints_aborted_and_exits_1(self, runner, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("zerosum.formulas.pm1_block_threshold", interrupted)
+        result = runner.invoke(["bound", "--r", "1", "--s", "1", "--k", "6"])
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
+
+    def test_no_command_prints_help_on_stderr_and_exits_2(self, runner):
+        result = runner.invoke([])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith("Usage: cli [OPTIONS] COMMAND [ARGS]...\n")
+        assert "bound" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args, usage",
+        [
+            (["--help"], "Usage: cli [OPTIONS] COMMAND [ARGS]...\n"),
+            (["bound", "--help"], "Usage: cli bound [OPTIONS]\n"),
+            (["table", "--r", "x", "--help"], "Usage: cli table [OPTIONS]\n"),
+        ],
+        ids=["group", "bound", "table-bad-value"],
+    )
+    def test_help_exits_0_on_stdout(self, runner, args, usage):
+        result = runner.invoke(args)
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith(usage)

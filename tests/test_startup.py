@@ -35,15 +35,19 @@ PUBLIC = {
     "write_sequence",
 }
 
+# click is listed too, so every module set pinned below also pins that the
+# CLI runs on the standard library alone.
 REPORT = (
     "import sys\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'zerosum')))\n"
+    "print(' '.join(sorted(m for m in sys.modules\n"
+    "                      if m.partition('.')[0] in ('zerosum', 'click'))))\n"
 )
 
 
 def _loaded(code: str, cwd: Path) -> set[str]:
-    """The ``zerosum`` modules in ``sys.modules`` after a fresh interpreter
-    runs ``code`` (with ``src`` on its path), read off the last stdout line."""
+    """The ``zerosum`` and ``click`` modules in ``sys.modules`` after a fresh
+    interpreter runs ``code`` (with ``src`` on its path), read off the last
+    stdout line."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c", code + "\n" + REPORT],
@@ -94,6 +98,21 @@ def test_command_loads_only_its_modules(tmp_path, args, extra):
         "    assert exc.code in (0, None), exc.code\n"
     )
     assert _loaded(code, tmp_path) == START | {f"zerosum.{m}" for m in extra}
+
+
+def test_usage_names_the_module_under_python_m(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "zerosum.cli", "bound", "--r", "1", "--s", "2"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "Usage: python -m zerosum.cli bound [OPTIONS]",
+        "Try 'python -m zerosum.cli bound --help' for help.",
+        "",
+        "Error: Missing option '--k'.",
+    ]
 
 
 def test_all_keeps_every_public_name():
