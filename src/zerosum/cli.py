@@ -228,7 +228,7 @@ _JSON = Option("--json", FLAG, help="Emit a JSON report.", dest="as_json")
 def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: bool) -> int:
     """Evaluate a threshold formula for (r, s, k)."""
     from .formulas import (
-        exact_block_threshold_symmetric,
+        exact_block_threshold,
         pm1_block_threshold,
         pm1_smallsum_threshold,
         sufficient_block_bound,
@@ -255,7 +255,7 @@ def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: boo
         result = {"kind": "sufficient-block-bound", "value": value, **bound.to_json_dict()}
         lines = [f"sufficient block bound (k={k}, q={q}): n >= {value}"]
     else:
-        report = exact_block_threshold_symmetric(params)
+        report = exact_block_threshold(params)
         value = report.n_exact
         result = {"kind": "exact-block-threshold", "value": value, **report.to_json_dict()}
         lines = [

@@ -15,7 +15,7 @@ FormulaDomainError is raised on violation, never a silent rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import FormulaDomainError, ParameterError, Params, Report
@@ -73,16 +73,14 @@ def _shift_and_term(r: int, s: int, k: int, name: str) -> tuple[int, int]:
 
 
 def exact_block_threshold(params: Params) -> BoundReport:
-    """Exact threshold N(r, s, k) = max(k, M1, M2) for r < s.
+    """Exact threshold N(r, s, k) = max(k, M1, M2) for any coprime r, s.
 
-    M2 and t' are M1 and t with r and s exchanged (see _shift_and_term).
+    M2 and t' are M1 and t with r and s exchanged (see _shift_and_term), so
+    the value is symmetric in r and s by construction: (s, r) swaps (t, M1)
+    with (t', M2). At r = s = 1, t = t' is the residue of k/2 - 1 mod 2 and
+    M1 = M2 = k^2/4 - tk/2 + t, which is pm1_block_threshold(k).
     """
     r, s, k = params.r, params.s, params.k
-    if r >= s:
-        raise ParameterError(
-            f"exact threshold requires r < s, got r={r} s={s}; "
-            f"use the symmetric entry point or the +-1 formula"
-        )
     params.require_block_divisibility()
     t, m1 = _shift_and_term(r, s, k, "M1")
     t_prime, m2 = _shift_and_term(s, r, k, "M2")
@@ -99,46 +97,26 @@ def exact_block_threshold(params: Params) -> BoundReport:
     )
 
 
-def exact_block_threshold_symmetric(params: Params) -> BoundReport:
-    """N(r, s, k) for any r != s, via negation symmetry when r > s.
+# A public alias: the formula above is already symmetric in r and s.
+exact_block_threshold_symmetric = exact_block_threshold
 
-    Negating every term maps {-r, s}-sequences to {-s, r}-sequences and
-    preserves zero-sum blocks, so the thresholds coincide.
-    """
-    r, s = params.r, params.s
-    if r == s:
-        raise ParameterError(
-            "r = s is out of this formula's range; for r = s = 1 use "
-            "pm1_block_threshold"
-        )
-    if r < s:
-        return exact_block_threshold(params)
-    report = exact_block_threshold(Params(s, r, params.k))
-    note = f"negation symmetry applied: evaluated at (r, s) = ({s}, {r})"
-    return replace(report, notes=report.notes + (note,))
+
+def block_threshold(params: Params) -> int:
+    """N(r, s, k) as a plain integer."""
+    return exact_block_threshold(params).n_exact
 
 
 def pm1_block_threshold(k: int, q: int = 0) -> int:
     """Least n forcing a zero-sum k-block in {-1, 1}-sequences, |total| <= q.
 
     Returns max(k, k^2/4 + (q - s)k/2 + s) where s in {0, 1} satisfies
-    s = q + (k-2)/2 mod 2.
+    s = q + (k-2)/2 mod 2: the small-sum threshold at tolerance t = 0.
     """
     if k < 2 or k % 2:
         raise ParameterError(f"k must be even and >= 2, got {k}")
     if q < 0:
         raise ParameterError(f"q must be nonnegative, got {q}")
-    s01 = (q + (k - 2) // 2) % 2
-    return max(k, k * k // 4 + (q - s01) * k // 2 + s01)
-
-
-def block_threshold(params: Params) -> int:
-    """N(r, s, k) from the closed form that covers the alphabet:
-    pm1_block_threshold at r = s = 1, exact_block_threshold_symmetric
-    otherwise (coprimality leaves no other r = s)."""
-    if (params.r, params.s) == (1, 1):
-        return pm1_block_threshold(params.k)
-    return exact_block_threshold_symmetric(params).n_exact
+    return pm1_smallsum_threshold(k, 0, q)
 
 
 def pm1_smallsum_threshold(k: int, t: int, q: int = 0) -> int:
@@ -155,13 +133,9 @@ def pm1_smallsum_threshold(k: int, t: int, q: int = 0) -> int:
     if q < 0:
         raise ParameterError(f"q must be nonnegative, got {q}")
     s = (q + (k - t - 2) // 2) % (t + 2)
-    expr = (
-        Fraction(k * k, 2 * (t + 2))
-        + Fraction((q - s) * k, t + 2)
-        - Fraction(t, 2)
-        + s
-    )
-    return max(k, math.ceil(expr))
+    # The bound over the common denominator 2(t+2), rounded up.
+    numerator = k * k + 2 * (q - s) * k + (2 * s - t) * (t + 2)
+    return max(k, -(-numerator // (2 * (t + 2))))
 
 
 def sufficient_block_bound(params: Params, q: int = 0) -> SufficientBound:

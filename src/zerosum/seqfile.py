@@ -41,7 +41,8 @@ def format_sequence(seq: SignSeq, encoding: str = ENCODING_VALUES) -> str:
 
 
 def write_sequence(path: str | Path, seq: SignSeq, encoding: str = ENCODING_VALUES) -> None:
-    Path(path).write_text(format_sequence(seq, encoding), encoding="ascii")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(format_sequence(seq, encoding))
 
 
 def parse_sequence(text: str, k: int = 1) -> SignSeq:

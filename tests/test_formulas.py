@@ -53,18 +53,36 @@ def test_exact_block_threshold_shift_congruences():
 
 def test_exact_block_threshold_preconditions():
     with pytest.raises(ParameterError):
-        exact_block_threshold(Params(2, 1, 6))  # needs r < s
-    with pytest.raises(ParameterError):
         exact_block_threshold(Params(1, 2, 4))  # 3 does not divide 4
 
 
-def test_symmetric_threshold_negation():
-    flipped = exact_block_threshold_symmetric(Params(2, 1, 6))
-    assert flipped.n_exact == 10
-    assert any("negation symmetry" in note for note in flipped.notes)
-    passthrough = exact_block_threshold_symmetric(Params(1, 2, 6))
-    assert passthrough == exact_block_threshold(Params(1, 2, 6))
-    assert exact_block_threshold_symmetric(Params(3, 1, 8)).n_exact == 13
+def test_swapped_letters_exchange_the_cases():
+    """(r, s) and (s, r) trade (t, M1) for (t', M2) and share N; each report
+    carries its own params, and the r = 1 note only where r = 1."""
+    assert exact_block_threshold_symmetric is exact_block_threshold
+    report = exact_block_threshold(Params(2, 1, 6))
+    assert report.params == Params(2, 1, 6)
+    assert (report.t, report.t_prime, report.m1, report.m2) == (2, 0, 4, 10)
+    assert (report.n_exact, report.notes) == (10, ())
+    for r, s in [(1, 2), (2, 3), (1, 4), (3, 5), (2, 7), (4, 9)]:
+        for k in ((r + s), 2 * (r + s), 5 * (r + s), 11 * (r + s)):
+            a = exact_block_threshold(Params(r, s, k))
+            b = exact_block_threshold(Params(s, r, k))
+            assert b.params == Params(s, r, k)
+            assert (b.t, b.m1, b.t_prime, b.m2) == (a.t_prime, a.m2, a.t, a.m1)
+            assert b.n_exact == a.n_exact == block_threshold(Params(s, r, k))
+            assert b.notes == (("t' > s branch unreachable for r = 1",) if s == 1 else ())
+
+
+def test_pm1_alphabet_is_the_general_formula():
+    """At r = s = 1 the general closed form is the {-1, 1} threshold:
+    M1 = M2 = k^2/4 - tk/2 + t with t = k/2 - 1 mod 2."""
+    for k in range(2, 201, 2):
+        report = exact_block_threshold(Params(1, 1, k))
+        t = (k // 2 - 1) % 2
+        assert report.t == report.t_prime == t
+        assert report.m1 == report.m2 == k * k // 4 - t * k // 2 + t
+        assert report.n_exact == block_threshold(Params(1, 1, k)) == pm1_block_threshold(k)
 
 
 def test_symmetric_threshold_is_symmetric():
@@ -73,14 +91,6 @@ def test_symmetric_threshold_is_symmetric():
             a = exact_block_threshold_symmetric(Params(r, s, k)).n_exact
             b = exact_block_threshold_symmetric(Params(s, r, k)).n_exact
             assert a == b
-
-
-def test_symmetric_threshold_rejects_equal_letters():
-    """block_threshold covers r = s = 1 with the +-1 formula instead."""
-    with pytest.raises(ParameterError):
-        exact_block_threshold_symmetric(Params(1, 1, 6))
-    assert block_threshold(Params(1, 1, 6)) == pm1_block_threshold(6) == 9
-    assert block_threshold(Params(2, 1, 6)) == 10
 
 
 @pytest.mark.parametrize(
@@ -95,6 +105,17 @@ def test_symmetric_threshold_rejects_equal_letters():
 )
 def test_pm1_block_threshold_values(k, q, expected):
     assert pm1_block_threshold(k, q) == expected
+
+
+def test_pm1_block_threshold_matches_its_integer_form():
+    """The small-sum threshold at t = 0 against the integer expression
+    max(k, k^2/4 + (q - s)k/2 + s), s = q + (k-2)/2 mod 2, kept here as the
+    reference."""
+    for k in range(2, 400, 2):
+        for q in range(40):
+            s01 = (q + (k - 2) // 2) % 2
+            reference = max(k, k * k // 4 + (q - s01) * k // 2 + s01)
+            assert pm1_block_threshold(k, q) == reference
 
 
 def test_pm1_block_threshold_preconditions():

@@ -15,7 +15,7 @@ from zerosum import (
     TwoKVerdict,
     ap_scan,
     build_block_extremal,
-    exact_block_threshold_symmetric,
+    exact_block_threshold,
     is_good_shift,
     smallsum_block_scan,
 )
@@ -80,9 +80,9 @@ _PINNED = [
     ),
     (
         "bound-r-greater-than-s",
-        lambda: exact_block_threshold_symmetric(Params(3, 2, 10)),
-        '{"params": {"r": 2, "s": 3, "k": 10}, "t": 0, "tPrime": 2, "m1": 26, "m2": 16, '
-        '"n_exact": 26, "notes": ["negation symmetry applied: evaluated at (r, s) = (2, 3)"]}',
+        lambda: exact_block_threshold(Params(3, 2, 10)),
+        '{"params": {"r": 3, "s": 2, "k": 10}, "t": 2, "tPrime": 0, "m1": 16, "m2": 26, '
+        '"n_exact": 26, "notes": []}',
     ),
 ]
 
