@@ -13,7 +13,7 @@ flagged degenerate rather than rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (
     AP_GOOD_SHIFT,
@@ -30,22 +30,10 @@ from .core import (
 from .good_shift import GoodShift, certified_shift, is_prime
 
 
-@dataclass(frozen=True)
-class ClaimedProperty:
-    """What the construction avoids, stated checkably."""
-
-    k: int
-    description: str
-
-
-@dataclass(frozen=True)
-class Construction:
-    kind: str
-    params: Params
-    length: int
-    seq: SignSeq
-    claim: ClaimedProperty
-    degenerate: bool = False
+# What the construction avoids, stated checkably.
+ClaimedProperty = namedtuple("ClaimedProperty", "k description")
+Construction = namedtuple(
+    "Construction", "kind params length seq claim degenerate", defaults=(False,))
 
 
 def _periodic(params: Params, period: int, neg_run: int, n: int) -> SignSeq:
@@ -143,8 +131,7 @@ def build_ap_mod_k(k: int) -> Construction:
     )
 
 
-@dataclass(frozen=True)
-class ResidueFunction:
+class ResidueFunction(namedtuple("ResidueFunction", "modulus factors values")):
     """A sign assignment on residues mod k, the product of half-interval
     signs over a coprime factorization k = 2 * a1 * ... * am.
 
@@ -153,9 +140,7 @@ class ResidueFunction:
     d-spaced progression over the residues has nonzero weight.
     """
 
-    modulus: int
-    factors: tuple[int, ...]
-    values: tuple[int, ...]
+    __slots__ = ()
 
     def count_plus(self) -> int:
         return self.values.count(1)

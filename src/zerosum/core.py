@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from itertools import accumulate
-from typing import Iterable, Iterator, TypeAlias
+from typing import Iterable, TypeAlias
 
 Weight: TypeAlias = int
 
@@ -69,23 +69,26 @@ class ShiftSearchError(RuntimeError):
 
 
 class Report:
-    """Base of every dataclass reported as a v1 JSON object.
+    """Mixin of every named tuple reported as a v1 JSON object.
 
     ``to_json_dict`` emits the fields in order, each keyed by its name in
-    camelCase unless its metadata names the key (``"json"``).  A 2-tuple
-    field with ``"pair"`` metadata becomes an object under those names, and
-    a None field marked ``"optional"`` is left out.  Values nest: a report
-    is its own object, a SignSeq is ``"b:<bits>"``, a tuple is a list, and
-    a dict has its keys sorted, then stringified.
+    camelCase unless the class's ``_meta`` entry for it names the key
+    (``"json"``).  A 2-tuple field with a ``"pair"`` entry becomes an object
+    under those names, and a None field marked ``"optional"`` is left out.
+    Values nest: a report is its own object, a SignSeq is ``"b:<bits>"``, a
+    tuple is a list, and a dict has its keys sorted, then stringified.
     """
+
+    __slots__ = ()
+    _meta: dict = {}  # field name -> {"json": key, "pair": names, "optional": True}
 
     def to_json_dict(self) -> dict:
         out = {}
-        for f in fields(self):
-            value, meta = getattr(self, f.name), f.metadata
+        for name, value in zip(self._fields, self):
+            meta = self._meta.get(name, {})
             if value is None and meta.get("optional"):
                 continue
-            head, *rest = f.name.split("_")
+            head, *rest = name.split("_")
             key = meta.get("json", head + "".join(map(str.capitalize, rest)))
             if value is not None and "pair" in meta:
                 out[key] = dict(zip(meta["pair"], value))
@@ -95,7 +98,7 @@ class Report:
 
 
 def _encode(value):
-    if isinstance(value, Report):
+    if isinstance(value, Report):  # before tuple: every report is one
         return value.to_json_dict()
     if isinstance(value, SignSeq):
         return f"b:{value.bitstring()}"
@@ -106,8 +109,7 @@ def _encode(value):
     return value
 
 
-@dataclass(frozen=True)
-class Params(Report):
+class Params(Report, namedtuple("Params", "r s k")):
     """The triple (r, s, k): letters -r and +s, target subsequence length k.
 
     gcd(r, s) = 1 is required; dividing both letters by their gcd leaves
@@ -116,20 +118,20 @@ class Params(Report):
     sought, so it is checked per operation, not here.
     """
 
-    r: int
-    s: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.s < 1:
-            raise ParameterError(f"r and s must be positive, got r={self.r} s={self.s}")
-        if self.k < 1:
-            raise ParameterError(f"k must be positive, got k={self.k}")
-        if math.gcd(self.r, self.s) != 1:
-            raise ParameterError(
-                f"gcd(r, s) must be 1, got gcd({self.r}, {self.s}) = "
-                f"{math.gcd(self.r, self.s)}"
-            )
+    def __new__(cls, r: int, s: int, k: int) -> Params:
+        if r < 1 or s < 1:
+            raise ParameterError(f"r and s must be positive, got r={r} s={s}")
+        if k < 1:
+            raise ParameterError(f"k must be positive, got k={k}")
+        if math.gcd(r, s) != 1:
+            raise ParameterError(f"gcd(r, s) must be 1, got gcd({r}, {s}) = {math.gcd(r, s)}")
+        return super().__new__(cls, r, s, k)
+
+    @classmethod
+    def _make(cls, iterable) -> Params:  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def modulus(self) -> int:
@@ -262,18 +264,14 @@ def weight(seq: SignSeq, indices: Iterable[int]) -> Weight:
     return total
 
 
-@dataclass(frozen=True)
-class WeightRange(Report):
+class WeightRange(Report, namedtuple("WeightRange", "alpha low step count")):
     """All achievable total weights of a {-r, s}-sequence of length alpha.
 
     An arithmetic progression from -r*alpha to s*alpha with alpha + 1 terms
     and common difference r + s.
     """
 
-    alpha: int
-    low: int
-    step: int
-    count: int
+    __slots__ = ()
 
     @property
     def high(self) -> int:
@@ -282,12 +280,8 @@ class WeightRange(Report):
     def __contains__(self, w: int) -> bool:
         return self.low <= w <= self.high and (w - self.low) % self.step == 0
 
-    def __iter__(self) -> Iterator[int]:
-        for i in range(self.count):
-            yield self.low + i * self.step
-
     def values(self) -> tuple[int, ...]:
-        return tuple(self)
+        return tuple(range(self.low, self.high + 1, self.step))
 
 
 def weight_range(alpha: int, params: Params) -> WeightRange:

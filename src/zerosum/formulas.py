@@ -15,33 +15,27 @@ FormulaDomainError is raised on violation, never a silent rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import FormulaDomainError, ParameterError, Params, Report
 from .good_shift import GoodShift, certified_shift
 
 
-@dataclass(frozen=True)
-class BoundReport(Report):
+class BoundReport(Report, namedtuple(
+    "BoundReport", "params t t_prime m1 m2 n_exact notes", defaults=((),)
+)):
     """Evaluated exact-threshold formulas for one parameter triple."""
 
-    params: Params
-    t: int
-    t_prime: int
-    m1: int
-    m2: int
-    n_exact: int = field(metadata={"json": "n_exact"})
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
+    _meta = {"n_exact": {"json": "n_exact"}}
 
 
-@dataclass(frozen=True)
-class SufficientBound(Report):
+class SufficientBound(Report, namedtuple("SufficientBound", "params q n_sufficient")):
     """Least n certified to force a zero-sum k-block given |total| <= q."""
 
-    params: Params
-    q: int
-    n_sufficient: int = field(metadata={"json": "n_sufficient"})
+    __slots__ = ()
+    _meta = {"n_sufficient": {"json": "n_sufficient"}}
 
 
 def shift_residue(x: int, modulus: int) -> int:

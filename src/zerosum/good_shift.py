@@ -13,9 +13,9 @@ prime-gap bound, and such a shift is automatically good.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .core import ParameterError, Params, Report, ShiftSearchError, WeightRange, weight_range
+from .core import ParameterError, Params, Report, ShiftSearchError, weight_range
 
 PRIME_GAP_EXPONENT = 0.525
 
@@ -58,20 +58,19 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GoodShift(Report):
-    """Verdict for one shift, with the certificate data that decides it."""
+class GoodShift(Report, namedtuple(
+    "GoodShift", "params alpha a prime_factors s_alpha good blocking"
+)):
+    """Verdict for one shift, with the certificate data that decides it.
 
-    params: Params
-    alpha: int
-    a: int
-    prime_factors: tuple[int, ...] = field(metadata={"json": "primeFactorsOfA"})
-    s_alpha: WeightRange
-    good: bool
-    # (prime p, weight w in S_alpha with p | w)
-    blocking: tuple[int, int] | None = field(
-        metadata={"json": "blockingWitness", "pair": ("prime", "weight")}
-    )
+    ``blocking`` is (prime p, weight w in S_alpha with p | w), or None.
+    """
+
+    __slots__ = ()
+    _meta = {
+        "prime_factors": {"json": "primeFactorsOfA"},
+        "blocking": {"json": "blockingWitness", "pair": ("prime", "weight")},
+    }
 
 
 def divisible_weight(p: int, params: Params, alpha: int) -> int | None:

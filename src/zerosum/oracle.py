@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .core import BudgetExceededError, ParameterError, Params, Report, SignSeq
 from .constructions import ResidueFunction, build_ap_mod_k_product, product_factors
@@ -62,8 +62,12 @@ def _require_budget(estimate: int | None, budget: int | None, log2: int | None =
         raise BudgetExceededError(estimate, ceiling, log2)
 
 
-@dataclass(frozen=True)
-class ThresholdResult(Report):
+class ThresholdResult(Report, namedtuple(
+    "ThresholdResult",
+    "params mode q max_avoiding_n derived_threshold witnesses search_cap exhaustive capped"
+    " avoiding_count_at_max notes",
+    defaults=((),),
+)):
     """Outcome of an exhaustive threshold search.
 
     derived_threshold = max(k, max_avoiding_n + 1) over admissible lengths,
@@ -76,17 +80,7 @@ class ThresholdResult(Report):
     that is not capped is exact even when avoiders reach the cap.
     """
 
-    params: Params
-    mode: str
-    q: int
-    max_avoiding_n: int | None
-    derived_threshold: int
-    witnesses: tuple[SignSeq, ...]
-    search_cap: int
-    exhaustive: bool
-    capped: bool
-    avoiding_count_at_max: int
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def admissible_pos_counts(params: Params, q: int, n: int) -> list[int]:
@@ -325,14 +319,10 @@ def exact_threshold(
     )
 
 
-@dataclass(frozen=True)
-class TwoKVerdict(Report):
+class TwoKVerdict(Report, namedtuple("TwoKVerdict", "k ok sequences_checked counterexample")):
     """Every zero-sum {-1,1}-sequence of length 2k has a zero-sum k-block."""
 
-    k: int
-    ok: bool
-    sequences_checked: int
-    counterexample: SignSeq | None
+    __slots__ = ()
 
 
 def verify_2k_proposition(k: int, budget: int | None = None) -> TwoKVerdict:
@@ -354,15 +344,11 @@ def verify_2k_proposition(k: int, budget: int | None = None) -> TwoKVerdict:
     )
 
 
-@dataclass(frozen=True)
-class Pow2Verdict(Report):
+class Pow2Verdict(Report, namedtuple("Pow2Verdict", "v ok functions_checked survivors")):
     """Only the two constant sign functions on Z/2^v avoid every zero-sum
     dyadic progression (difference 2^v', full length, for all v' < v)."""
 
-    v: int
-    ok: bool
-    functions_checked: int
-    survivors: tuple[str, ...]
+    __slots__ = ()
 
 
 _SLICE_BITS = 16  # 2^16 functions per word, so memory does not grow with v
@@ -433,17 +419,14 @@ def verify_pow2_rigidity(v: int, budget: int | None = None) -> Pow2Verdict:
     )
 
 
-@dataclass(frozen=True)
-class ResidueLemmaVerdict(Report):
+class ResidueLemmaVerdict(Report, namedtuple(
+    "ResidueLemmaVerdict",
+    "k factors ok plus_count minus_count progressions_checked failure",
+)):
     """Counts and full-progression nonvanishing for a product residue function."""
 
-    k: int
-    factors: tuple[int, ...]
-    ok: bool
-    plus_count: int
-    minus_count: int
-    progressions_checked: int
-    failure: tuple[int, int] | None = field(metadata={"pair": ("difference", "start")})
+    __slots__ = ()
+    _meta = {"failure": {"pair": ("difference", "start")}}
 
 
 def verify_lemma_residue_properties(

@@ -20,8 +20,8 @@ engine the scanners do not use.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
 from operator import sub
@@ -33,8 +33,10 @@ MODE_AP = "ap"
 MODE_SMALLSUM = "smallsum"
 
 
-@dataclass(frozen=True)
-class ScanReport(Report):
+class ScanReport(Report, namedtuple(
+    "ScanReport", "mode k found witness min_abs_weight scanned_count t per_d_min_abs",
+    defaults=(None, None),
+)):
     """Outcome of one scan: a witness or a certificate of absence.
 
     ``witness`` is (start, difference), difference 1 for blocks.
@@ -45,16 +47,12 @@ class ScanReport(Report):
     target.
     """
 
-    mode: str
-    k: int
-    found: bool
-    witness: tuple[int, int] | None = field(metadata={"pair": ("start", "difference")})
-    min_abs_weight: int
-    scanned_count: int
-    t: int | None = field(default=None, metadata={"optional": True})
-    per_d_min_abs: dict[int, int] | None = field(
-        default=None, metadata={"json": "perDifferenceMinAbs", "optional": True}
-    )
+    __slots__ = ()
+    _meta = {
+        "witness": {"pair": ("start", "difference")},
+        "t": {"optional": True},
+        "per_d_min_abs": {"json": "perDifferenceMinAbs", "optional": True},
+    }
 
 
 def _check_window_length(seq: SignSeq, k: int) -> None:
@@ -276,16 +274,14 @@ def smallsum_block_scan(seq: SignSeq, k: int, t: int) -> ScanReport:
     return _scan(seq, k, t, MODE_SMALLSUM)
 
 
-@dataclass(frozen=True)
-class InterpolationReport(Report):
+class InterpolationReport(Report, namedtuple(
+    "InterpolationReport",
+    "ok sign_change_implies_zero adjacent_step_bounded residues_vanish window_count detail",
+    defaults=(None,),
+)):
     """All three window-weight facts behind the intermediate-value argument."""
 
-    ok: bool
-    sign_change_implies_zero: bool
-    adjacent_step_bounded: bool
-    residues_vanish: bool
-    window_count: int
-    detail: str | None = None
+    __slots__ = ()
 
 
 def interpolation_check(seq: SignSeq, k: int) -> InterpolationReport:

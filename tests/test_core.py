@@ -5,6 +5,7 @@ direct enumeration, which stays the oracle for the arithmetic shortcuts.
 The linear codec is checked against a per-bit reference kept here.
 """
 
+import copy
 import random
 
 import pytest
@@ -31,6 +32,12 @@ def test_params_validation():
         Params(0, 1, 2)
     with pytest.raises(ParameterError):
         Params(1, 1, 0)
+    with pytest.raises(ParameterError):
+        Params(r=2, s=4, k=6)
+    with pytest.raises(ParameterError):
+        Params(r=0, s=1, k=2)
+    with pytest.raises(ParameterError):
+        Params(1, 2, 6)._replace(r=2, s=4)
     Params(1, 1, 1).require_block_divisibility  # attribute exists
     with pytest.raises(ParameterError):
         Params(1, 2, 4).require_block_divisibility()
@@ -331,6 +338,14 @@ def test_weight_range_examples(alpha, r, s, expected):
     assert wr.values() == expected
     assert wr.count == alpha + 1
     assert wr.step == r + s
+
+
+def test_weight_range_is_a_record_of_its_four_fields():
+    # Copying and _asdict read the fields, not the weights.
+    wr = weight_range(3, Params(1, 2, 3))
+    assert copy.copy(wr) == wr
+    assert list(wr._asdict()) == ["alpha", "low", "step", "count"]
+    assert wr._asdict() == {"alpha": 3, "low": -3, "step": 3, "count": 4}
 
 
 def test_weight_range_membership_matches_brute_force():

@@ -35,35 +35,52 @@ PUBLIC = {
     "write_sequence",
 }
 
-# click is listed too, so every module set pinned below also pins that the
-# CLI runs on the standard library alone.
-REPORT = (
-    "import sys\n"
-    "print(' '.join(sorted(m for m in sys.modules\n"
-    "                      if m.partition('.')[0] in ('zerosum', 'click'))))\n"
-)
+# A child records its modules before zerosum loads and prints, on its last
+# stdout line, the modules added since.
+PRELUDE = "import runpy, sys\nbefore = set(sys.modules)\n"
+REPORT = "\nprint(' '.join(sorted(set(sys.modules) - before)))\n"
+
+# No import or command may load these: ``dataclasses`` brings ``inspect``,
+# ``ast``, ``dis`` and ``tokenize``, several milliseconds of every process
+# start.
+HEAVY = {"dataclasses", "inspect"}
 
 
-def _loaded(code: str, cwd: Path) -> set[str]:
-    """The ``zerosum`` and ``click`` modules in ``sys.modules`` after a fresh
-    interpreter runs ``code`` (with ``src`` on its path), read off the last
-    stdout line."""
+def _added(code: str, cwd: Path) -> set[str]:
+    """The modules a fresh interpreter (with ``src`` on its path) adds to
+    ``sys.modules`` while it runs ``code``."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
-        [sys.executable, "-c", code + "\n" + REPORT],
+        [sys.executable, "-c", PRELUDE + code + REPORT],
         cwd=cwd, env=env, capture_output=True, text=True, check=True,
     ).stdout
     return set(out.splitlines()[-1].split())
 
 
+def _ours(added: set[str]) -> set[str]:
+    """The ``zerosum`` and ``click`` modules among ``added``; click is kept
+    so that every set pinned below also pins that the CLI runs on the
+    standard library alone."""
+    return {m for m in added if m.partition(".")[0] in ("zerosum", "click")}
+
+
 def test_import_zerosum_loads_no_submodule(tmp_path):
-    assert _loaded("import zerosum", tmp_path) == {"zerosum"}
+    assert _ours(_added("import zerosum", tmp_path)) == {"zerosum"}
 
 
 def test_import_cli_loads_core_and_seqfile_only(tmp_path):
     # None of oracle, scanners, constructions, formulas or good_shift.
-    loaded = _loaded("import zerosum.cli", tmp_path)
-    assert loaded == {"zerosum", "zerosum.cli", "zerosum.core", "zerosum.seqfile"}
+    added = _added("import zerosum.cli", tmp_path)
+    assert _ours(added) == {"zerosum", "zerosum.cli", "zerosum.core", "zerosum.seqfile"}
+    assert not added & HEAVY
+
+
+def test_importing_every_submodule_loads_no_heavy_module(tmp_path):
+    homes = sorted(set(zerosum._HOME.values()))
+    assert len(homes) == 7
+    added = _added("".join(f"import zerosum.{m}\n" for m in homes), tmp_path)
+    assert _ours(added) == {"zerosum", *(f"zerosum.{m}" for m in homes)}
+    assert not added & HEAVY
 
 
 # The CLI itself runs as __main__ (as under ``python -m zerosum.cli``), so
@@ -90,14 +107,15 @@ SEQ_FILE = "# zerosum v1 r=1 s=2 n=9\n-1 -1 -1 2 2 2 -1 -1 -1\n"
 def test_command_loads_only_its_modules(tmp_path, args, extra):
     (tmp_path / "s.txt").write_text(SEQ_FILE)
     code = (
-        "import runpy, sys\n"
         f"sys.argv = ['zerosum', *{args!r}]\n"
         "try:\n"
         "    runpy.run_module('zerosum.cli', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert exc.code in (0, None), exc.code\n"
     )
-    assert _loaded(code, tmp_path) == START | {f"zerosum.{m}" for m in extra}
+    added = _added(code, tmp_path)
+    assert _ours(added) == START | {f"zerosum.{m}" for m in extra}
+    assert not added & HEAVY
 
 
 def test_usage_names_the_module_under_python_m(tmp_path):
