@@ -5,8 +5,10 @@ claim verified, 1 when a witness or counterexample was found (or a shift
 search failed), 2 on usage, input, or budget errors.  All positions in
 output are 0-based.
 
-Each command declares one option table; ``main`` parses against it (usage errors in click's
-wording, pinned by the golden tests), runs the command and maps its exceptions to exit codes.
+Each command declares one option table and returns its outcome, ``(lines, code)`` plus
+``(params, result)`` with --json, printing nothing on stdout.  ``main`` alone parses against
+the table (usage errors in click's wording, pinned by the golden tests), times the command,
+prints its lines or v1 JSON report, returns its code and maps every exception to an exit code.
 Start-up loads only ``core`` and ``seqfile``; each command imports the modules it runs.
 """
 
@@ -26,6 +28,9 @@ from .core import (
     AP_TWO_P,
     BLOCK_EXTREMAL,
     BLOCK_EXTREMAL_NEGATED,
+    MODE_AP,
+    MODE_BLOCK,
+    MODE_SMALLSUM,
     BudgetExceededError,
     FormulaDomainError,
     ParameterError,
@@ -176,15 +181,31 @@ def main(argv: list[str] | None = None, prog: str | None = None) -> int:
         if extra:
             plural = "s" * (len(extra) > 1)
             raise _UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
-        return command(**values)
+        as_json = values.pop("as_json", False)
+        started = time.perf_counter()
+        lines, code, *report = command(**values)
+        if as_json:
+            import json
+
+            params, result = report
+            lines = [json.dumps({
+                "command": rest[0], "params": params, "result": result, "toolVersion": __version__,
+                "elapsedMillis": int((time.perf_counter() - started) * 1000), "indexing": "0-based",
+            }, indent=2)]
+        _echo(*lines)
+        return code
     except _UsageError as exc:
         message, *bare = exc.args
         head = "" if bare else f"Usage: {usage}\nTry '{where} --help' for help.\n\n"
         print(f"{head}Error: {message}", file=sys.stderr)
         return EXIT_ERROR
-    except (ShiftSearchError, *_EXIT_2_ERRORS) as exc:
+    except ShiftSearchError as exc:  # raised by ``shift`` alone
+        print(f"no good shift found for alpha in [{exc.alpha_min}, {exc.alpha_max}]",
+              file=sys.stderr)
+        return EXIT_WITNESS
+    except _EXIT_2_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WITNESS if isinstance(exc, ShiftSearchError) else EXIT_ERROR
+        return EXIT_ERROR
     except KeyboardInterrupt:
         print("\nAborted!", file=sys.stderr)
         return EXIT_WITNESS
@@ -195,23 +216,6 @@ def _parse_factors(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ParameterError(f"--factors must be comma-separated integers, got {text!r}") from None
-
-
-def _finish(
-    command: str, params: dict, result: dict, lines: list[str], as_json: bool,
-    started: float, code: int = EXIT_OK,
-) -> int:
-    """Print the v1 JSON report (``result`` under ``params``) or the human
-    ``lines``, and return the exit code ``code``."""
-    if as_json:
-        import json
-
-        lines = [json.dumps({
-            "command": command, "params": params, "result": result, "toolVersion": __version__,
-            "elapsedMillis": int((time.perf_counter() - started) * 1000), "indexing": "0-based",
-        }, indent=2)]
-    _echo(*lines)
-    return code
 
 
 _JSON = Option("--json", FLAG, help="Emit a JSON report.", dest="as_json")
@@ -225,7 +229,7 @@ _JSON = Option("--json", FLAG, help="Emit a JSON report.", dest="as_json")
     Option("--t", help="Small-sum tolerance; requires r = s = 1."),
     _JSON,
 )
-def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: bool) -> int:
+def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None) -> tuple:
     """Evaluate a threshold formula for (r, s, k)."""
     from .formulas import (
         exact_block_threshold,
@@ -234,7 +238,6 @@ def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: boo
         sufficient_block_bound,
     )
 
-    started = time.perf_counter()
     params = Params(r, s, k)
     if t is not None:
         if (r, s) != (1, 1):
@@ -245,10 +248,8 @@ def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: boo
     elif (r, s) == (1, 1):
         value = pm1_block_threshold(k, q or 0)
         result = {"kind": "pm1-block-threshold", "value": value, "q": q or 0}
-        lines = [
-            f"N({r},{s},{k}) = {value}" if q is None
-            else f"block threshold for r=s=1 (k={k}, q={q}): n >= {value}"
-        ]
+        lines = [f"N({r},{s},{k}) = {value}" if q is None
+                 else f"block threshold for r=s=1 (k={k}, q={q}): n >= {value}"]
     elif q is not None:
         bound = sufficient_block_bound(params, q)
         value = bound.n_sufficient
@@ -263,8 +264,7 @@ def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: boo
             f"  t={report.t} t'={report.t_prime} M1={report.m1} M2={report.m2}",
             *(f"  note: {note}" for note in report.notes),
         ]
-    return _finish("bound", {"r": r, "s": s, "k": k, "q": q, "t": t}, result, lines,
-                   as_json, started)
+    return lines, EXIT_OK, {"r": r, "s": s, "k": k, "q": q, "t": t}, result
 
 
 @_command(
@@ -282,7 +282,7 @@ def cmd_bound(r: int, s: int, k: int, q: int | None, t: int | None, as_json: boo
 def cmd_construct(
     kind: str, r: int, s: int, k: int | None, alpha: int | None, factors: str | None,
     p: int | None, out_path: str, use_bits: bool,
-) -> int:
+) -> tuple:
     """Generate an extremal sequence and write it as a sequence file."""
     from .constructions import (
         build_ap_good_shift,
@@ -300,71 +300,58 @@ def cmd_construct(
     if None in {AP_TWO_P: (p,), AP_MOD_K_PRODUCT: (k, factors)}.get(kind, (k,)):
         needed = {AP_TWO_P: "--p is", AP_MOD_K_PRODUCT: "--k and --factors are"}
         raise ParameterError(f"{needed.get(kind, '--k is')} required for {kind}")
+    if kind == AP_GOOD_SHIFT and alpha is None:  # (r + s) | k is checked before the search
+        Params(r, s, k).require_block_divisibility()
+        alpha = min_good_shift(Params(r, s, k))
+    built = {
+        BLOCK_EXTREMAL: lambda: build_block_extremal(Params(r, s, k)),
+        BLOCK_EXTREMAL_NEGATED: lambda: build_block_extremal_negated(Params(r, s, k)),
+        AP_MOD_K: lambda: build_ap_mod_k(k),
+        AP_MOD_K_PRODUCT: lambda: build_ap_mod_k_product(k, _parse_factors(factors)),
+        AP_MOD_K_PLUS1: lambda: build_ap_mod_k_plus1(k),
+        AP_GOOD_SHIFT: lambda: build_ap_good_shift(Params(r, s, k), alpha),
+        AP_TWO_P: lambda: build_ap_two_p(p),
+    }[kind]()
     if kind == AP_MOD_K_PRODUCT:
-        fn = build_ap_mod_k_product(k, _parse_factors(factors))
-        seq, claim = fn.as_sequence(), (
-            f"residue function with {fn.count_plus()} ones and {fn.count_minus()} minus-ones; "
-            "every full progression over the residues has nonzero weight"
+        seq, claim = built.as_sequence(), (
+            f"residue function with {built.count_plus()} ones and {built.count_minus()} "
+            "minus-ones; every full progression over the residues has nonzero weight"
         )
     else:
-        if kind == AP_TWO_P:
-            construction = build_ap_two_p(p)
-        elif kind == AP_MOD_K:
-            construction = build_ap_mod_k(k)
-        elif kind == AP_MOD_K_PLUS1:
-            construction = build_ap_mod_k_plus1(k)
-        elif kind == AP_GOOD_SHIFT:
-            params = Params(r, s, k)
-            shift = min_good_shift(params) if alpha is None else alpha
-            construction = build_ap_good_shift(params, shift)
-        elif kind == BLOCK_EXTREMAL:
-            construction = build_block_extremal(Params(r, s, k))
-        else:
-            construction = build_block_extremal_negated(Params(r, s, k))
-        seq, claim = construction.seq, construction.claim.description
+        seq, claim = built.seq, built.claim.description
     write_sequence(out_path, seq, ENCODING_BITS if use_bits else ENCODING_VALUES)
     if seq.n == 0:
         print("warning: degenerate construction of length 0 at these parameters", file=sys.stderr)
-    return _echo(f"n={seq.n} {claim} (positions 0-based)")
+    return [f"n={seq.n} {claim} (positions 0-based)"], EXIT_OK
 
 
 @_command(
-    Option("--mode", ("block", "ap", "smallsum"), required=True),
+    Option("--mode", (MODE_BLOCK, MODE_AP, MODE_SMALLSUM), required=True),
     Option("--k", required=True),
     Option("--t", help="Tolerance for smallsum mode."),
     Option("--in", IN_FILE, required=True, dest="in_path"),
     _JSON,
 )
-def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) -> int:
+def cmd_verify(mode: str, k: int, t: int | None, in_path: str) -> tuple:
     """Scan a sequence file; exit 0 when the avoidance claim holds, 1 on a witness."""
     from .scanners import ap_scan, block_scan, smallsum_block_scan
 
-    started = time.perf_counter()
     seq = read_sequence(in_path, k=k)
-    if mode == "block":
-        report = block_scan(seq, k)
-    elif mode == "ap":
-        report = ap_scan(seq, k)
-    else:
-        if t is None:
-            raise ParameterError("--t is required for smallsum mode")
-        report = smallsum_block_scan(seq, k, t)
+    if mode == MODE_SMALLSUM and t is None:
+        raise ParameterError("--t is required for smallsum mode")
+    report = {
+        MODE_BLOCK: block_scan, MODE_AP: ap_scan,
+        MODE_SMALLSUM: lambda seq, k: smallsum_block_scan(seq, k, t),
+    }[mode](seq, k)
     if report.found:
         start, diff = report.witness
-        line = (
-            f"witness found: start={start} difference={diff} "
-            f"(positions 0-based, scanned {report.scanned_count})"
-        )
+        line = (f"witness found: start={start} difference={diff} "
+                f"(positions 0-based, scanned {report.scanned_count})")
     else:
-        line = (
-            f"no witness: minAbsWeight={report.min_abs_weight} over "
-            f"{report.scanned_count} windows (positions 0-based)"
-        )
-    return _finish(
-        "verify", {"mode": mode, "k": k, "t": t, "in": os.fspath(in_path)},
-        report.to_json_dict(), [line], as_json, started,
-        EXIT_WITNESS if report.found else EXIT_OK,
-    )
+        line = (f"no witness: minAbsWeight={report.min_abs_weight} over "
+                f"{report.scanned_count} windows (positions 0-based)")
+    return ([line], EXIT_WITNESS if report.found else EXIT_OK,
+            {"mode": mode, "k": k, "t": t, "in": in_path}, report.to_json_dict())
 
 
 @_command(
@@ -382,8 +369,8 @@ def cmd_verify(mode: str, k: int, t: int | None, in_path: str, as_json: bool) ->
 )
 def cmd_oracle(
     target: str, r: int, s: int, k: int | None, q: int, cap: int | None, v: int | None,
-    factors: str | None, budget: int | None, as_json: bool,
-) -> int:
+    factors: str | None, budget: int | None,
+) -> tuple:
     """Exhaustive searches and full-enumeration proposition checks."""
     from .oracle import (
         exact_threshold,
@@ -392,18 +379,12 @@ def cmd_oracle(
         verify_pow2_rigidity,
     )
 
-    started = time.perf_counter()
     cli_params = {"target": target, "r": r, "s": s, "k": k, "q": q, "cap": cap, "v": v}
-    if target in ("block-threshold", "ap-threshold"):
+    mode = {"block-threshold": MODE_BLOCK, "ap-threshold": MODE_AP}.get(target)
+    if mode is not None:
         if k is None or cap is None:
             raise ParameterError("--k and --cap are required for threshold targets")
-        result = exact_threshold(
-            Params(r, s, k),
-            "block" if target == "block-threshold" else "ap",
-            q=q,
-            search_cap=cap,
-            budget=budget,
-        )
+        result = exact_threshold(Params(r, s, k), mode, q=q, search_cap=cap, budget=budget)
         label = "exact" if result.exhaustive and not result.capped else "lower bound"
         lines = [
             f"derivedThreshold={result.derived_threshold} ({label}), "
@@ -411,15 +392,13 @@ def cmd_oracle(
             f"{result.avoiding_count_at_max} avoiding sequence(s) at the max",
             *(f"note: {note}" for note in result.notes),
         ]
-        return _finish("oracle", cli_params, result.to_json_dict(), lines, as_json, started)
+        return lines, EXIT_OK, cli_params, result.to_json_dict()
     if target == "pow2":
         if v is None:
             raise ParameterError("--v is required for pow2")
         verdict = verify_pow2_rigidity(v, budget)
-        line = (
-            f"pow2 {'verified' if verdict.ok else 'FAILED'}: {len(verdict.survivors)} "
-            f"of {verdict.functions_checked} functions survive"
-        )
+        line = (f"pow2 {'verified' if verdict.ok else 'FAILED'}: {len(verdict.survivors)} "
+                f"of {verdict.functions_checked} functions survive")
     elif k is None:
         raise ParameterError(f"--k is required for {target}")
     elif target == "two-k":
@@ -429,15 +408,10 @@ def cmd_oracle(
     else:
         fac = (k // 2,) if factors is None else _parse_factors(factors)
         verdict = verify_lemma_residue_properties(k, fac, budget)
-        line = (
-            f"residue-lemma {'verified' if verdict.ok else 'FAILED'}: counts "
-            f"{verdict.plus_count}/{verdict.minus_count}, "
-            f"{verdict.progressions_checked} progressions"
-        )
-    return _finish(
-        "oracle", cli_params, verdict.to_json_dict(), [line], as_json, started,
-        EXIT_OK if verdict.ok else EXIT_WITNESS,
-    )
+        line = (f"residue-lemma {'verified' if verdict.ok else 'FAILED'}: counts "
+                f"{verdict.plus_count}/{verdict.minus_count}, "
+                f"{verdict.progressions_checked} progressions")
+    return [line], EXIT_OK if verdict.ok else EXIT_WITNESS, cli_params, verdict.to_json_dict()
 
 
 @_command(
@@ -448,27 +422,16 @@ def cmd_oracle(
     Option("--prime", FLAG, help="Search for the prime-certified shift.", dest="use_prime"),
     _JSON,
 )
-def cmd_shift(
-    r: int, s: int, k: int, max_alpha: int | None, use_prime: bool, as_json: bool
-) -> int:
+def cmd_shift(r: int, s: int, k: int, max_alpha: int | None, use_prime: bool) -> tuple:
     """Find the minimum good shift (or the prime-certified shift) for (r, s, k)."""
     from .good_shift import min_good_shift, prime_shift
 
-    started = time.perf_counter()
     params = Params(r, s, k)
-    try:
-        shift = prime_shift(params) if use_prime else min_good_shift(params, max_alpha)
-    except ShiftSearchError as e:
-        print(f"no good shift found for alpha in [{e.alpha_min}, {e.alpha_max}]", file=sys.stderr)
-        return EXIT_WITNESS
-    line = (
-        f"alpha={shift.alpha} (k + alpha = {shift.a} with prime factors "
-        f"{list(shift.prime_factors)})"
-    )
-    return _finish(
-        "shift", {"r": r, "s": s, "k": k, "maxAlpha": max_alpha, "prime": use_prime},
-        shift.to_json_dict(), [line], as_json, started,
-    )
+    shift = prime_shift(params) if use_prime else min_good_shift(params, max_alpha)
+    line = (f"alpha={shift.alpha} (k + alpha = {shift.a} with prime factors "
+            f"{list(shift.prime_factors)})")
+    return ([line], EXIT_OK, {"r": r, "s": s, "k": k, "maxAlpha": max_alpha, "prime": use_prime},
+            shift.to_json_dict())
 
 
 @_command(
@@ -479,7 +442,7 @@ def cmd_shift(
     Option("--what", ("N", "shift", "ap-lb"), required=True),
     Option("--out", OUT_FILE, required=True, dest="out_path"),
 )
-def cmd_table(r: int, s: int, k_min: int, k_max: int, what: str, out_path: str) -> int:
+def cmd_table(r: int, s: int, k_min: int, k_max: int, what: str, out_path: str) -> tuple:
     """Write a k,value CSV over the k-range (k restricted to multiples of r + s)."""
     import csv
 
@@ -488,24 +451,18 @@ def cmd_table(r: int, s: int, k_min: int, k_max: int, what: str, out_path: str) 
 
     if k_min < 1 or k_max < k_min:
         raise ParameterError(f"bad k range [{k_min}, {k_max}]")
-    rows: list[tuple[int, int]] = []
+    value_of = {
+        "N": block_threshold,
+        "shift": lambda params: min_good_shift(params).alpha,
+        "ap-lb": lambda params: ap_lower_bound_value(params, min_good_shift(params)),
+    }[what]
     modulus = Params(r, s, k_min).modulus  # validates r and s before k % (r + s)
-    for k in range(k_min, k_max + 1):
-        if k % modulus:
-            continue
-        params = Params(r, s, k)
-        if what == "N":
-            value = block_threshold(params)
-        elif what == "shift":
-            value = min_good_shift(params).alpha
-        else:
-            value = ap_lower_bound_value(params, min_good_shift(params))
-        rows.append((k, value))
+    rows = [(k, value_of(Params(r, s, k))) for k in range(k_min, k_max + 1) if k % modulus == 0]
     with open(out_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONE)
         writer.writerow(["k", "value"])
         writer.writerows(rows)
-    return _echo(f"wrote {len(rows)} rows to {out_path}")
+    return [f"wrote {len(rows)} rows to {out_path}"], EXIT_OK
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from .core import (
     AP_GOOD_SHIFT,
     AP_MOD_K,
     AP_MOD_K_PLUS1,
-    AP_MOD_K_PRODUCT,
     AP_TWO_P,
     BLOCK_EXTREMAL,
     BLOCK_EXTREMAL_NEGATED,

@@ -26,6 +26,12 @@ AP_MOD_K_PLUS1 = "ap-mod-k1"
 AP_GOOD_SHIFT = "ap-good-shift"
 AP_TWO_P = "ap-two-p"
 
+# Scan mode names, shared by ``scanners``, ``oracle`` and the CLI's
+# ``--mode`` choices.
+MODE_BLOCK = "block"
+MODE_AP = "ap"
+MODE_SMALLSUM = "smallsum"
+
 
 class ParameterError(ValueError):
     """A precondition on (r, s, k), an index, or an argument was violated."""

@@ -108,8 +108,6 @@ def pm1_block_threshold(k: int, q: int = 0) -> int:
     """
     if k < 2 or k % 2:
         raise ParameterError(f"k must be even and >= 2, got {k}")
-    if q < 0:
-        raise ParameterError(f"q must be nonnegative, got {q}")
     return pm1_smallsum_threshold(k, 0, q)
 
 

@@ -24,17 +24,8 @@ _FALLBACK_HORIZON = 1000
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale inputs."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether n is prime: n >= 2 is its own one prime factor."""
+    return n >= 2 and prime_factors(n) == (n,)
 
 
 def prime_factors(n: int) -> tuple[int, ...]:

@@ -25,11 +25,8 @@ import math
 import os
 from collections import namedtuple
 
-from .core import BudgetExceededError, ParameterError, Params, Report, SignSeq
+from .core import MODE_AP, MODE_BLOCK, BudgetExceededError, ParameterError, Params, Report, SignSeq
 from .constructions import ResidueFunction, build_ap_mod_k_product, product_factors
-
-MODE_BLOCK = "block"
-MODE_AP = "ap"
 
 DEFAULT_BUDGET = 10**9
 BUDGET_ENV_VAR = "ZEROSUM_BUDGET"

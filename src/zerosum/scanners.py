@@ -26,11 +26,7 @@ from functools import cache
 from itertools import islice
 from operator import sub
 
-from .core import ParameterError, Report, SignSeq
-
-MODE_BLOCK = "block"
-MODE_AP = "ap"
-MODE_SMALLSUM = "smallsum"
+from .core import MODE_AP, MODE_BLOCK, MODE_SMALLSUM, ParameterError, Report, SignSeq
 
 
 class ScanReport(Report, namedtuple(

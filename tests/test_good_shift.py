@@ -33,6 +33,15 @@ def test_prime_helpers():
         prime_factors(1)
 
 
+def test_is_prime_matches_a_sieve():
+    n = 10**4
+    sieve = [False, False] + [True] * (n - 2)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, n, p))
+    assert [m for m in range(-3, n) if is_prime(m)] == [m for m in range(n) if sieve[m]]
+
+
 def test_shift_one_is_good_for_pm1():
     for k in (2, 6, 20, 100, 998):
         verdict = is_good_shift(Params(1, 1, k), 1)

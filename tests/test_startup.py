@@ -118,6 +118,23 @@ def test_command_loads_only_its_modules(tmp_path, args, extra):
     assert not added & HEAVY
 
 
+def test_every_imported_name_is_used():
+    """Each name a module binds by a top-level import is read somewhere in it."""
+    import ast
+
+    unused = {}
+    for path in sorted((SRC / "zerosum").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in imports if getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    assert unused == {}
+
+
 def test_usage_names_the_module_under_python_m(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "zerosum.cli", "bound", "--r", "1", "--s", "2"],
