@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from itertools import accumulate
-from typing import Iterable, TypeAlias
+from functools import cache
+from itertools import accumulate, chain, islice
+from typing import Iterable, Iterator, TypeAlias
 
 Weight: TypeAlias = int
 
@@ -156,17 +157,33 @@ class Params(Report, namedtuple("Params", "r s k")):
             )
 
 
+@cache
+def _letter_table(r: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """Byte b as the 8 letters it selects, bit 0 first."""
+    return tuple(tuple(s if b >> j & 1 else -r for j in range(8)) for b in range(256))
+
+
+@cache
+def _letter_bytes(r: int, s: int) -> dict[tuple[int, ...], int]:
+    """The inverse of ``_letter_table``: 8 letters to their byte."""
+    return {letters: b for b, letters in enumerate(_letter_table(r, s))}
+
+
 class SignSeq:
     """A finite {-r, +s}-valued sequence with a compact selector encoding.
 
     Bit i of ``bits`` is 0 for value -r and 1 for value +s at position i.
     ``from_values``, ``from_bitstring``, ``values`` and ``bitstring`` cost
-    O(n): one C-level map/join pass (``from_values`` looks each value up
-    in a two-entry dict, so a hashable value equal to a letter, like
-    ``True`` or ``1.0``, counts as it) and one base-2 int/str conversion,
-    which Python's int/str digit limit exempts.  Prefix weights cost O(n)
-    once, built lazily, so full-sequence and window weights cost O(1) after
-    the first query.  ``value(i)`` costs O(n - i).
+    O(n) in C-level passes.  ``values`` and the prefix sums read the
+    letters eight positions per lookup, each byte of ``bits`` in a
+    256-entry table cached per (r, s).  ``from_values`` maps each group of
+    eight values to its byte by the inverse dict, and the last n % 8 values
+    by a two-entry dict, so a hashable value equal to a letter, like
+    ``True`` or ``1.0``, counts as it.  ``from_bitstring`` and
+    ``bitstring`` are one base-2 int/str conversion, which Python's int/str
+    digit limit exempts.  Prefix weights cost O(n) once, built lazily, so
+    full-sequence and window weights cost O(1) after the first query.
+    ``value(i)`` costs O(n - i).
     """
 
     __slots__ = ("params", "n", "bits", "_prefix")
@@ -184,13 +201,16 @@ class SignSeq:
     @classmethod
     def from_values(cls, params: Params, values: Iterable[int]) -> "SignSeq":
         """Encode values equal to -r or s; raise ``ParameterError`` naming
-        the first other value and its position (a one-shot iterator is read
-        into a list first, for that second pass)."""
+        the first other value and its position (an input that is neither a
+        list nor a tuple is read into a list first, for that second pass)."""
         s, neg_r = params.s, -params.r
-        if iter(values) is values:
+        if not isinstance(values, (list, tuple)):
             values = list(values)
+        n = len(values)
+        full = n - n % 8
         try:
-            bitstring = "".join(map({s: "1", neg_r: "0"}.get, values))
+            head = bytes(map(_letter_bytes(params.r, s).get, zip(*[iter(values)] * 8)))
+            tail = "".join(map({s: "1", neg_r: "0"}.get, values[full:]))
         except TypeError:  # a foreign value gave None, or was unhashable
             n, v = next(
                 (n, v)
@@ -200,7 +220,8 @@ class SignSeq:
             raise ParameterError(
                 f"value {v} at position {n} is neither -r = {neg_r} nor s = {s}"
             ) from None
-        return cls.from_bitstring(params, bitstring)
+        bits = int.from_bytes(head, "little") | int(tail[::-1] or "0", 2) << full
+        return cls(params, n, bits)
 
     @classmethod
     def from_bitstring(cls, params: Params, bitstring: str) -> "SignSeq":
@@ -215,9 +236,13 @@ class SignSeq:
             raise ParameterError(f"index {i} out of range [0, {self.n})")
         return self.params.s if (self.bits >> i) & 1 else -self.params.r
 
+    def _letters(self) -> Iterator[int]:
+        table = _letter_table(self.params.r, self.params.s)
+        octets = self.bits.to_bytes((self.n + 7) // 8, "little")
+        return islice(chain.from_iterable(map(table.__getitem__, octets)), self.n)
+
     def values(self) -> tuple[int, ...]:
-        letter = {"0": -self.params.r, "1": self.params.s}
-        return tuple(map(letter.__getitem__, self.bitstring()))
+        return tuple(self._letters())
 
     def bitstring(self) -> str:
         return format(self.bits, "b").zfill(self.n)[::-1] if self.n else ""
@@ -225,7 +250,7 @@ class SignSeq:
     def prefix_weights(self) -> tuple[int, ...]:
         """Prefix sums P with P[i] = weight of positions [0, i)."""
         if self._prefix is None:
-            self._prefix = tuple(accumulate(self.values(), initial=0))
+            self._prefix = tuple(accumulate(self._letters(), initial=0))
         return self._prefix
 
     def total_weight(self) -> int:

@@ -7,18 +7,16 @@ Three families are evaluated:
 * a sufficient bound parameterized by a slack q on the total weight;
 * the {-1, 1} thresholds for blocks with |weight| <= t under |total| <= q.
 
-All arithmetic is exact (integers and fractions); where the formulas
-require an intermediate to be an integer, that is asserted and a
-FormulaDomainError is raised on violation, never a silent rounding.
+All arithmetic is exact and in integers: where a formula divides by r + s,
+it is evaluated at c = k/(r+s), an integer once (r + s) | k is checked, so
+nothing is rounded.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from fractions import Fraction
 
-from .core import FormulaDomainError, ParameterError, Params, Report
+from .core import ParameterError, Params, Report
 from .good_shift import GoodShift, certified_shift
 
 
@@ -43,27 +41,20 @@ def shift_residue(x: int, modulus: int) -> int:
     return (1 - x) % modulus
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise FormulaDomainError(f"{what} evaluates to non-integer {value}")
-    return int(value)
-
-
-def _shift_and_term(r: int, s: int, k: int, name: str) -> tuple[int, int]:
+def _shift_and_term(r: int, s: int, k: int) -> tuple[int, int]:
     """(t, M1) for the letters (r, s); the letters exchanged give (t', M2).
 
     t is the unique member of [0, r+s) with sk/(r+s) - 1 + t divisible by
-    r + s, and M1 splits on whether t exceeds r.
+    r + s, and M1 splits on whether t exceeds r.  With c = k/(r+s), an
+    integer, M1 = (rsk/(r+s)^2 - (r + st)/(r+s))k + sk/(r+s) + t is
+    rsc^2 - (r + st)c + sc + t, and likewise in the other case.
     """
     m = r + s
-    sk = s * k // m
-    t = shift_residue(sk, m)
-    c = Fraction(r * s * k, m * m)
+    c = k // m
+    t = shift_residue(s * c, m)
     if t <= r:
-        term = (c - Fraction(r + s * t, m)) * k + sk + t
-    else:
-        term = (c - Fraction(r + r * (m - t), m)) * k + sk - (m - t)
-    return t, _as_int(term, name)
+        return t, r * s * c * c - (r + s * t) * c + s * c + t
+    return t, r * s * c * c - (r + r * (m - t)) * c + s * c - (m - t)
 
 
 def exact_block_threshold(params: Params) -> BoundReport:
@@ -76,8 +67,8 @@ def exact_block_threshold(params: Params) -> BoundReport:
     """
     r, s, k = params.r, params.s, params.k
     params.require_block_divisibility()
-    t, m1 = _shift_and_term(r, s, k, "M1")
-    t_prime, m2 = _shift_and_term(s, r, k, "M2")
+    t, m1 = _shift_and_term(r, s, k)
+    t_prime, m2 = _shift_and_term(s, r, k)
     # For r = 1, t' <= s always holds; the other branch cannot be exercised.
     notes = ("t' > s branch unreachable for r = 1",) if r == 1 else ()
     return BoundReport(
@@ -133,26 +124,23 @@ def pm1_smallsum_threshold(k: int, t: int, q: int = 0) -> int:
 def sufficient_block_bound(params: Params, q: int = 0) -> SufficientBound:
     """Smallest n certified to contain a zero-sum k-block when |total| <= q.
 
-    Evaluates, with exact rationals,
+    Evaluates
 
         k * floor((q - r)/(r+s) + rsk/(r+s)^2) + sk/(r+s) + r/s
 
     and the mirror expression with r and s exchanged, and returns the least
-    integer n that is >= k and >= both.
+    integer n that is >= k and >= both.  With c = k/(r+s), an integer, the
+    first rounds up to k*floor((q - r + rsc)/(r+s)) + sc + ceil(r/s).
     """
     params.require_block_divisibility()
     if q < 0:
         raise ParameterError(f"q must be nonnegative, got {q}")
     r, s, k = params.r, params.s, params.k
     m = params.modulus
-    quad = Fraction(r * s * k, m * m)
-    first = (
-        k * math.floor(Fraction(q - r, m) + quad) + Fraction(s * k, m) + Fraction(r, s)
-    )
-    second = (
-        k * math.floor(Fraction(q - s, m) + quad) + Fraction(r * k, m) + Fraction(s, r)
-    )
-    n = max(k, math.ceil(first), math.ceil(second))
+    c = k // m
+    first = k * ((q - r + r * s * c) // m) + s * c - (-r // s)
+    second = k * ((q - s + r * s * c) // m) + r * c - (-s // r)
+    n = max(k, first, second)
     return SufficientBound(params=params, q=q, n_sufficient=n)
 
 

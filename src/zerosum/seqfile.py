@@ -3,15 +3,22 @@
 Line 1 is exactly ``# zerosum v1 r=<r> s=<s> n=<n>`` with decimal integers.
 The body is either whitespace-separated signed values, each -r or +s and
 n in total, or a single line ``b:<bitstring>`` of length n where 0 means
--r and 1 means +s.  A length-0 sequence has an empty body.  Values written
-as ``str(-r)`` and ``str(s)`` (as ``format_sequence`` writes them) map
-straight to selector letters; any other spelling, like ``+2`` or ``02``,
-is read through ``int()``.
+-r and 1 means +s.  A length-0 sequence has an empty body.
+
+``format_sequence`` writes the values as ``str(-r)`` and ``str(s)`` joined
+by single spaces, eight tokens per lookup of a byte of the selector bits in
+a 256-entry table cached per alphabet.  ``parse_sequence`` decodes such
+canonical text by replacing each token and its trailing space with its
+selector letter, and accepts the guess only if formatting it back gives
+the text.  Anything else goes through ``split``: tokens spelled
+``str(-r)`` and ``str(s)`` map straight to selector letters, and any other
+spelling, like ``+2`` or ``02``, is read through ``int()``.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache
 from pathlib import Path
 
 from .core import ParameterError, Params, SignSeq
@@ -28,16 +35,35 @@ class SequenceFileError(ValueError):
     """The file does not conform to the v1 sequence format."""
 
 
+@cache
+def _token_table(r: int, s: int) -> tuple[str, ...]:
+    """Byte b as the 8 tokens it selects, bit 0 first, each followed by a
+    space."""
+    neg, pos = f"{-r} ", f"{s} "
+    return tuple("".join(pos if b >> j & 1 else neg for j in range(8)) for b in range(256))
+
+
+def _values_body(seq: SignSeq) -> str:
+    """The n tokens of ``seq`` joined by single spaces.
+
+    The table join writes 8 tokens per byte; the padding bits of the last
+    byte are 0, so all it writes past the cut are -r tokens."""
+    r, s, n = seq.params.r, seq.params.s, seq.n
+    ones = seq.bits.bit_count()
+    octets = seq.bits.to_bytes((n + 7) // 8, "little")
+    body = "".join(map(_token_table(r, s).__getitem__, octets))
+    return body[:(n - ones) * len(str(-r)) + ones * len(str(s)) + n - 1]
+
+
 def format_sequence(seq: SignSeq, encoding: str = ENCODING_VALUES) -> str:
+    if encoding not in (ENCODING_VALUES, ENCODING_BITS):
+        raise ParameterError(f"unknown encoding {encoding!r}")
     header = f"# zerosum v1 r={seq.params.r} s={seq.params.s} n={seq.n}"
     if seq.n == 0:
         return header + "\n"
     if encoding == ENCODING_BITS:
         return f"{header}\nb:{seq.bitstring()}\n"
-    if encoding == ENCODING_VALUES:
-        token = {"0": str(-seq.params.r), "1": str(seq.params.s)}
-        return f"{header}\n{' '.join(map(token.__getitem__, seq.bitstring()))}\n"
-    raise ParameterError(f"unknown encoding {encoding!r}")
+    return f"{header}\n{_values_body(seq)}\n"
 
 
 def write_sequence(path: str | Path, seq: SignSeq, encoding: str = ENCODING_VALUES) -> None:
@@ -77,7 +103,14 @@ def parse_sequence(text: str, k: int = 1) -> SignSeq:
             return SignSeq.from_bitstring(params, bitstring)
         except ParameterError as exc:
             raise SequenceFileError(str(exc)) from exc
-    tokens = " ".join(body).split()
+    joined = " ".join(body)
+    # Canonical text: each token and its space become one selector letter.
+    guess = (joined + " ").replace(f"{-r} ", "0").replace(f"{s} ", "1")
+    if len(guess) == n and re.fullmatch("[01]*", guess):
+        seq = SignSeq(params, n, int(guess[::-1], 2))
+        if _values_body(seq) == joined:
+            return seq
+    tokens = joined.split()
     if len(tokens) != n:
         raise SequenceFileError(f"expected {n} values, found {len(tokens)}")
     try:  # canonical tokens map straight to selector letters

@@ -5,6 +5,9 @@ rationals and, where feasible, cross-checked against the exhaustive
 search (see test_oracle / test_acceptance for that side of the pairing).
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from zerosum import (
@@ -170,6 +173,45 @@ def test_sufficient_block_bound_monotone_in_q():
             for q in range(12)
         ]
         assert values == sorted(values)
+
+
+def ref_shift_and_term(r, s, k):
+    """(t, M1) from the paper's expression in exact rationals."""
+    m = r + s
+    sk = s * k // m
+    t = (1 - sk) % m
+    c = Fraction(r * s * k, m * m)
+    if t <= r:
+        term = (c - Fraction(r + s * t, m)) * k + sk + t
+    else:
+        term = (c - Fraction(r + r * (m - t), m)) * k + sk - (m - t)
+    assert term.denominator == 1
+    return t, int(term)
+
+
+def ref_sufficient_bound(r, s, k, q):
+    m = r + s
+    quad = Fraction(r * s * k, m * m)
+    first = k * math.floor(Fraction(q - r, m) + quad) + Fraction(s * k, m) + Fraction(r, s)
+    second = k * math.floor(Fraction(q - s, m) + quad) + Fraction(r * k, m) + Fraction(s, r)
+    return max(k, math.ceil(first), math.ceil(second))
+
+
+def test_integer_closed_forms_match_the_rational_expressions():
+    """Every coprime r, s <= 12, (r + s) | k <= 60(r + s), q <= 4."""
+    for r in range(1, 13):
+        for s in range(1, 13):
+            if math.gcd(r, s) != 1:
+                continue
+            for k in range(r + s, 61 * (r + s), r + s):
+                params = Params(r, s, k)
+                report = exact_block_threshold(params)
+                assert (report.t, report.m1) == ref_shift_and_term(r, s, k)
+                assert (report.t_prime, report.m2) == ref_shift_and_term(s, r, k)
+                for q in range(5):
+                    assert sufficient_block_bound(params, q).n_sufficient == (
+                        ref_sufficient_bound(r, s, k, q)
+                    )
 
 
 def test_sufficient_bound_dominates_exact_lower_construction():

@@ -42,8 +42,9 @@ REPORT = "\nprint(' '.join(sorted(set(sys.modules) - before)))\n"
 
 # No import or command may load these: ``dataclasses`` brings ``inspect``,
 # ``ast``, ``dis`` and ``tokenize``, several milliseconds of every process
-# start.
-HEAVY = {"dataclasses", "inspect"}
+# start, and ``fractions`` brings ``decimal`` and ``numbers`` (the closed
+# forms are evaluated in integers).
+HEAVY = {"dataclasses", "inspect", "fractions", "decimal"}
 
 
 def _added(code: str, cwd: Path) -> set[str]:
