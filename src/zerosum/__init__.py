@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # Each public name, listed once under the submodule that defines it.
 _EXPORTS = {
     "core": (
-        "BudgetExceededError", "FormulaDomainError", "ParameterError", "Params",
-        "ShiftSearchError", "SignSeq", "WeightRange", "weight", "weight_range",
+        "BudgetExceededError", "ParameterError", "Params", "ShiftSearchError", "SignSeq",
+        "WeightRange", "weight", "weight_range",
     ),
     "formulas": (
         "BoundReport", "SufficientBound", "ap_lower_bound_value", "block_threshold",

@@ -32,7 +32,6 @@ from .core import (
     MODE_BLOCK,
     MODE_SMALLSUM,
     BudgetExceededError,
-    FormulaDomainError,
     ParameterError,
     Params,
     ShiftSearchError,
@@ -47,8 +46,7 @@ from .seqfile import (
 
 EXIT_OK, EXIT_WITNESS, EXIT_ERROR = 0, 1, 2
 
-_EXIT_2_ERRORS = (
-    ParameterError, FormulaDomainError, SequenceFileError, BudgetExceededError, OSError)
+_EXIT_2_ERRORS = (ParameterError, SequenceFileError, BudgetExceededError, OSError)
 
 # A command's option table holds one Option per flag.  ``type`` is int, str, a tuple of
 # choices, FLAG (takes no value), IN_FILE (must exist, not as a directory) or OUT_FILE (not
@@ -385,7 +383,7 @@ def cmd_oracle(
         if k is None or cap is None:
             raise ParameterError("--k and --cap are required for threshold targets")
         result = exact_threshold(Params(r, s, k), mode, q=q, search_cap=cap, budget=budget)
-        label = "exact" if result.exhaustive and not result.capped else "lower bound"
+        label = "lower bound" if result.capped else "exact"
         lines = [
             f"derivedThreshold={result.derived_threshold} ({label}), "
             f"maxAvoidingN={result.max_avoiding_n}, "
@@ -444,8 +442,6 @@ def cmd_shift(r: int, s: int, k: int, max_alpha: int | None, use_prime: bool) ->
 )
 def cmd_table(r: int, s: int, k_min: int, k_max: int, what: str, out_path: str) -> tuple:
     """Write a k,value CSV over the k-range (k restricted to multiples of r + s)."""
-    import csv
-
     from .formulas import ap_lower_bound_value, block_threshold
     from .good_shift import min_good_shift
 
@@ -459,9 +455,7 @@ def cmd_table(r: int, s: int, k_min: int, k_max: int, what: str, out_path: str) 
     modulus = Params(r, s, k_min).modulus  # validates r and s before k % (r + s)
     rows = [(k, value_of(Params(r, s, k))) for k in range(k_min, k_max + 1) if k % modulus == 0]
     with open(out_path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONE)
-        writer.writerow(["k", "value"])
-        writer.writerows(rows)
+        fh.write("k,value\n" + "".join(f"{k},{value}\n" for k, value in rows))
     return [f"wrote {len(rows)} rows to {out_path}"], EXIT_OK
 
 

@@ -147,9 +147,6 @@ class ResidueFunction(namedtuple("ResidueFunction", "modulus factors values")):
     def count_minus(self) -> int:
         return self.values.count(-1)
 
-    def progression_weight(self, start: int, d: int, terms: int) -> int:
-        return sum(self.values[(start + j * d) % self.modulus] for j in range(terms))
-
     def as_sequence(self) -> SignSeq:
         return SignSeq.from_values(Params(1, 1, self.modulus), self.values)
 

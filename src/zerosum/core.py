@@ -12,7 +12,7 @@ import math
 import re
 from collections import namedtuple
 from functools import cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, zip_longest
 from typing import Iterable, Iterator, TypeAlias
 
 Weight: TypeAlias = int
@@ -36,10 +36,6 @@ MODE_SMALLSUM = "smallsum"
 
 class ParameterError(ValueError):
     """A precondition on (r, s, k), an index, or an argument was violated."""
-
-
-class FormulaDomainError(ValueError):
-    """A threshold formula produced a non-integer where one is required."""
 
 
 def _compact(n: int) -> str:
@@ -177,9 +173,9 @@ class SignSeq:
     O(n) in C-level passes.  ``values`` and the prefix sums read the
     letters eight positions per lookup, each byte of ``bits`` in a
     256-entry table cached per (r, s).  ``from_values`` maps each group of
-    eight values to its byte by the inverse dict, and the last n % 8 values
-    by a two-entry dict, so a hashable value equal to a letter, like
-    ``True`` or ``1.0``, counts as it.  ``from_bitstring`` and
+    eight values to its byte by the inverse dict, the last group padded
+    with -r letters (zero bits), so a hashable value equal to a letter,
+    like ``True`` or ``1.0``, counts as it.  ``from_bitstring`` and
     ``bitstring`` are one base-2 int/str conversion, which Python's int/str
     digit limit exempts.  Prefix weights cost O(n) once, built lazily, so
     full-sequence and window weights cost O(1) after the first query.
@@ -206,11 +202,9 @@ class SignSeq:
         s, neg_r = params.s, -params.r
         if not isinstance(values, (list, tuple)):
             values = list(values)
-        n = len(values)
-        full = n - n % 8
+        octets = zip_longest(*[iter(values)] * 8, fillvalue=neg_r)
         try:
-            head = bytes(map(_letter_bytes(params.r, s).get, zip(*[iter(values)] * 8)))
-            tail = "".join(map({s: "1", neg_r: "0"}.get, values[full:]))
+            head = bytes(map(_letter_bytes(params.r, s).get, octets))
         except TypeError:  # a foreign value gave None, or was unhashable
             n, v = next(
                 (n, v)
@@ -220,8 +214,7 @@ class SignSeq:
             raise ParameterError(
                 f"value {v} at position {n} is neither -r = {neg_r} nor s = {s}"
             ) from None
-        bits = int.from_bytes(head, "little") | int(tail[::-1] or "0", 2) << full
-        return cls(params, n, bits)
+        return cls(params, len(values), int.from_bytes(head, "little"))
 
     @classmethod
     def from_bitstring(cls, params: Params, bitstring: str) -> "SignSeq":

@@ -36,11 +36,6 @@ class SufficientBound(Report, namedtuple("SufficientBound", "params q n_sufficie
     _meta = {"n_sufficient": {"json": "n_sufficient"}}
 
 
-def shift_residue(x: int, modulus: int) -> int:
-    """The unique t in [0, modulus) with x - 1 + t divisible by modulus."""
-    return (1 - x) % modulus
-
-
 def _shift_and_term(r: int, s: int, k: int) -> tuple[int, int]:
     """(t, M1) for the letters (r, s); the letters exchanged give (t', M2).
 
@@ -51,7 +46,7 @@ def _shift_and_term(r: int, s: int, k: int) -> tuple[int, int]:
     """
     m = r + s
     c = k // m
-    t = shift_residue(s * c, m)
+    t = (1 - s * c) % m
     if t <= r:
         return t, r * s * c * c - (r + s * t) * c + s * c + t
     return t, r * s * c * c - (r + r * (m - t)) * c + s * c - (m - t)

@@ -19,7 +19,7 @@ from .core import ParameterError, Params, Report, ShiftSearchError, weight_range
 
 PRIME_GAP_EXPONENT = 0.525
 
-# How far min_good_shift scans when no prime horizon exists (see there).
+# How far min_good_shift scans when r + s does not divide k (see there).
 _FALLBACK_HORIZON = 1000
 
 
@@ -126,32 +126,23 @@ def certified_shift(params: Params, alpha: int | GoodShift) -> GoodShift:
     return shift
 
 
-def _prime_horizon(params: Params) -> int | None:
-    """First alpha >= 1 with k + alpha prime when (r + s) | k, else None.
-
-    For k = (r + s)c such a shift is good, so a minimum-shift search never
-    needs to look past it: the one prime p = k + alpha exceeds r + s, and
-    -r*alpha + (r + s)i = 0 mod p only at i = p - rc mod p, since
-    (r + s)(p - rc) - r*alpha = s*p.  Both p - rc = sc + alpha > alpha and
-    -rc < 0 lie outside [0, alpha].  Bertrand's postulate puts a prime in
-    (k, 2k], so alpha <= k.
-    """
-    k = params.k
-    if k % params.modulus:
-        return None
-    return next(alpha for alpha in range(1, k + 1) if is_prime(k + alpha))
-
-
 def min_good_shift(params: Params, horizon: int | None = None) -> GoodShift:
     """Smallest alpha >= 1 that is a good shift, searched up to ``horizon``.
 
-    With no horizon given, the search stops at the first alpha with
-    k + alpha prime when (r + s) | k, a shift that is itself good (see
-    _prime_horizon).  For other k no shift is known good in advance, and
-    the search runs to alpha = 1000.  Exhausting the horizon raises
-    ShiftSearchError with the scanned range.
+    With no horizon given, the search runs to alpha = k when (r + s) | k:
+    Bertrand's postulate puts a prime k + alpha in (k, 2k], and the first
+    such shift is good, so the search stops at or before it.  Its one
+    prime p = k + alpha exceeds r + s, and with k = (r + s)c,
+    -r*alpha + (r + s)i = 0 mod p only at i = p - rc mod p, since
+    (r + s)(p - rc) - r*alpha = s*p; both p - rc = sc + alpha > alpha and
+    -rc < 0 lie outside [0, alpha].  For other k no shift is known good in
+    advance, and the search runs to alpha = 1000.  Exhausting the horizon
+    raises ShiftSearchError with the scanned range.
     """
-    limit = horizon if horizon is not None else _prime_horizon(params) or _FALLBACK_HORIZON
+    if horizon is not None:
+        limit = horizon
+    else:
+        limit = _FALLBACK_HORIZON if params.k % params.modulus else params.k
     if limit < 1:
         raise ParameterError(f"horizon must be >= 1, got {limit}")
     for alpha in range(1, limit + 1):

@@ -68,13 +68,13 @@ class ThresholdResult(Report, namedtuple(
     """Outcome of an exhaustive threshold search.
 
     derived_threshold = max(k, max_avoiding_n + 1) over admissible lengths,
-    or k when nothing avoids; with ``exhaustive`` true and ``capped`` false
-    this is the exact threshold under the convention that only lengths
-    admitting the weight constraint count.  ``capped`` marks a lower bound
-    and means only that an admissible block avoider lies beyond the cap
-    (in AP mode it leaves AP avoiders there open); a note names its length.
-    The block DP runs on past the cap until no prefix lives, so a result
-    that is not capped is exact even when avoiders reach the cap.
+    or k when nothing avoids; with ``capped`` false this is the exact
+    threshold under the convention that only lengths admitting the weight
+    constraint count (``exhaustive`` is always true).  ``capped`` marks a
+    lower bound and means only that an admissible block avoider lies beyond
+    the cap (in AP mode it leaves AP avoiders there open); a note names its
+    length.  The block DP runs on past the cap until no prefix lives, so a
+    result that is not capped is exact even when avoiders reach the cap.
     """
 
     __slots__ = ()
@@ -290,8 +290,8 @@ def exact_threshold(
         if witnesses:
             max_avoiding = n
             break
-    admissible = any(admissible_pos_counts(params, q, n) for n in range(k, search_cap + 1))
-    notes = [] if admissible else ["no admissible length within the search cap"]
+    # n = k admits b = rk/(r+s) (weight 0), so some length is admissible iff the cap reaches k.
+    notes = [] if search_cap >= k else ["no admissible length within the search cap"]
     derived = k if max_avoiding is None else max(k, max_avoiding + 1)
     lower = "; the derived threshold is only a lower bound"
     if beyond is not None and mode == MODE_BLOCK:

@@ -10,9 +10,8 @@ by single spaces, eight tokens per lookup of a byte of the selector bits in
 a 256-entry table cached per alphabet.  ``parse_sequence`` decodes such
 canonical text by replacing each token and its trailing space with its
 selector letter, and accepts the guess only if formatting it back gives
-the text.  Anything else goes through ``split``: tokens spelled
-``str(-r)`` and ``str(s)`` map straight to selector letters, and any other
-spelling, like ``+2`` or ``02``, is read through ``int()``.
+the text.  Anything else, like ``+2``, ``02`` or doubled spaces, goes
+through ``split`` and reads each token through ``int()``.
 """
 
 from __future__ import annotations
@@ -113,16 +112,12 @@ def parse_sequence(text: str, k: int = 1) -> SignSeq:
     tokens = joined.split()
     if len(tokens) != n:
         raise SequenceFileError(f"expected {n} values, found {len(tokens)}")
-    try:  # canonical tokens map straight to selector letters
-        bitstring = "".join(map({str(-r): "0", str(s): "1"}.get, tokens))
-    except TypeError:  # some token is not canonical: read each through int()
-        try:
-            return SignSeq.from_values(params, map(int, tokens))
-        except ParameterError as exc:
-            raise SequenceFileError(str(exc)) from exc
-        except ValueError as exc:  # from int(): from_values reads every token first
-            raise SequenceFileError(f"non-integer value in body: {exc}") from exc
-    return SignSeq.from_bitstring(params, bitstring)
+    try:
+        return SignSeq.from_values(params, map(int, tokens))
+    except ParameterError as exc:
+        raise SequenceFileError(str(exc)) from exc
+    except ValueError as exc:  # from int(): from_values reads every token first
+        raise SequenceFileError(f"non-integer value in body: {exc}") from exc
 
 
 def read_sequence(path: str | Path, k: int = 1) -> SignSeq:

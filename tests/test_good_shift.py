@@ -19,7 +19,7 @@ from zerosum import (
     prime_factors,
     prime_shift,
 )
-from zerosum.good_shift import _prime_horizon, divisible_weight
+from zerosum.good_shift import divisible_weight
 
 
 def test_prime_helpers():
@@ -89,21 +89,18 @@ _NO_PRIME_HORIZON = [
 
 
 def test_prime_horizon_is_good_wherever_r_plus_s_divides_k():
-    """On coprime r, s <= 8 and k <= 8(r + s), wherever (r + s) | k the
-    search horizon is the first alpha with k + alpha prime; it lies at
-    alpha <= k and is good.  Elsewhere there is none."""
+    """On coprime r, s <= 8 and k = m(r + s) <= 8(r + s), the first alpha
+    with k + alpha prime lies at alpha <= k and is good, so the search,
+    which runs to alpha = k there, stops at or before it."""
     for r in range(1, 9):
         for s in range(1, 9):
             if math.gcd(r, s) == 1:
-                for k in range(1, 8 * (r + s) + 1):
+                for k in range(r + s, 8 * (r + s) + 1, r + s):
                     params = Params(r, s, k)
-                    alpha = _prime_horizon(params)
-                    if k % (r + s):
-                        assert alpha is None, (r, s, k)
-                        continue
-                    assert 1 <= alpha <= k and is_prime(k + alpha), (r, s, k)
-                    assert not any(is_prime(k + a) for a in range(1, alpha)), (r, s, k)
+                    alpha = next(a for a in range(1, 2 * k + 1) if is_prime(k + a))
+                    assert alpha <= k, (r, s, k)
                     assert is_good_shift(params, alpha).good, (r, s, k)
+                    assert min_good_shift(params).alpha <= alpha, (r, s, k)
 
 
 def test_min_good_shift_matches_brute_force():

@@ -585,6 +585,16 @@ def test_no_admissible_length_degenerate_report():
     assert any("no admissible length" in note for note in result.notes)
 
 
+@pytest.mark.parametrize("mode", ["block", "ap"])
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+@pytest.mark.parametrize("cap", [-1, 0, 5, 6, 9])
+def test_no_admissible_length_note_exactly_below_k(mode, q, cap):
+    """n = k admits the weight-0 count b = rk/(r+s), so some length up to
+    the cap is admissible exactly when the cap reaches k."""
+    notes = exact_threshold(Params(1, 2, 6), mode, q=q, search_cap=cap).notes
+    assert ("no admissible length within the search cap" in notes) == (cap < 6)
+
+
 def test_capped_flag_when_avoiders_reach_cap():
     """Cap at the extremal length itself: avoiders exist at the top length,
     but the block DP runs on past the cap and finds none beyond it, so the

@@ -16,8 +16,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # The public names of the package; none may be dropped.
 PUBLIC = {
     "__version__",
-    "BudgetExceededError", "FormulaDomainError", "ParameterError", "Params",
-    "ShiftSearchError", "SignSeq", "WeightRange", "weight", "weight_range",
+    "BudgetExceededError", "ParameterError", "Params", "ShiftSearchError", "SignSeq",
+    "WeightRange", "weight", "weight_range",
     "BoundReport", "SufficientBound", "ap_lower_bound_value", "block_threshold",
     "exact_block_threshold", "exact_block_threshold_symmetric", "pm1_block_threshold",
     "pm1_smallsum_threshold", "sufficient_block_bound",
