@@ -13,6 +13,12 @@ state holding one with its prefix count, so the walk's avoiders plus drops
 equal the DP's count.  Each walk is bounded, before it starts, by that
 count (see exact_threshold); no work grows with the search cap.
 
+At r = s = 1 negating every letter maps avoiders, kills, drops and
+zero-sum APs to themselves, so the DP keeps one state of each mirror pair,
+the one whose newest letter is +1 (see _block_dp for why that is exact),
+and the walk reads every state through the one kept for its pair and
+emits each avoider with its negation.
+
 The pow2 check enumerates the 2^(2^v) sign functions on Z/2^v bit-sliced,
 2^16 to a word (one big int per position, one bit per function), so its
 memory does not grow with v: a ripple-carry counter sums a progression's
@@ -155,19 +161,38 @@ def _block_dp(
     as every later tally is vacuous) or a later admissible length has an
     avoider.  Returns the admissible avoider count and the states (key to
     prefix count) per length run, up to ``through``, and that later length
-    or None."""
+    or None.
+
+    At r = s = 1 it keeps one state per mirror pair.  Negating every letter
+    maps a length-n prefix in state (negs, tail) to one in (n - negs,
+    tail ^ flip), flip the low min(n, k-1) bits: a k-window's negatives go
+    from j to k - j, so it is zero-sum (j = c* = k/2) exactly when its
+    mirror is, and _block_bounds gives the mirror's bound on negative
+    windows as the tail's bound on positive ones (hi[t] == lo[t ^ flip]).
+    So both states of a pair hold the same prefix count, and they differ
+    in bit 0 from n = 1 on.  Only the state whose newest letter is +1 (bit
+    0 clear) is kept: its +1 successor is kept as it is, its -1 successor
+    is stored as that successor's mirror, and the two stand for the
+    successors of the dropped mirror too.  The empty prefix is its own
+    mirror, so length 1 keeps only "+".  The tallies add each per-negs list
+    to its reverse, so every length still accounts for C(n, negs)."""
     k, m, s, (hi, lo) = params.k, params.modulus, params.s, _block_bounds(params, q)
     c_star, shift, tail_mask = _zero_negs(params), k - 1, (1 << (k - 1)) - 1
+    mirrored = params.r == params.s  # gcd 1: r = s = 1
     states, dead = {0: 1}, [0]  # dead[negs]: length-n prefixes killed or dropped
     counts, layers, n = [], [], 0
     while True:
         alive = [0] * (n + 1)
         for key, count in states.items():
             alive[key >> shift] += count
+        full_alive, full_dead = alive, dead
+        if mirrored and n:  # each kept state and kill stands for its mirror too
+            full_alive = [a + b for a, b in zip(alive, reversed(alive))]
+            full_dead = [a + b for a, b in zip(dead, reversed(dead))]
         avoiders = 0
         for b in admissible_pos_counts(params, q, n):
-            _check_tally(n, n - b, alive[n - b] + dead[n - b])
-            avoiders += alive[n - b]
+            _check_tally(n, n - b, full_alive[n - b] + full_dead[n - b])
+            avoiders += full_alive[n - b]
         if n <= through:
             counts.append(avoiders)
             layers.append(states)
@@ -176,19 +201,33 @@ def _block_dp(
         if not (states if probe else n < through):
             return counts, layers, None
         dead = [a + b for a, b in zip(dead + [0], [0] + dead)]
+        if mirrored and not n:  # "+" and "-" mirror each other
+            states, n = {0: 1}, 1
+            continue
         nxt: dict[int, int] = {}
         get, grown, closes = nxt.get, s * (n + 1), n >= shift  # closes: a k-window ends here
+        # The -r successor's key is (plus ^ invert) + offset, plus the +s one's:
+        # plus + (1 << shift | 1), or at r = s = 1 its mirror's key,
+        # (n - negs) << shift | (older | 1) ^ flip = (n << shift) + flip - 1 - plus
+        # (older | 1 lies within flip, and plus ^ -1 = -1 - plus).
+        if mirrored:
+            invert, offset = -1, (n << shift) + (1 << min(n + 1, shift)) - 1
+        else:
+            invert, offset = 0, 1 << shift | 1
         for key, count in states.items():
             negs, tail = key >> shift, key & tail_mask
             ones, older = tail.bit_count(), tail << 1 & tail_mask
-            for x in (0, 1):
-                j, after, new = ones + x, negs + x, older | x
-                w = grown - m * after  # the new prefix's weight
-                if closes and (j == c_star or (w > hi[new] if j < c_star else -w > lo[new])):
-                    dead[after] += count
-                else:
-                    new |= after << shift
-                    nxt[new] = get(new, 0) + count
+            plus, w = older | negs << shift, grown - m * negs  # after +s: key, weight
+            if closes and (ones == c_star or (w > hi[older] if ones < c_star else -w > lo[older])):
+                dead[negs] += count
+            else:
+                nxt[plus] = get(plus, 0) + count
+            ones, w, older = ones + 1, w - m, older | 1  # after -r instead
+            if closes and (ones == c_star or (w > hi[older] if ones < c_star else -w > lo[older])):
+                dead[negs + 1] += count
+            else:
+                new = (plus ^ invert) + offset
+                nxt[new] = get(new, 0) + count
         states, n = nxt, n + 1
 
 
@@ -212,22 +251,38 @@ def _avoiders(
     it visits has a live prefix.  With ``starts`` (see _ap_starts), placing
     letter t tests the APs whose first term is t, and a hit drops the state
     with its prefix count.  Avoiders plus dropped counts must equal the DP's
-    avoider count at n."""
+    avoider count at n.
+
+    At r = s = 1 the walk starts from the kept states only, reads each
+    state it visits through the one kept for its mirror pair, and emits
+    each avoider with its negation: negating every letter maps avoiders,
+    kills and zero-sum APs (c* = k/2 negatives) to themselves, so a drop
+    also stands for the negated prefixes and counts twice."""
     k, shift, c_star = params.k, params.k - 1, _zero_negs(params)
+    tail_mask, pair = (1 << shift) - 1, 2 if params.r == params.s else 1
+
+    def kept(key: int, length: int) -> int:  # the stored state of key's mirror pair
+        if pair == 1 or not key & 1:
+            return key
+        flip = (1 << min(length, shift)) - 1
+        return (length - (key >> shift)) << shift | (key & tail_mask) ^ flip
+
     negs_ok = {n - b for b in admissible_pos_counts(params, q, n)}
     stack = [(key, n, 0) for key in layers[n] if key >> shift in negs_ok]
-    expected, dropped = sum(layers[n][key] for key, _, _ in stack), 0
+    expected, dropped = pair * sum(layers[n][key] for key, _, _ in stack), 0
     out: list[SignSeq] = []
     while stack:
         key, length, mask = stack.pop()
         if length == 0:
             out.append(SignSeq(params, n, ((1 << n) - 1) ^ mask))
+            if pair == 2:
+                out.append(SignSeq(params, n, mask))
             continue
-        negs, tail, x = key >> shift, key & ((1 << shift) - 1), key & 1
+        negs, tail, x = key >> shift, key & tail_mask, key & 1
         mask |= x << (length - 1)
         aps = starts[length - 1] if starts else None  # empty from n - 2k + 2 on
         if aps and any((mask & ap).bit_count() == c_star for ap in aps):
-            dropped += layers[length][key]
+            dropped += pair * layers[length][kept(key, length)]
             continue
         layer = layers[length - 1]
         for y in (0, 1):
@@ -235,7 +290,7 @@ def _avoiders(
             if length >= k and prev_tail.bit_count() + x == c_star:
                 continue  # that transition was killed
             prev = (negs - x) << shift | prev_tail
-            if prev in layer:
+            if kept(prev, length - 1) in layer:
                 stack.append((prev, length - 1, mask))
     if len(out) + dropped != expected:
         raise AssertionError(
@@ -438,19 +493,27 @@ def verify_lemma_residue_properties(
     fn: ResidueFunction = build_ap_mod_k_product(k, factors)
     plus, minus = fn.count_plus(), fn.count_minus()
     counts_ok = plus == k // 2 + 1 and minus == k // 2 - 1
+    # sums[d]: the weights of the d full progressions of difference d, one
+    # per residue class mod d (start < d and d * (k/d) = k: none wraps).
+    # Class a mod d is the union of classes a + jd mod dp, j < p, p the
+    # least prime with dp | k, so the sums fold down from those mod k.
+    divisors = [d for d in range(1, k + 1) if k % d == 0]
+    sums = {k: fn.values}
+    for d in reversed(divisors[:-1]):
+        rest = k // d
+        p = next(p for p in range(2, rest + 1) if rest % p == 0)
+        finer = sums[d * p]
+        sums[d] = list(map(sum, zip(*(finer[j * d:(j + 1) * d] for j in range(p)))))
     checked = 0
     failure: tuple[int, int] | None = None
-    for d in range(1, k + 1):
-        if k % d:
-            continue
-        for start in range(d):
-            checked += 1
-            # start < d and d * (k/d) = k: the full progression never wraps
-            if sum(fn.values[start::d]) == 0:
-                failure = (d, start)
-                break
-        if failure:
+    for d in divisors:
+        weights = sums[d]
+        if 0 in weights:
+            start = weights.index(0)
+            checked += start + 1
+            failure = (d, start)
             break
+        checked += d
     return ResidueLemmaVerdict(
         k=k,
         factors=fn.factors,

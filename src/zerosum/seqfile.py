@@ -8,10 +8,11 @@ n in total, or a single line ``b:<bitstring>`` of length n where 0 means
 ``format_sequence`` writes the values as ``str(-r)`` and ``str(s)`` joined
 by single spaces, eight tokens per lookup of a byte of the selector bits in
 a 256-entry table cached per alphabet.  ``parse_sequence`` decodes such
-canonical text by replacing each token and its trailing space with its
-selector letter, and accepts the guess only if formatting it back gives
-the text.  Anything else, like ``+2``, ``02`` or doubled spaces, goes
-through ``split`` and reads each token through ``int()``.
+canonical ASCII text by deleting its digits and replacing each ``"- "``
+and each remaining space with a selector letter, and accepts the guess
+only if formatting it back gives the text.  Anything else, like ``+2``,
+``02``, doubled spaces or non-ASCII text, goes through ``split`` and reads
+each token through ``int()``.
 """
 
 from __future__ import annotations
@@ -103,12 +104,15 @@ def parse_sequence(text: str, k: int = 1) -> SignSeq:
         except ParameterError as exc:
             raise SequenceFileError(str(exc)) from exc
     joined = " ".join(body)
-    # Canonical text: each token and its space become one selector letter.
-    guess = (joined + " ").replace(f"{-r} ", "0").replace(f"{s} ", "1")
-    if len(guess) == n and re.fullmatch("[01]*", guess):
-        seq = SignSeq(params, n, int(guess[::-1], 2))
-        if _values_body(seq) == joined:
-            return seq
+    if joined.isascii():
+        # Canonical text: with the digits gone, each token and its space
+        # are "- " (-r) or " " (s), one selector letter each.
+        guess = (joined + " ").encode().translate(None, b"0123456789")
+        guess = guess.replace(b"- ", b"0").replace(b" ", b"1")
+        if len(guess) == n and re.fullmatch(b"[01]*", guess):
+            seq = SignSeq(params, n, int(guess[::-1], 2))
+            if _values_body(seq) == joined:
+                return seq
     tokens = joined.split()
     if len(tokens) != n:
         raise SequenceFileError(f"expected {n} values, found {len(tokens)}")

@@ -5,6 +5,7 @@ reference for the oracle's avoider walk."""
 
 import functools
 import math
+import random
 import time
 
 import pytest
@@ -205,6 +206,99 @@ def test_block_bounds_match_their_definition(r, s, k, q):
         want_hi.append(q + max([0] + [min(r * (k - i), w - m) for i, w in enumerate(weights, 1)]))
         want_lo.append(q + max([0] + [min(s * (k - i), -w - m) for i, w in enumerate(weights, 1)]))
     assert _block_bounds(Params(r, s, k), q) == (want_hi, want_lo)
+
+
+def _full_block_dp(params, q, through, probe=True):
+    """The block DP that keeps every state, as it stood before the (1,1)
+    halving: the reference for ``_block_dp``'s counts, probe and layers."""
+    k, m, s, (hi, lo) = params.k, params.modulus, params.s, _block_bounds(params, q)
+    c_star, shift, tail_mask = _zero_negs(params), k - 1, (1 << (k - 1)) - 1
+    states, dead = {0: 1}, [0]
+    counts, layers, n = [], [], 0
+    while True:
+        alive = [0] * (n + 1)
+        for key, count in states.items():
+            alive[key >> shift] += count
+        avoiders = 0
+        for b in admissible_pos_counts(params, q, n):
+            assert alive[n - b] + dead[n - b] == math.comb(n, n - b)
+            avoiders += alive[n - b]
+        if n <= through:
+            counts.append(avoiders)
+            layers.append(states)
+        elif avoiders and n >= k:
+            return counts, layers, n
+        if not (states if probe else n < through):
+            return counts, layers, None
+        dead = [a + b for a, b in zip(dead + [0], [0] + dead)]
+        nxt = {}
+        get, grown, closes = nxt.get, s * (n + 1), n >= shift
+        for key, count in states.items():
+            negs, tail = key >> shift, key & tail_mask
+            ones, older = tail.bit_count(), tail << 1 & tail_mask
+            for x in (0, 1):
+                j, after, new = ones + x, negs + x, older | x
+                w = grown - m * after
+                if closes and (j == c_star or (w > hi[new] if j < c_star else -w > lo[new])):
+                    dead[after] += count
+                else:
+                    new |= after << shift
+                    nxt[new] = get(new, 0) + count
+        states, n = nxt, n + 1
+
+
+def _mirror(key, n, k):
+    """The state of the negated prefix: (n - negs, tail ^ the low min(n, k-1) bits)."""
+    shift = k - 1
+    return (n - (key >> shift)) << shift | (key & ((1 << shift) - 1)) ^ ((1 << min(n, shift)) - 1)
+
+
+@pytest.mark.parametrize("k", range(2, 17, 2))
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_halved_pm1_dp_matches_the_full_dp(k, q):
+    """At (1,1) the DP keeps the state with newest letter +1 of each mirror
+    pair.  With probe on, its counts and ``beyond`` equal the full DP's, and
+    each kept layer, expanded by the mirrors, is the full layer.  Through
+    3k + 6 every prefix dies up to k = 12; at k = 14 and 16 the probe finds
+    a later avoider for some q."""
+    params = Params(1, 1, k)
+    through = 3 * k + 6
+    counts, layers, beyond = _block_dp(params, q, through)
+    want_counts, want_layers, want_beyond = _full_block_dp(params, q, through)
+    assert (counts, beyond) == (want_counts, want_beyond)
+    assert len(layers) == len(want_layers)
+    for n, (layer, want) in enumerate(zip(layers, want_layers)):
+        assert all(not key & 1 for key in layer) or n == 0, n
+        expanded = dict(layer)
+        for key, count in layer.items():
+            expanded[_mirror(key, n, k)] = count
+        assert expanded == want, n
+
+
+@pytest.mark.parametrize("r,s,k,q,through", [(1, 2, 9, 0, 24), (2, 3, 10, 1, 30), (3, 1, 8, 2, 20)])
+def test_dp_off_pm1_keeps_every_state(r, s, k, q, through):
+    """Off (1,1) nothing is halved: the DP is the full one, layer by layer."""
+    params = Params(r, s, k)
+    assert _block_dp(params, q, through) == _full_block_dp(params, q, through)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 12])
+@pytest.mark.parametrize("q", [0, 1, 2, 5])
+def test_pm1_block_bounds_mirror(k, q):
+    """At (1,1) the bound on a tail's negative windows is its mirror's bound
+    on positive ones, which the halving relies on."""
+    hi, lo = _block_bounds(Params(1, 1, k), q)
+    mask = (1 << (k - 1)) - 1
+    assert all(hi[t] == lo[t ^ mask] for t in range(1 << (k - 1)))
+
+
+def test_pm1_dp_stores_one_state_per_mirror_pair():
+    """(1,1,12) through 24 keeps 4046 states, the full DP 8091: every pair
+    but the empty prefix, its own mirror, is halved."""
+    params = Params(1, 1, 12)
+    for probe in (True, False):
+        assert sum(map(len, _block_dp(params, 0, 24, probe)[1])) == 4046
+        assert sum(map(len, _full_block_dp(params, 0, 24, probe)[1])) == 8091
 
 
 def _dp_avoiders(n, k, negs, c_star):
@@ -805,6 +899,57 @@ class TestResidueLemma:
         """2 * 3 * 5 * 7 * 11 = 2310, not 4620: an input error, whatever the budget."""
         with pytest.raises(ParameterError, match="2310 != k = 4620"):
             verify_lemma_residue_properties(4620, (3, 5, 7, 11), budget=0)
+
+    @staticmethod
+    def _per_start(k, values):
+        """(progressions checked, failure) by one slice sum per (d, start),
+        d | k ascending: the check before the class sums were folded."""
+        checked = 0
+        for d in range(1, k + 1):
+            if k % d:
+                continue
+            for start in range(d):
+                checked += 1
+                if sum(values[start::d]) == 0:
+                    return checked, (d, start)
+        return checked, None
+
+    @pytest.mark.parametrize(
+        "k,factors",
+        [(30, (3, 5)), (210, (3, 5, 7)), (2310, (3, 5, 7, 11)), (30030, (3, 5, 7, 11, 13))],
+    )
+    def test_folded_sums_match_per_start_slices(self, monkeypatch, k, factors):
+        """The folded class sums give the per-start check's count and first
+        failure (lowest d, then lowest start), on the product function and
+        on perturbed copies that have a zero-sum progression."""
+        from zerosum.constructions import build_ap_mod_k_product
+
+        fn = build_ap_mod_k_product(k, factors)
+        verdict = verify_lemma_residue_properties(k, factors)
+        assert self._per_start(k, fn.values) == (verdict.progressions_checked, None)
+        assert verdict.failure is None
+        values = list(fn.values)
+        a = next(a for a in range(k // 2) if values[a] == values[a + k // 2])
+        b = next(b for b in range(k) if values[b] == -values[a])
+        pair = values.copy()  # swap: same counts, and (a, a + k/2) sums to 0
+        pair[a + k // 2], pair[b] = values[b], values[a + k // 2]
+        balanced = values.copy()
+        balanced[values.index(1)] = -1  # k/2 letters of each sign: the d = 1 progression
+        perturbed = [pair, balanced]
+        rng = random.Random(k)
+        for _ in range(2 if k > 2310 else 6):
+            flipped = values.copy()
+            for i in rng.sample(range(k), 3):
+                flipped[i] = -flipped[i]
+            perturbed.append(flipped)
+        assert self._per_start(k, pair)[1] is not None
+        for case in perturbed:
+            changed = fn._replace(values=tuple(case))
+            monkeypatch.setattr(oracle, "build_ap_mod_k_product", lambda k, factors: changed)
+            got = verify_lemma_residue_properties(k, factors)
+            checked, failure = self._per_start(k, case)
+            assert (got.progressions_checked, got.failure) == (checked, failure)
+            assert got.ok == (failure is None and case.count(1) == k // 2 + 1)
 
     def test_default_budget_admits_k_past_2310(self):
         """2 * 3 * 5 * 7 * 11 * 13 = 30030 and 30030^2 < 10^9."""
