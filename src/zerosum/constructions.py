@@ -5,9 +5,14 @@ of neg_run letters -r, then period - neg_run letters +s, repeated and cut
 to length n.  A builder fixes only those three numbers and its claim, what
 the sequence avoids (zero-sum k-blocks or zero-sum k-term arithmetic
 subsequences); the scanners re-check each claim independently.  The
-residue product is the exception: a sign function on Z/k, not a run
-pattern.  Lengths that legally evaluate to 0 at small parameters are
-flagged degenerate rather than rejected.
+lengths of block-extremal and ap-good-shift are closed forms that live in
+``formulas`` (M1 - 1 and ``ap_lower_bound_value``).  Three kinds retag
+another builder's sequence with their own kind and claim: ap-two-p is
+block-extremal at (1, 1, 2p), ap-mod-k1 is ap-good-shift at (1, 1, k) with
+alpha = 1, and block-extremal-neg negates block-extremal with r and s
+swapped.  The residue product is the exception: a sign function on Z/k,
+not a run pattern.  Lengths that legally evaluate to 0 at small
+parameters are flagged degenerate rather than rejected.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .core import (
     Params,
     SignSeq,
 )
+from .formulas import ap_lower_bound_value, exact_block_threshold
 from .good_shift import GoodShift, certified_shift, is_prime
 
 
@@ -56,36 +62,20 @@ def _construction(kind: str, seq: SignSeq, description: str) -> Construction:
     )
 
 
-def _block_extremal_length(r: int, s: int, k: int) -> int:
-    """Length of the periodic block-extremal construction.
-
-    The sequence consists of b periods of k letters [sk/(r+s) - 1 copies of
-    -r, rk/(r+s) + 1 copies of +s] followed by a remainder that is a prefix
-    of the same pattern, so every k-window covers each residue class mod k
-    exactly once and has weight exactly r + s.  The shift t decides the
-    remainder: the -r run and t letters +s when t <= r, else a shorter run
-    of -r letters.  With cap = k/(r+s) >= 1 both b and the remainder
-    length are nonnegative (CHANGES.md gives the short proof).
-    """
-    m = r + s
-    cap = k // m
-    t = (1 - s * cap) % m
-    neg_run = s * cap - 1
-    if t <= r:
-        b = (r * s * cap - (r + s * t)) // m
-        rem_len = neg_run + t
-    else:
-        b = (r * s * cap - (r + r * (m - t))) // m
-        rem_len = neg_run - (m - t)
-    return b * k + rem_len
-
-
 def build_block_extremal(params: Params) -> Construction:
-    """Zero-sum sequence one below the exact threshold with every k-window
-    weight equal to r + s, hence no zero-sum k-block."""
-    params.require_block_divisibility()
+    """Zero-sum sequence of length M1 - 1 with every k-window weight equal
+    to r + s, hence no zero-sum k-block.
+
+    Period k: sk/(r+s) - 1 letters -r, then rk/(r+s) + 1 letters +s, so
+    every k-window covers each residue class mod k once.  The length M1 - 1
+    is read from ``formulas.exact_block_threshold``.  It is nonnegative: with
+    c = k/(r+s) >= 1 and t the shift there, M1 - 1 = bk + rem.  If t <= r,
+    rem = sc - 1 + t and (r+s)b = rsc - r - st, which is 0 mod r + s (as
+    st = s - s^2 c) and at least r(s(c-1) - 1) >= -r > -(r+s), so b >= 0.
+    If t > r, rem = sc - 1 - (r+s-t) >= s(c-1) >= 0 and (r+s)b = r * rem.
+    """
     r, s, k = params.r, params.s, params.k
-    n = _block_extremal_length(r, s, k)
+    n = exact_block_threshold(params).m1 - 1
     return _construction(
         BLOCK_EXTREMAL,
         _periodic(params, k, s * k // params.modulus - 1, n),
@@ -197,19 +187,18 @@ def build_ap_mod_k_product(k: int, factors: tuple[int, ...] | list[int]) -> Resi
 def build_ap_mod_k_plus1(k: int) -> Construction:
     """Period-(k+1) sign sequence avoiding zero-sum k-term APs, any even k.
 
-    f(j) = -1 when j mod (k+1) < (k-2)/2, else +1.  The length is
-    (a+3) * floor((a-3)/6) with a = k + 1: that floor keeps the trailing
+    f(j) = -1 when j mod (k+1) < (k-2)/2, else +1, with length
+    (a+3) * floor((a-3)/6) for a = k + 1: that floor keeps the trailing
     remainder short enough to consist of -1's only, which is what makes the
-    total weight zero.
+    total weight zero.  It is the good-shift sequence at (1, 1, k) with
+    alpha = 1, which is always good there since S_1 = {-1, 1}.
     """
     if k < 2 or k % 2:
         raise ParameterError(f"k must be even and >= 2, got {k}")
-    a = k + 1
-    n = (a + 3) * ((a - 3) // 6)
     return _construction(
         AP_MOD_K_PLUS1,
-        _periodic(Params(1, 1, k), a, (a - 3) // 2, n),
-        f"no zero-sum {k}-term arithmetic subsequence (period {a}, every "
+        build_ap_good_shift(Params(1, 1, k), 1).seq,
+        f"no zero-sum {k}-term arithmetic subsequence (period {k + 1}, every "
         f"full-period AP weight is at least 3 in absolute value)",
     )
 
@@ -219,19 +208,18 @@ def build_ap_good_shift(params: Params, alpha: int | GoodShift) -> Construction:
     for any good shift alpha.
 
     f(j) = -r when j mod (k+alpha) < sk/(r+s) - 1, else +s; each full
-    period weighs r + s + s*alpha, and the length is chosen so that the
-    remainder is all -r and cancels the full periods exactly.
+    period weighs r + s + s*alpha, and the length, ``ap_lower_bound_value``,
+    leaves a remainder that is all -r and cancels the full periods exactly.
     """
     params.require_block_divisibility()
     shift = certified_shift(params, alpha)
-    r, s, k = params.r, params.s, params.k
+    s, k = params.s, params.k
     a = k + shift.alpha
-    neg_run = s * k // params.modulus - 1
     period_weight = params.modulus + s * shift.alpha
-    n = (r * a + period_weight) * (neg_run // (r * period_weight))
+    n = ap_lower_bound_value(params, shift)
     return _construction(
         AP_GOOD_SHIFT,
-        _periodic(params, a, neg_run, n),
+        _periodic(params, a, s * k // params.modulus - 1, n),
         f"no zero-sum {k}-term arithmetic subsequence (period {a}, per-period "
         f"weight {period_weight}, good shift alpha = {shift.alpha})",
     )
@@ -240,15 +228,15 @@ def build_ap_good_shift(params: Params, alpha: int | GoodShift) -> Construction:
 def build_ap_two_p(p: int) -> Construction:
     """Length p^2 - 1 sequence avoiding zero-sum 2p-term APs, p an odd prime.
 
-    f(j) = -1 when j mod 2p < p - 1, else +1.  Certifies that the quadratic
+    f(j) = -1 when j mod 2p < p - 1, else +1: the block-extremal sequence at
+    (1, 1, 2p), whose length M1 - 1 is p^2 - 1.  Certifies that the quadratic
     upper-bound constant for {-1, 1}-sequences cannot be improved.
     """
     if p < 3 or not is_prime(p):
         raise ParameterError(f"p must be an odd prime, got {p}")
-    k = 2 * p
-    n = p * p - 1
+    seq = build_block_extremal(Params(1, 1, 2 * p)).seq
     return _construction(
         AP_TWO_P,
-        _periodic(Params(1, 1, k), k, p - 1, n),
-        f"no zero-sum {k}-term arithmetic subsequence in length {n} = p^2 - 1",
+        seq,
+        f"no zero-sum {2 * p}-term arithmetic subsequence in length {seq.n} = p^2 - 1",
     )

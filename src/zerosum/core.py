@@ -9,13 +9,12 @@ safe to share across threads; positions are 0-based throughout.
 from __future__ import annotations
 
 import math
-import re
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import accumulate, chain, islice, zip_longest
-from typing import Iterable, Iterator, TypeAlias
 
-Weight: TypeAlias = int
+Weight = int
 
 # Construction kind names: ``constructions`` tags its builders with them and
 # the CLI offers them as ``--kind`` choices without loading the builders.
@@ -219,10 +218,10 @@ class SignSeq:
     @classmethod
     def from_bitstring(cls, params: Params, bitstring: str) -> "SignSeq":
         # int(x, 2) alone would accept "_", spaces, a sign, "0b" and non-ASCII digits.
-        i = re.match("[01]*", bitstring).end()
-        if i < len(bitstring):
+        if not bitstring.isascii() or bitstring.encode().translate(None, b"01"):
+            i = next(i for i, c in enumerate(bitstring) if c not in "01")
             raise ParameterError(f"bad selector character {bitstring[i]!r} at position {i}")
-        return cls(params, i, int(bitstring[::-1] or "0", 2))
+        return cls(params, len(bitstring), int(bitstring[::-1] or "0", 2))
 
     def value(self, i: int) -> int:
         if not 0 <= i < self.n:

@@ -17,15 +17,10 @@ each token through ``int()``.
 
 from __future__ import annotations
 
-import re
+import os
 from functools import cache
-from pathlib import Path
 
 from .core import ParameterError, Params, SignSeq
-
-_HEADER_RE = re.compile(
-    r"^# zerosum v1 r=(\d+) s=(\d+) n=(\d+)\s*$"
-)
 
 ENCODING_VALUES = "values"
 ENCODING_BITS = "bits"
@@ -66,7 +61,7 @@ def format_sequence(seq: SignSeq, encoding: str = ENCODING_VALUES) -> str:
     return f"{header}\n{_values_body(seq)}\n"
 
 
-def write_sequence(path: str | Path, seq: SignSeq, encoding: str = ENCODING_VALUES) -> None:
+def write_sequence(path: str | os.PathLike, seq: SignSeq, encoding: str = ENCODING_VALUES) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(format_sequence(seq, encoding))
 
@@ -76,12 +71,16 @@ def parse_sequence(text: str, k: int = 1) -> SignSeq:
     lines = text.splitlines()
     if not lines:
         raise SequenceFileError("empty file")
-    match = _HEADER_RE.match(lines[0])
-    if not match:
+    # Trailing whitespace and the digits are what str.isspace and
+    # str.isdecimal accept.
+    words = lines[0].rstrip().split(" ")
+    keys, fields = [w[:2] for w in words[3:]], [w[2:] for w in words[3:]]
+    if (words[:3] != ["#", "zerosum", "v1"] or keys != ["r=", "s=", "n="]
+            or not all(map(str.isdecimal, fields))):
         raise SequenceFileError(
             f"bad header {lines[0]!r}; expected '# zerosum v1 r=<r> s=<s> n=<n>'"
         )
-    r, s, n = (int(g) for g in match.groups())
+    r, s, n = map(int, fields)
     try:
         params = Params(r, s, max(k, 1))
     except ParameterError as exc:
@@ -109,7 +108,7 @@ def parse_sequence(text: str, k: int = 1) -> SignSeq:
         # are "- " (-r) or " " (s), one selector letter each.
         guess = (joined + " ").encode().translate(None, b"0123456789")
         guess = guess.replace(b"- ", b"0").replace(b" ", b"1")
-        if len(guess) == n and re.fullmatch(b"[01]*", guess):
+        if len(guess) == n and not guess.translate(None, b"01"):
             seq = SignSeq(params, n, int(guess[::-1], 2))
             if _values_body(seq) == joined:
                 return seq
@@ -124,9 +123,10 @@ def parse_sequence(text: str, k: int = 1) -> SignSeq:
         raise SequenceFileError(f"non-integer value in body: {exc}") from exc
 
 
-def read_sequence(path: str | Path, k: int = 1) -> SignSeq:
+def read_sequence(path: str | os.PathLike, k: int = 1) -> SignSeq:
     try:
-        text = Path(path).read_text(encoding="ascii")
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise SequenceFileError(f"non-ASCII byte at offset {exc.start}") from exc
     return parse_sequence(text, k=k)

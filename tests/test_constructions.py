@@ -2,6 +2,7 @@
 avoidance properties re-checked through the scanners."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,8 @@ from zerosum import (
     exact_block_threshold,
     min_good_shift,
 )
+
+from test_formulas import ref_shift_and_term
 
 
 class TestBlockExtremal:
@@ -64,7 +67,7 @@ class TestBlockExtremal:
             params = Params(r, s, mult * (r + s))
             c = build_block_extremal(params)
             n_exact = exact_block_threshold(params).n_exact
-            assert c.length == exact_block_threshold(params).m1 - 1
+            assert c.length == ref_shift_and_term(r, s, params.k)[1] - 1
             assert c.length < n_exact
             assert c.seq.total_weight() == 0
             if c.length >= params.k:
@@ -193,9 +196,10 @@ class TestApGoodShift:
         assert c.seq.window_weight(0, 13) == 5
 
     def test_reduces_to_plus1_at_pm1(self):
-        via_shift = build_ap_good_shift(Params(1, 1, 8), 1)
-        direct = build_ap_mod_k_plus1(8)
-        assert via_shift.seq.values() == direct.seq.values()
+        # Period 9, three -1 letters a period, length (a+3)*((a-3)//6) = 12.
+        expected = (-1, -1, -1, 1, 1, 1, 1, 1, 1, -1, -1, -1)
+        assert build_ap_good_shift(Params(1, 1, 8), 1).seq.values() == expected
+        assert build_ap_mod_k_plus1(8).seq.values() == expected
 
     def test_rejects_bad_shift(self):
         with pytest.raises(ParameterError):
@@ -239,16 +243,23 @@ def test_ap_constructions_desk_scale_grid():
             assert not ap_scan(c.seq, k).found, k
 
 
-def test_good_shift_length_matches_lower_bound_value():
-    from zerosum import ap_lower_bound_value
+def _ref_good_shift_length(r, s, k, alpha):
+    """The paper's (r(k+a) + (r+s+s*a)) * floor((sk/(r+s) - 1) / (r(r+s+s*a)))
+    in exact rationals."""
+    period_weight = r + s + s * alpha
+    runs = math.floor((Fraction(s * k, r + s) - 1) / (r * period_weight))
+    return (r * (k + alpha) + period_weight) * runs
 
-    for params, alpha in [
-        (Params(1, 2, 12), 1),
-        (Params(1, 1, 14), 1),
-        (Params(2, 3, 30), 1),  # a = 31 is prime and divides nothing in {-2, 3}
+
+def test_good_shift_length_matches_lower_bound_value():
+    for params, alpha, length in [
+        (Params(1, 2, 12), 1, 18),
+        (Params(1, 1, 14), 1, 36),
+        (Params(2, 3, 30), 1, 70),  # a = 31 is prime and divides nothing in {-2, 3}
     ]:
         c = build_ap_good_shift(params, alpha)
-        assert c.length == ap_lower_bound_value(params, alpha)
+        assert c.length == ap_lower_bound_value(params, alpha) == length
+        assert length == _ref_good_shift_length(params.r, params.s, params.k, alpha)
 
 
 def test_all_constructions_zero_sum():
@@ -295,16 +306,14 @@ def test_every_construction_follows_its_docstring_rule():
             for k in range(r + s, 8 * (r + s) + 1, r + s):
                 params, c_star = Params(r, s, k), s * k // (r + s)
                 plain = build_block_extremal(params)
-                check(plain, k, c_star - 1, -r, s)
+                check(plain, k, c_star - 1, -r, s, n=ref_shift_and_term(r, s, k)[1] - 1)
                 swapped = build_block_extremal(Params(s, r, k))
                 check(build_block_extremal_negated(params), k, k - c_star - 1, s, -r,
                       n=swapped.length)
-                if r < s:
-                    assert plain.length == exact_block_threshold(params).m1 - 1
                 # The default horizon needs a prime k + alpha > s*alpha, which small k lacks.
                 shift = min_good_shift(params, horizon=2 * k)
                 check(build_ap_good_shift(params, shift), k + shift.alpha, c_star - 1, -r, s,
-                      n=ap_lower_bound_value(params, shift))
+                      n=_ref_good_shift_length(r, s, k, shift.alpha))
     for k in range(-2, 121):
         a = k // 2
         if k % 4 == 2 and k >= 6:

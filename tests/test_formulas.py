@@ -239,8 +239,8 @@ def test_extremal_lengths_match_case_bounds():
             report = exact_block_threshold(params)
             base_len = build_block_extremal(params).length
             neg_len = build_block_extremal_negated(params).length
-            assert base_len + 1 == report.m1
-            assert neg_len + 1 == report.m2
+            assert base_len + 1 == report.m1 == ref_shift_and_term(r, s, k)[1]
+            assert neg_len + 1 == report.m2 == ref_shift_and_term(s, r, k)[1]
             assert max(report.m1, report.m2) <= report.n_exact
             if report.n_exact > k:
                 assert max(base_len, neg_len) == report.n_exact - 1
