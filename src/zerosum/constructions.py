@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import mul
 
 from .core import (
     AP_GOOD_SHIFT,
@@ -173,12 +174,10 @@ def build_ap_mod_k_product(k: int, factors: tuple[int, ...] | list[int]) -> Resi
     and +1 otherwise; the factors must be odd, > 1, and pairwise coprime.
     """
     factors = product_factors(k, factors)
-    values = []
-    for j in range(k):
-        f = 1
-        for a in factors:
-            f *= -1 if j % a < (a - 1) // 2 else 1
-        values.append(f)
+    values = [1] * k
+    for a in factors:  # a | k: the factor's signs repeat k/a times
+        h = (a - 1) // 2
+        values = list(map(mul, values, ([-1] * h + [1] * (a - h)) * (k // a)))
     fn = ResidueFunction(modulus=k, factors=factors, values=tuple(values))
     assert fn.count_plus() == k // 2 + 1 and fn.count_minus() == k // 2 - 1
     return fn

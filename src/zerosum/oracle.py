@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .core import MODE_AP, MODE_BLOCK, BudgetExceededError, ParameterError, Params, Report, SignSeq
 from .constructions import ResidueFunction, build_ap_mod_k_product, product_factors
@@ -137,7 +137,10 @@ def _block_dp_estimate(params: Params, q: int) -> int:
 def _block_bounds(params: Params, q: int) -> tuple[list[int], list[int]]:
     """Per tail, the most an avoider's prefix may weigh with positive windows
     (the least, negated, with negative ones): q plus the most the next j < k
-    letters, closing a window, take back: min(W(last k - j) - (r+s), rj) or 0."""
+    letters, closing a window, take back: min(W(last k - j) - (r+s), rj) or 0.
+    At r = s = 1 negating a tail flips all its k - 1 bits, t to t ^ mask,
+    which reverses the index: the negative bounds are the positive ones
+    reversed."""
     k, r, s, m = params.k, params.r, params.s, params.modulus
     w, pos, neg = [0], [0], [0]  # per tail of i letters: its weight, slacks
     for i in range(1, k):  # prepend the oldest letter, +s then -r
@@ -145,9 +148,11 @@ def _block_bounds(params: Params, q: int) -> tuple[list[int], list[int]]:
         top, bot = r * (k - i), s * (k - i)  # max(p, min(top, v - m)) without builtin calls
         pos = [p if p >= top or p >= v - m else top if top < v - m else v - m
                for p, v in zip(pos + pos, w)]
-        neg = [p if p >= bot or p >= -v - m else bot if bot < -v - m else -v - m
-               for p, v in zip(neg + neg, w)]
-    return [q + p for p in pos], [q + p for p in neg]
+        if r != s:
+            neg = [p if p >= bot or p >= -v - m else bot if bot < -v - m else -v - m
+                   for p, v in zip(neg + neg, w)]
+    hi = [q + p for p in pos]
+    return hi, hi[::-1] if r == s else [q + p for p in neg]
 
 
 def _block_dp(
@@ -497,21 +502,31 @@ def verify_lemma_residue_properties(
     # per residue class mod d (start < d and d * (k/d) = k: none wraps).
     # Class a mod d is the union of classes a + jd mod dp, j < p, p the
     # least prime with dp | k, so the sums fold down from those mod k.
+    # A list is dropped once its last child is folded, and each d keeps
+    # only the start of its first zero-weight progression (or None).
     divisors = [d for d in range(1, k + 1) if k % d == 0]
-    sums = {k: fn.values}
-    for d in reversed(divisors[:-1]):
-        rest = k // d
-        p = next(p for p in range(2, rest + 1) if rest % p == 0)
-        finer = sums[d * p]
-        sums[d] = list(map(sum, zip(*(finer[j * d:(j + 1) * d] for j in range(p)))))
+    parent = {
+        d: d * next(p for p in range(2, k // d + 1) if k // d % p == 0)
+        for d in divisors[:-1]
+    }
+    children = Counter(parent.values())
+    sums, zero = {k: fn.values}, {}
+    for d in reversed(divisors):
+        if d < k:
+            up = parent[d]
+            finer = sums[up]
+            sums[d] = list(map(sum, zip(*(finer[j * d:(j + 1) * d] for j in range(up // d)))))
+            children[up] -= 1
+            if not children[up]:
+                del sums[up]
+        weights = sums[d] if children[d] else sums.pop(d)
+        zero[d] = weights.index(0) if 0 in weights else None
     checked = 0
     failure: tuple[int, int] | None = None
     for d in divisors:
-        weights = sums[d]
-        if 0 in weights:
-            start = weights.index(0)
-            checked += start + 1
-            failure = (d, start)
+        if zero[d] is not None:
+            checked += zero[d] + 1
+            failure = (d, zero[d])
             break
         checked += d
     return ResidueLemmaVerdict(

@@ -3,19 +3,24 @@ and small-sum blocks, plus the interpolation-property checker.
 
 A k-block is a k-term AP of difference 1, so all three scanners run one
 bit-parallel kernel (_scan), the block and small-sum scans as its d = 1
-pass.  The -r flags become one int of w-bit fields, w = k.bit_length()
-+ 1, whose top bits are guards no count reaches.  Per common difference
-d, shift-adds give the -r count of every k-term AP in the field of its
-start, and range tests on the guard bits read the verdict (a count whose
-|weight| is within the tolerance t, 0 but for small-sum scans) and the
-least |weight| off that int.  So a scan costs O(log k) big-int
-operations of n*w bits per difference d, hit or not, up to d = 1 for
-blocks and d = maxD = floor((n-1)/(k-1)) for APs, and makes no
-per-start Python object.  Witness order is deterministic: blocks by
-lowest start, APs by lowest difference then lowest start.  A naive
-rescan is kept alongside as the AP scanner's correctness oracle; the
-interpolation checker reads the window weights off the prefix sums, an
-engine the scanners do not use.
+pass.  The -r flags become one int of W-bit fields whose top bits are
+guards no count reaches, and shift-adds put the -r count of every k-term
+AP of one difference in the field of its start: d = 1 by binary doubling,
+about 2 log2 k shift-adds, and every d >= 2 off one chain per odd part o
+of d, through the class-suffix counts Q_d = Q_2d + (Q_2d >> d*W), whose
+k-term counts are Q_d - (Q_d >> k*d*W), in fields of W(o) =
+max(bit_length(ceil(n/l)), k.bit_length() + 1) bits, l = max(o, 2) the
+chain's least difference: some (log2 k)/2 + 2 shift-adds per
+difference.  Range tests on the guard bits then read the verdict (a
+count whose |weight| is within the tolerance t, 0 but for small-sum
+scans) and the least |weight|.  So a scan costs O(log k) big-int
+operations of n*W bits per difference read, up to d = 1 for blocks and
+d = maxD = floor((n-1)/(k-1)) for APs, and makes no per-start Python
+object.  Witness order is deterministic: blocks by lowest start,
+APs by lowest difference then lowest start.  A naive rescan is kept
+alongside as the AP scanner's correctness oracle; the interpolation
+checker reads the window weights off the prefix sums, an engine the
+scanners do not use.
 """
 
 from __future__ import annotations
@@ -67,10 +72,10 @@ def max_difference(n: int, k: int) -> int:
 def _spread_table(w: int) -> tuple[bytes, ...]:
     """Byte b spread to w-bit fields: bit j of b moved to bit j*w, as the
     w little-endian bytes that eight fields fill."""
-    return tuple(
-        sum(((b >> j) & 1) << (j * w) for j in range(8)).to_bytes(w, "little")
-        for b in range(256)
-    )
+    spread = [0]
+    for j in range(8):  # the bytes below 2**(j+1): bit j clear, then set
+        spread += [v | 1 << j * w for v in spread]
+    return tuple(v.to_bytes(w, "little") for v in spread)
 
 
 def _spread(bits: int, n: int, w: int) -> int:
@@ -85,6 +90,14 @@ def _spread(bits: int, n: int, w: int) -> int:
         b"".join(map(table.__getitem__, bits.to_bytes((n + 7) // 8, "little"))),
         "little",
     )
+
+
+def _fields(bits: int, n: int, w: int) -> tuple[int, int, int]:
+    """The n low bits of ``bits`` spread to w-bit fields, an int with 1 in
+    each of the n fields and one with each field's top (guard) bit."""
+    table = _spread_table(w)
+    units = int.from_bytes(table[255] * (n // 8) + table[(1 << n % 8) - 1], "little")
+    return _spread(bits, n, w), units, units << (w - 1)
 
 
 def _least(holds: Callable[[int], bool], empty: int, full: int, guess: int) -> int:
@@ -119,33 +132,54 @@ def _scan(
     certificate that there is none.  AP mode scans every difference up to
     maxD; block and small-sum mode scan d = 1 only, the k-blocks.
 
-    F holds the -r flags as little-endian w-bit fields, field p being 1
-    when position p holds -r, with w = k.bit_length() + 1, so that every
-    count c <= k lies below the field's top (guard) bit 2**(w-1).  For
-    each difference d the -r count N of every k-term AP is read at once:
-    field p of sum_{j<k} F >> (j*d*w) is N for the AP starting at p.
-    Binary doubling over the bits of k builds that sum in at most
-    2 log2(k) shift-adds, and no field carries because every partial sum
-    is at most k.  The AP weighs s*k - (r + s)*N, so |weight| <= t exactly
-    when N lies in [c_lo, c_hi], c_lo = ceil((s*k - t)/(r + s)) and
-    c_hi = floor((s*k + t)/(r + s)); c_lo > c_hi (as at t = 0 when r + s
-    does not divide k) leaves no hit.
+    Counts sit in little-endian W-bit fields, field p for start p, with
+    W > k.bit_length(), so every count c <= k lies below the field's top
+    (guard) bit 2**(W-1).  F holds the -r flags, field p being 1 when
+    position p holds -r.  d = 1 sums k shifted copies, field p of
+    sum_{j<k} F >> (j*W), by binary doubling over the bits of k in at most
+    2 log2(k) shift-adds at W = w = k.bit_length() + 1.
 
-    The verdict is read off the sum without unpacking it.  Let ``raised``
-    be its first ``starts`` fields (the APs of difference d) with their
-    guard bits set, and ``unit`` hold 1 in each of them; then
-    (raised - c*unit) & guard flags the fields whose count is at least c,
-    for 0 <= c <= k + 1: every raised field is at least 2**(w-1) > k, so no
-    borrow crosses a field.  Two such tests bound a range.  A hit is a
-    count in [c_lo, c_hi], the lowest flag giving its start and its field
-    the hit's own |weight|, which is the least |weight| up to it since
-    every earlier AP misses the range.  Otherwise the least |weight| of
-    difference d comes from the least radius rho whose window
+    Each d >= 2 comes off the chain of its odd part o.  Q_D holds in field
+    p the -r count at p, p + D, p + 2D, ... below n, so Q_D = F once D >=
+    n, and Q_D = Q_2D + (Q_2D >> D*W): the even terms from p are Q_2D(p),
+    the odd ones Q_2D(p + D).  The k-term AP at (p, D) counts field p of
+    Q_D - (Q_D >> k*D*W), with no borrow as Q_D(p) >= Q_D(p + kD).  The
+    chain for o starts at the largest o*2**i below n and takes one
+    shift-add a step down to its least difference l, o or 2 for o = 1; its
+    fields hold up to ceil(n/l), so W(o) = max(bit_length(ceil(n/l)), w).
+    Over all odd o <= maxD that is about (log2 k)/2 + 2 shift-adds per
+    difference, against 2 log2(k) to double each one.  Chains run with o
+    ascending and stop once o passes the least difference with a hit, as
+    no unread one is smaller: a d = 1 hit builds no chain, but one at a
+    small d >= 2 pays the whole o = 1 chain, about log2(n) shift-adds on
+    its widest fields.
+
+    The AP weighs s*k - (r + s)*N, so |weight| <= t exactly when N lies in
+    [c_lo, c_hi], c_lo = ceil((s*k - t)/(r + s)) and c_hi = floor((s*k +
+    t)/(r + s)); c_lo > c_hi (as at t = 0 when r + s does not divide k)
+    leaves no hit.
+
+    The verdict is read off the counts without unpacking them.  Every
+    field holds at most k, those from n - (k-1)*d on the counts of APs
+    that run past the end.  Let ``raised`` be the counts with every guard
+    bit set and ``units`` hold 1 in each field: raised - c*units keeps a
+    field's guard bit exactly when its count is at least c, for 0 <= c <=
+    k + 1, and no borrow crosses a field, as every raised field is at
+    least 2**(W-1) > k.  Masked to the guard bits of the first n - (k-1)*d
+    fields, the APs of difference d, two such tests bound a range; the
+    multiples c*units of the hit and bound tests are kept until the bound
+    moves.  A hit is a count in [c_lo, c_hi], the lowest flag giving its
+    start and its field the hit's own |weight|, which is the least |weight|
+    up to it since every earlier AP misses the range.  Otherwise the least
+    |weight| of difference d comes from the least radius rho whose window
     [floor(tau) - rho, ceil(tau) + rho] around tau = s*k/(r + s) holds a
-    count, galloped from the previous difference's rho and then bisected.
-    So a difference costs O(log k) big-int operations on n*w-bit ints, hit
-    or not, and no per-start Python object is made.  For k = 1 only d = 1
-    is scanned: one-term windows are the same set for every difference.
+    count, galloped from the last rho read and then bisected.  Unless every
+    difference's least is collected, one range test first asks for a count
+    within the tolerance or with |weight| below the least so far, and a
+    difference with none is done; it tests |s*k - (r + s)*N|, as the radius
+    alone misjudges |weight| when r + s does not divide k.  No per-start
+    Python object is made.  For k = 1 only d = 1 is scanned: one-term
+    windows are the same set for every difference.
     """
     _check_window_length(seq, k)
     n = seq.n
@@ -153,41 +187,46 @@ def _scan(
     floor_tau, rem = divmod(s * k, m)
     ceil_tau = floor_tau + (rem > 0)
     c_lo, c_hi = -((t - s * k) // m), (s * k + t) // m
-    w = k.bit_length() + 1
-    flags = _spread(((1 << n) - 1) ^ seq.bits, n, w)  # F
-    units = ((1 << n * w) - 1) // ((1 << w) - 1)  # 1 in each of n fields
-    scanned, witness, rho = 0, None, 0
+    negs = ((1 << n) - 1) ^ seq.bits
+    max_d = max_difference(n, k) if mode == MODE_AP else 1
     per_d: dict[int, int] = {}
-    for d in range(1, (max_difference(n, k) if mode == MODE_AP else 1) + 1):
-        starts = n - (k - 1) * d  # APs of difference d
-        shift, total, terms = d * w, flags, 1
-        for bit in bin(k)[3:]:
-            total += total >> (terms * shift)
-            terms *= 2
-            if bit == "1":
-                total = flags + (total >> shift)
-                terms += 1
-        unit = units >> (n - starts) * w
-        guard = unit << (w - 1)
-        # fields from ``starts`` on hold APs that run past the end: drop them
-        raised = (total & ((1 << starts * w) - 1)) | guard
+    least, rho = m * k + 1, 0  # least |weight| read so far; last radius
+
+    def read(raised: int, d: int) -> int | None:
+        """Record difference d, field p of ``raised`` holding the -r count
+        of the AP at (p, d) below its guard bit, which is set; return the
+        start of its first hit, or None."""
+        nonlocal least, rho
+        # fields from n - (k-1)*d on hold APs that run past the end: no
+        # guard bit reads them
+        guard = guards >> (k - 1) * d * w
         at_least = {0: guard, k + 1: 0}  # c: flags of the fields holding >= c
 
-        def holds(lo: int, hi: int) -> bool:
-            """Whether some AP count lies in [lo, hi], clipped to [0, k]."""
+        def holds(lo: int, hi: int, keep: bool = False) -> bool:
+            """Whether some AP count lies in [lo, hi], clipped to [0, k];
+            ``keep`` caches the bounds' multiples of ``units``."""
             lo, hi = max(lo, 0), min(hi, k) + 1
             for c in (lo, hi):
                 if c not in at_least:
-                    at_least[c] = (raised - c * unit) & guard
+                    times = kept.get(c)
+                    if times is None:
+                        times = c * units
+                        if keep:
+                            kept[c] = times
+                    at_least[c] = (raised - times) & guard
             return at_least[lo] != at_least[hi]
 
-        if c_lo <= c_hi and holds(c_lo, c_hi):  # 0 <= c_lo, c_hi <= k as t < k
+        if not collect_per_d:  # a count within t or below the least so far
+            bound = max(t, least - 1)
+            lo, hi = -((bound - s * k) // m), (s * k + bound) // m
+            if lo > hi or not holds(lo, hi, True):
+                return None
+        if c_lo <= c_hi and holds(c_lo, c_hi, True):  # 0 <= c_lo, c_hi <= k as t < k
             hit = at_least[c_lo] ^ at_least[c_hi + 1]
             start = ((hit & -hit).bit_length() - 1) // w
-            count = (total >> start * w) & ((1 << w) - 1)
-            witness, per_d[d] = (start, d), abs(s * k - m * count)
-            scanned += start + 1
-            break
+            count = (raised >> start * w) & ((1 << (w - 1)) - 1)
+            per_d[d] = least = abs(s * k - m * count)
+            return start
         rho = _least(
             lambda x: holds(floor_tau - x, ceil_tau + x),
             0 if rem == 0 else -1,
@@ -199,16 +238,57 @@ def _scan(
             for c in (floor_tau - rho, ceil_tau + rho)
             if 0 <= c <= k and holds(c, c)
         )
-        scanned += starts
+        if per_d[d] < least:  # the bound moves: its multiples go stale
+            least = per_d[d]
+            kept.clear()
+        return None
+
+    w = k.bit_length() + 1
+    flags, units, guards = _fields(negs, n, w)
+    kept: dict[int, int] = {}  # c: c * units, for the hit and bound tests
+    total, terms = flags, 1
+    for bit in bin(k)[3:]:
+        total += total >> (terms * w)
+        terms *= 2
+        if bit == "1":
+            total = flags + (total >> w)
+            terms += 1
+    total |= guards
+    start = read(total, 1)
+    del total
+    witness = None if start is None else (start, 1)
+    top = 0 if witness else max_d  # differences above it need no reading
+    for o in range(1, top + 1, 2):
+        low = o + (o == 1)  # the least difference of the chain; d = 1 is read
+        if low > top:
+            break
+        width = max((-(-n // low)).bit_length(), k.bit_length() + 1)  # W(o)
+        if width != w:  # one width's ints at a time
+            counts = flags = units = guards = None
+            kept.clear()
+            w = width
+            flags, units, guards = _fields(negs, n, w)
+        counts, d = flags, o << ((n - 1) // o).bit_length() - 1
+        while d >= low:
+            counts += counts >> d * w  # Q_2d to Q_d
+            if d <= top:
+                start = read((counts - (counts >> k * d * w)) | guards, d)
+                if start is not None:
+                    witness, top = (start, d), d - 1
+            d //= 2
+    last = witness[1] if witness else max_d
     return ScanReport(
         mode=mode,
         k=k,
         found=witness is not None,
         witness=witness,
-        min_abs_weight=min(per_d.values()),
-        scanned_count=scanned,
+        min_abs_weight=min(v for d, v in per_d.items() if d <= last),
+        # every AP of a difference below ``last``, then the hit's first ones
+        scanned_count=(last - 1) * n - (k - 1) * (last - 1) * last // 2
+        + (witness[0] + 1 if witness else n - (k - 1) * last),
         t=t if mode == MODE_SMALLSUM else None,
-        per_d_min_abs=per_d if collect_per_d else None,
+        per_d_min_abs={d: per_d[d] for d in sorted(per_d) if d <= last}
+        if collect_per_d else None,
     )
 
 

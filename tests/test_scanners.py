@@ -22,6 +22,7 @@ from zerosum import (
     pm1_smallsum_threshold,
     smallsum_block_scan,
 )
+from zerosum import scanners
 from zerosum.scanners import (
     MODE_BLOCK,
     MODE_SMALLSUM,
@@ -115,12 +116,17 @@ def _plant_ap(rng: random.Random, params: Params, n: int, bits: int, k: int, d: 
     return SignSeq(params, n, bits)
 
 
-def _assert_ap_scan_matches_naive(seq: SignSeq, k: int) -> None:
-    """Full report equal to the naive rescan's, per-difference minima equal
-    to a term-by-term count."""
-    fast = ap_scan(seq, k, collect_per_d=True)
-    assert fast.per_d_min_abs == _per_d_min_abs(seq, k)
-    assert ap_scan(seq, k) == ap_scan_naive(seq, k)
+def _assert_ap_scan_matches_naive(seq: SignSeq, k: int) -> ScanReport:
+    """Under both ``collect_per_d`` settings the report equals the naive
+    rescan's, and the collected minima equal a term-by-term count, in
+    ascending-d order.  Returns the naive report."""
+    naive = ap_scan_naive(seq, k)
+    assert ap_scan(seq, k) == naive
+    collected = ap_scan(seq, k, collect_per_d=True)
+    assert collected._replace(per_d_min_abs=None) == naive
+    assert collected.per_d_min_abs == _per_d_min_abs(seq, k)
+    assert list(collected.per_d_min_abs) == sorted(collected.per_d_min_abs)
+    return naive
 
 
 def test_ap_scan_matches_naive_rescan():
@@ -223,6 +229,80 @@ def test_ap_scan_skewed_alphabets(r, s):
     for k in range(1, 3 * (r + s) + 2):
         for seq in _ap_scan_cases(rng, params, k, 6 * k + 10):
             _assert_ap_scan_matches_naive(seq, k)
+
+
+@pytest.mark.parametrize("params", [Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5)])
+def test_ap_scan_chains_match_naive(params):
+    """Differences d >= 2 come off one chain per odd part of d, read with o
+    ascending, so d = 4 is read before d = 3.  Against the naive rescan,
+    under both collect_per_d settings: sparse avoiders, k with (r + s)
+    not dividing k (no AP weighs 0, every difference is read to its least
+    |weight|), and zero-sum APs planted at d = 1, 2, 3 and at odd d > 2,
+    alone and in pairs, over an avoider; the least (d, start) wins."""
+    rng = random.Random(params.modulus * 1009)
+    m = params.modulus
+    for k in (m + 1, 3 * m - 1, 4 * m + 1):  # never zero-sum
+        for _ in range(4):
+            n = rng.randint(k, 12 * k)
+            _assert_ap_scan_matches_naive(_random_seq(rng, params, n), k)
+            negs = rng.randint(0, min(n, k))
+            _assert_ap_scan_matches_naive(_sparse_seq(rng, params, n, negs), k)
+    plants = ([1], [2], [3], [5], [7], [4, 3], [2, 3], [6, 5], [8, 7], [3, 3], [9, 2], [5, 1])
+    for k in (m, 2 * m, 3 * m):
+        c_star = params.s * k // m
+        for ds in plants:
+            n = (k - 1) * max(ds) + 1 + rng.randint(0, 3 * k)
+            # fewer than c* negatives: no AP of the background is zero-sum
+            seq = _sparse_seq(rng, params, n, rng.randint(0, c_star - 1))
+            for d in sorted(ds, reverse=True):  # the least d planted last stays zero-sum
+                seq = _plant_ap(rng, params, n, seq.bits, k, d)
+            naive = _assert_ap_scan_matches_naive(seq, k)
+            assert naive.found and naive.witness[1] <= min(ds)
+
+
+def test_ap_scan_chain_field_width_boundaries():
+    """A chain's fields hold up to ceil(n/l), l = max(o, 2) its least
+    difference, so they are W(o) = max(bit_length(ceil(n/l)),
+    k.bit_length() + 1) bits wide.  At n = o * 2**j that bound is a power
+    of two and fills its field's top bit; the all -r sequence reaches it
+    in field 0 of Q_l.  Around each such n, for o = 1, 3, 5 and k small
+    enough that W(o) exceeds the d = 1 width."""
+    rng = random.Random(4099)
+    for k in (2, 3, 4, 6):
+        for o in (1, 3, 5):
+            for j in range(2, 8):
+                for n in ((o << j) - 1, o << j, (o << j) + 1):
+                    if n > 200 or n < k or max_difference(n, k) < o:
+                        continue
+                    for params in (Params(1, 1, 2), Params(1, 2, 3)):
+                        for bits in (0, (1 << n) - 1, rng.getrandbits(n)):
+                            _assert_ap_scan_matches_naive(SignSeq(params, n, bits), k)
+
+
+def test_ap_scan_difference_one_hit_builds_no_chain(monkeypatch):
+    """A zero-sum block ends an AP scan after its d = 1 pass, with one flag
+    spread and no chain; a first hit at d = 2 needs the o = 1 chain, whose
+    fields are wider here, and so a second spread."""
+    widths = []
+    spread = scanners._spread
+
+    def counted(bits: int, n: int, w: int) -> int:
+        widths.append(w)
+        return spread(bits, n, w)
+
+    monkeypatch.setattr(scanners, "_spread", counted)
+    params, k, n = Params(1, 1, 2), 10, 4000
+    for d in (1, 2):
+        # +1 but for the odd terms of the AP at (n/2, d): it is zero-sum,
+        # no earlier AP of difference d holds all five -1s, and no block
+        # holds more than three at d = 2
+        bits = (1 << n) - 1
+        for j in range(1, k, 2):
+            bits ^= 1 << (n // 2 + j * d)
+        widths.clear()
+        report = ap_scan(SignSeq(params, n, bits), k)
+        assert report.witness == (n // 2, d)
+        assert widths == [k.bit_length() + 1] + [(n // 2).bit_length()] * (d - 1)
 
 
 def _reference_block_scan(seq: SignSeq, k: int, t: int | None = None) -> ScanReport:
