@@ -14,8 +14,6 @@ from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import accumulate, chain, islice, zip_longest
 
-Weight = int
-
 # Construction kind names: ``constructions`` tags its builders with them and
 # the CLI offers them as ``--kind`` choices without loading the builders.
 BLOCK_EXTREMAL = "block-extremal"
@@ -77,8 +75,8 @@ class Report:
     camelCase unless the class's ``_meta`` entry for it names the key
     (``"json"``).  A 2-tuple field with a ``"pair"`` entry becomes an object
     under those names, and a None field marked ``"optional"`` is left out.
-    Values nest: a report is its own object, a SignSeq is ``"b:<bits>"``, a
-    tuple is a list, and a dict has its keys sorted, then stringified.
+    Values nest: a report is its own object, a SignSeq is ``"b:<bits>"`` and
+    a tuple is a list.
     """
 
     __slots__ = ()
@@ -106,8 +104,6 @@ def _encode(value):
         return f"b:{value.bitstring()}"
     if isinstance(value, tuple):
         return list(map(_encode, value))
-    if isinstance(value, dict):
-        return {str(key): _encode(v) for key, v in sorted(value.items())}
     return value
 
 
@@ -279,7 +275,7 @@ class SignSeq:
         return f"SignSeq(r={self.params.r}, s={self.params.s}, n={self.n}, {body})"
 
 
-def weight(seq: SignSeq, indices: Iterable[int]) -> Weight:
+def weight(seq: SignSeq, indices: Iterable[int]) -> int:
     """Sum of sequence values over an index set."""
     total = 0
     for i in indices:

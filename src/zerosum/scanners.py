@@ -13,14 +13,14 @@ max(bit_length(ceil(n/l)), k.bit_length() + 1) bits, l = max(o, 2) the
 chain's least difference: some (log2 k)/2 + 2 shift-adds per
 difference.  Range tests on the guard bits then read the verdict (a
 count whose |weight| is within the tolerance t, 0 but for small-sum
-scans) and the least |weight|.  So a scan costs O(log k) big-int
-operations of n*W bits per difference read, up to d = 1 for blocks and
-d = maxD = floor((n-1)/(k-1)) for APs, and makes no per-start Python
-object.  Witness order is deterministic: blocks by lowest start,
-APs by lowest difference then lowest start.  A naive rescan is kept
-alongside as the AP scanner's correctness oracle; the interpolation
-checker reads the window weights off the prefix sums, an engine the
-scanners do not use.
+scans) and the least |weight|, one running minimum over the differences
+read.  So a scan costs O(log k) big-int operations of n*W bits per
+difference read, up to d = 1 for blocks and d = maxD = floor((n-1)/(k-1))
+for APs, and makes no per-start Python object.  Witness order is
+deterministic: blocks by lowest start, APs by lowest difference then
+lowest start.  A naive rescan is kept alongside as the AP scanner's
+correctness oracle; the interpolation checker reads the window weights
+off the prefix sums, an engine the scanners do not use.
 """
 
 from __future__ import annotations
@@ -35,24 +35,21 @@ from .core import MODE_AP, MODE_BLOCK, MODE_SMALLSUM, ParameterError, Report, Si
 
 
 class ScanReport(Report, namedtuple(
-    "ScanReport", "mode k found witness min_abs_weight scanned_count t per_d_min_abs",
-    defaults=(None, None),
+    "ScanReport", "mode k found witness min_abs_weight scanned_count t", defaults=(None,)
 )):
     """Outcome of one scan: a witness or a certificate of absence.
 
     ``witness`` is (start, difference), difference 1 for blocks.
     ``min_abs_weight`` and ``scanned_count`` cover the windows up to and
-    including the witness, or all windows when there is none; the scan
-    reads every window of the witness's difference, and the minimum up to
-    the witness stays exact because every earlier window misses the
-    target.
+    including the witness, or all windows when there is none.  With a
+    witness the minimum is the witness's own |weight| (0 for APs), as
+    every earlier window misses the target.
     """
 
     __slots__ = ()
     _meta = {
         "witness": {"pair": ("start", "difference")},
         "t": {"optional": True},
-        "per_d_min_abs": {"json": "perDifferenceMinAbs", "optional": True},
     }
 
 
@@ -125,9 +122,7 @@ def _least(holds: Callable[[int], bool], empty: int, full: int, guess: int) -> i
     return full
 
 
-def _scan(
-    seq: SignSeq, k: int, t: int, mode: str, collect_per_d: bool = False
-) -> ScanReport:
+def _scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
     """The least (difference, start) k-term AP with |weight| <= t, or a
     certificate that there is none.  AP mode scans every difference up to
     maxD; block and small-sum mode scan d = 1 only, the k-blocks.
@@ -173,13 +168,14 @@ def _scan(
     up to it since every earlier AP misses the range.  Otherwise the least
     |weight| of difference d comes from the least radius rho whose window
     [floor(tau) - rho, ceil(tau) + rho] around tau = s*k/(r + s) holds a
-    count, galloped from the last rho read and then bisected.  Unless every
-    difference's least is collected, one range test first asks for a count
-    within the tolerance or with |weight| below the least so far, and a
-    difference with none is done; it tests |s*k - (r + s)*N|, as the radius
-    alone misjudges |weight| when r + s does not divide k.  No per-start
-    Python object is made.  For k = 1 only d = 1 is scanned: one-term
-    windows are the same set for every difference.
+    count, galloped from the last rho read and then bisected.  One range
+    test first asks for a count within the tolerance or with |weight| below
+    the least so far, and a difference with none is done; it tests |s*k -
+    (r + s)*N|, as the radius alone misjudges |weight| when r + s does not
+    divide k.  A difference past that test hits or lowers the least, so the
+    least read is the report's minimum.  No per-start Python object is
+    made.  For k = 1 only d = 1 is scanned: one-term windows are the same
+    set for every difference.
     """
     _check_window_length(seq, k)
     n = seq.n
@@ -189,11 +185,10 @@ def _scan(
     c_lo, c_hi = -((t - s * k) // m), (s * k + t) // m
     negs = ((1 << n) - 1) ^ seq.bits
     max_d = max_difference(n, k) if mode == MODE_AP else 1
-    per_d: dict[int, int] = {}
     least, rho = m * k + 1, 0  # least |weight| read so far; last radius
 
     def read(raised: int, d: int) -> int | None:
-        """Record difference d, field p of ``raised`` holding the -r count
+        """Read difference d, field p of ``raised`` holding the -r count
         of the AP at (p, d) below its guard bit, which is set; return the
         start of its first hit, or None."""
         nonlocal least, rho
@@ -216,16 +211,15 @@ def _scan(
                     at_least[c] = (raised - times) & guard
             return at_least[lo] != at_least[hi]
 
-        if not collect_per_d:  # a count within t or below the least so far
-            bound = max(t, least - 1)
-            lo, hi = -((bound - s * k) // m), (s * k + bound) // m
-            if lo > hi or not holds(lo, hi, True):
-                return None
+        bound = max(t, least - 1)  # a count within t or below the least so far
+        lo, hi = -((bound - s * k) // m), (s * k + bound) // m
+        if lo > hi or not holds(lo, hi, True):
+            return None
         if c_lo <= c_hi and holds(c_lo, c_hi, True):  # 0 <= c_lo, c_hi <= k as t < k
             hit = at_least[c_lo] ^ at_least[c_hi + 1]
             start = ((hit & -hit).bit_length() - 1) // w
             count = (raised >> start * w) & ((1 << (w - 1)) - 1)
-            per_d[d] = least = abs(s * k - m * count)
+            least = abs(s * k - m * count)
             return start
         rho = _least(
             lambda x: holds(floor_tau - x, ceil_tau + x),
@@ -233,14 +227,12 @@ def _scan(
             max(floor_tau, k - ceil_tau),
             rho,
         )
-        per_d[d] = min(  # a count nearest tau lies at an end of the window
+        least = min(  # a count nearest tau lies at an end of the window
             abs(s * k - m * c)
             for c in (floor_tau - rho, ceil_tau + rho)
             if 0 <= c <= k and holds(c, c)
         )
-        if per_d[d] < least:  # the bound moves: its multiples go stale
-            least = per_d[d]
-            kept.clear()
+        kept.clear()  # the bound moved: its multiples are stale
         return None
 
     w = k.bit_length() + 1
@@ -282,13 +274,11 @@ def _scan(
         k=k,
         found=witness is not None,
         witness=witness,
-        min_abs_weight=min(v for d, v in per_d.items() if d <= last),
+        min_abs_weight=least,
         # every AP of a difference below ``last``, then the hit's first ones
         scanned_count=(last - 1) * n - (k - 1) * (last - 1) * last // 2
         + (witness[0] + 1 if witness else n - (k - 1) * last),
         t=t if mode == MODE_SMALLSUM else None,
-        per_d_min_abs={d: per_d[d] for d in sorted(per_d) if d <= last}
-        if collect_per_d else None,
     )
 
 
@@ -297,9 +287,9 @@ def block_scan(seq: SignSeq, k: int) -> ScanReport:
     return _scan(seq, k, 0, MODE_BLOCK)
 
 
-def ap_scan(seq: SignSeq, k: int, collect_per_d: bool = False) -> ScanReport:
+def ap_scan(seq: SignSeq, k: int) -> ScanReport:
     """Find the least (difference, start) zero-sum k-term AP, or certify none."""
-    return _scan(seq, k, 0, MODE_AP, collect_per_d)
+    return _scan(seq, k, 0, MODE_AP)
 
 
 def ap_scan_naive(seq: SignSeq, k: int) -> ScanReport:

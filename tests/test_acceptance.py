@@ -27,6 +27,7 @@ from zerosum import (
     verify_2k_proposition,
     verify_pow2_rigidity,
 )
+from termwise import per_d_min_abs
 
 
 @contextlib.contextmanager
@@ -92,9 +93,8 @@ def test_criterion_4_ap_constructions_avoid_zero_sums():
             c = build_ap_mod_k(k)
             assert c.seq.total_weight() == 0
             if c.length >= k:
-                report = ap_scan(c.seq, k, collect_per_d=True)
-                assert not report.found, k
-                for d, min_abs in report.per_d_min_abs.items():
+                assert not ap_scan(c.seq, k).found, k
+                for d, min_abs in per_d_min_abs(c.seq, k).items():
                     assert min_abs >= math.gcd(d, k), (k, d)
 
 

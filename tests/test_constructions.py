@@ -23,6 +23,7 @@ from zerosum import (
     min_good_shift,
 )
 
+from termwise import per_d_min_abs
 from test_formulas import ref_shift_and_term
 
 
@@ -118,11 +119,9 @@ class TestApModK:
 
     def test_gcd_weight_bound_k10(self):
         """Every scanned AP weight is at least gcd(d, k) in absolute value."""
-        import math
-
         c = build_ap_mod_k(10)
-        report = ap_scan(c.seq, 10, collect_per_d=True)
-        for d, min_abs in report.per_d_min_abs.items():
+        assert not ap_scan(c.seq, 10).found
+        for d, min_abs in per_d_min_abs(c.seq, 10).items():
             assert min_abs >= math.gcd(d, 10)
 
     @pytest.mark.parametrize("k", [4, 8, 12, 16, 2])

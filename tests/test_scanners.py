@@ -30,6 +30,7 @@ from zerosum.scanners import (
     _spread,
     max_difference,
 )
+from termwise import per_d_min_abs
 
 PM1 = Params(1, 1, 2)
 
@@ -73,9 +74,11 @@ def test_ap_scan_alternating_witness():
 
 def test_ap_scan_gcd_bound_on_mod_k_construction():
     seq = build_ap_mod_k(10).seq
-    report = ap_scan(seq, 10, collect_per_d=True)
+    report = ap_scan(seq, 10)
     assert not report.found
-    for d, min_abs in report.per_d_min_abs.items():
+    per_d = per_d_min_abs(seq, 10)
+    assert report.min_abs_weight == min(per_d.values())
+    for d, min_abs in per_d.items():
         assert min_abs >= math.gcd(d, 10)
 
 
@@ -91,20 +94,6 @@ def _sparse_seq(rng: random.Random, params: Params, n: int, negs: int) -> SignSe
     return SignSeq(params, n, bits)
 
 
-def _per_d_min_abs(seq: SignSeq, k: int) -> dict[int, int]:
-    """Least |weight| of the k-term APs of each difference, term by term,
-    up to the first difference that holds a zero-sum AP."""
-    values, out = seq.values(), {}
-    for d in range(1, max_difference(seq.n, k) + 1):
-        out[d] = min(
-            abs(sum(values[start + j * d] for j in range(k)))
-            for start in range(seq.n - (k - 1) * d)
-        )
-        if out[d] == 0:
-            break
-    return out
-
-
 def _plant_ap(rng: random.Random, params: Params, n: int, bits: int, k: int, d: int) -> SignSeq:
     """``bits`` with a zero-sum k-term AP of difference d written over it at
     a random start."""
@@ -117,22 +106,15 @@ def _plant_ap(rng: random.Random, params: Params, n: int, bits: int, k: int, d: 
 
 
 def _assert_ap_scan_matches_naive(seq: SignSeq, k: int) -> ScanReport:
-    """Under both ``collect_per_d`` settings the report equals the naive
-    rescan's, and the collected minima equal a term-by-term count, in
-    ascending-d order.  Returns the naive report."""
+    """The report equals the naive rescan's.  Returns the naive report."""
     naive = ap_scan_naive(seq, k)
     assert ap_scan(seq, k) == naive
-    collected = ap_scan(seq, k, collect_per_d=True)
-    assert collected._replace(per_d_min_abs=None) == naive
-    assert collected.per_d_min_abs == _per_d_min_abs(seq, k)
-    assert list(collected.per_d_min_abs) == sorted(collected.per_d_min_abs)
     return naive
 
 
 def test_ap_scan_matches_naive_rescan():
     """Optimized and naive AP scans give equal reports, for k = 1, k a
-    multiple of r + s and any other k; the per-difference minima match a
-    term-by-term count."""
+    multiple of r + s and any other k."""
     rng = random.Random(314159)
     pairs = [Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5)]
     for trial in range(300):
@@ -199,7 +181,7 @@ def _ap_scan_cases(rng: random.Random, params: Params, k: int, n_max: int) -> li
 def test_ap_scan_guard_width_edges(k):
     """At k = 2**j - 1, 2**j and 2**j + 1 the AP scan's count fields
     (k.bit_length() + 1 bits, the top one a guard) change width: full
-    reports and per-difference minima match the term-by-term scans."""
+    reports match the term-by-term scan."""
     rng = random.Random(k)
     n_max = 2 * k + 10 if k > 64 else 6 * k + 10
     for params in (Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5), Params(1, 4, 5)):
@@ -234,8 +216,8 @@ def test_ap_scan_skewed_alphabets(r, s):
 @pytest.mark.parametrize("params", [Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5)])
 def test_ap_scan_chains_match_naive(params):
     """Differences d >= 2 come off one chain per odd part of d, read with o
-    ascending, so d = 4 is read before d = 3.  Against the naive rescan,
-    under both collect_per_d settings: sparse avoiders, k with (r + s)
+    ascending, so d = 4 is read before d = 3.  Against the naive rescan:
+    sparse avoiders, k with (r + s)
     not dividing k (no AP weighs 0, every difference is read to its least
     |weight|), and zero-sum APs planted at d = 1, 2, 3 and at odd d > 2,
     alone and in pairs, over an avoider; the least (d, start) wins."""
