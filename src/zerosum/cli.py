@@ -198,7 +198,8 @@ def main(argv: list[str] | None = None, prog: str | None = None) -> int:
         print(f"{head}Error: {message}", file=sys.stderr)
         return EXIT_ERROR
     except ShiftSearchError as exc:  # raised by ``shift`` alone
-        print(f"no good shift found for alpha in [{exc.alpha_min}, {exc.alpha_max}]",
+        print(exc if exc.proven else
+              f"no good shift found for alpha in [{exc.alpha_min}, {exc.alpha_max}]",
               file=sys.stderr)
         return EXIT_WITNESS
     except _EXIT_2_ERRORS as exc:

@@ -31,6 +31,7 @@ from .core import (
     ParameterError,
     Params,
     SignSeq,
+    require_even_k,
 )
 from .formulas import ap_lower_bound_value, exact_block_threshold
 from .good_shift import GoodShift, certified_shift, is_prime
@@ -192,8 +193,7 @@ def build_ap_mod_k_plus1(k: int) -> Construction:
     total weight zero.  It is the good-shift sequence at (1, 1, k) with
     alpha = 1, which is always good there since S_1 = {-1, 1}.
     """
-    if k < 2 or k % 2:
-        raise ParameterError(f"k must be even and >= 2, got {k}")
+    require_even_k(k)
     return _construction(
         AP_MOD_K_PLUS1,
         build_ap_good_shift(Params(1, 1, k), 1).seq,

@@ -35,6 +35,24 @@ class ParameterError(ValueError):
     """A precondition on (r, s, k), an index, or an argument was violated."""
 
 
+def require_even_k(k: int) -> None:
+    if k < 2 or k % 2:
+        raise ParameterError(f"k must be even and >= 2, got {k}")
+
+
+def require_tolerance(t: int, k: int) -> None:
+    """A small-sum tolerance: 0 <= t < k, of the parity of k."""
+    if not 0 <= t < k:
+        raise ParameterError(f"t must satisfy 0 <= t < k, got t={t} k={k}")
+    if t % 2 != k % 2:
+        raise ParameterError(f"t and k must have the same parity, got t={t} k={k}")
+
+
+def require_nonnegative_q(q: int) -> None:
+    if q < 0:
+        raise ParameterError(f"q must be nonnegative, got {q}")
+
+
 def _compact(n: int) -> str:
     """n in full below 2^64, else as the power of two at or just below it."""
     e = n.bit_length() - 1
@@ -60,12 +78,14 @@ class BudgetExceededError(RuntimeError):
 
 
 class ShiftSearchError(RuntimeError):
-    """No qualifying shift was found within the scanned range."""
+    """No qualifying shift was found within the scanned range; ``proven``
+    when that range holds every good shift, so none exists."""
 
-    def __init__(self, message: str, alpha_min: int, alpha_max: int) -> None:
+    def __init__(self, message: str, alpha_min: int, alpha_max: int, proven: bool = False) -> None:
         super().__init__(message)
         self.alpha_min = alpha_min
         self.alpha_max = alpha_max
+        self.proven = proven
 
 
 class Report:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import ParameterError, Params, Report
+from .core import Params, Report, require_even_k, require_nonnegative_q, require_tolerance
 from .good_shift import GoodShift, certified_shift
 
 
@@ -92,8 +92,7 @@ def pm1_block_threshold(k: int, q: int = 0) -> int:
     Returns max(k, k^2/4 + (q - s)k/2 + s) where s in {0, 1} satisfies
     s = q + (k-2)/2 mod 2: the small-sum threshold at tolerance t = 0.
     """
-    if k < 2 or k % 2:
-        raise ParameterError(f"k must be even and >= 2, got {k}")
+    require_even_k(k)
     return pm1_smallsum_threshold(k, 0, q)
 
 
@@ -104,12 +103,8 @@ def pm1_smallsum_threshold(k: int, t: int, q: int = 0) -> int:
     the bound is max(k, k^2/(2(t+2)) + (q-s)k/(t+2) - t/2 + s), returned as
     the smallest integer n satisfying it.
     """
-    if not 0 <= t < k:
-        raise ParameterError(f"t must satisfy 0 <= t < k, got t={t} k={k}")
-    if t % 2 != k % 2:
-        raise ParameterError(f"t and k must have the same parity, got t={t} k={k}")
-    if q < 0:
-        raise ParameterError(f"q must be nonnegative, got {q}")
+    require_tolerance(t, k)
+    require_nonnegative_q(q)
     s = (q + (k - t - 2) // 2) % (t + 2)
     # The bound over the common denominator 2(t+2), rounded up.
     numerator = k * k + 2 * (q - s) * k + (2 * s - t) * (t + 2)
@@ -128,8 +123,7 @@ def sufficient_block_bound(params: Params, q: int = 0) -> SufficientBound:
     first rounds up to k*floor((q - r + rsc)/(r+s)) + sc + ceil(r/s).
     """
     params.require_block_divisibility()
-    if q < 0:
-        raise ParameterError(f"q must be nonnegative, got {q}")
+    require_nonnegative_q(q)
     r, s, k = params.r, params.s, params.k
     m = params.modulus
     c = k // m

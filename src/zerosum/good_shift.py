@@ -19,9 +19,6 @@ from .core import ParameterError, Params, Report, ShiftSearchError, weight_range
 
 PRIME_GAP_EXPONENT = 0.525
 
-# How far min_good_shift scans when r + s does not divide k (see there).
-_FALLBACK_HORIZON = 1000
-
 
 def is_prime(n: int) -> bool:
     """Whether n is prime: n >= 2 is its own one prime factor."""
@@ -135,26 +132,43 @@ def min_good_shift(params: Params, horizon: int | None = None) -> GoodShift:
     prime p = k + alpha exceeds r + s, and with k = (r + s)c,
     -r*alpha + (r + s)i = 0 mod p only at i = p - rc mod p, since
     (r + s)(p - rc) - r*alpha = s*p; both p - rc = sc + alpha > alpha and
-    -rc < 0 lie outside [0, alpha].  For other k no shift is known good in
-    advance, and the search runs to alpha = 1000.  Exhausting the horizon
-    raises ShiftSearchError with the scanned range.
+    -rc < 0 lie outside [0, alpha].
+
+    For other k it runs to alpha = (r + s)k, past which no least good
+    shift lies.  If a prime p | r + s does not divide k, alpha = p^e - k
+    is good, p^e the least power of p above k: p is the one prime factor
+    of k + alpha, every weight is -r*alpha mod p, and p divides neither r
+    nor alpha = -k mod p; and alpha < p^e <= pk <= (r + s)k.  Otherwise
+    every prime factor of r + s divides k, and for alpha >= k - 1 a prime
+    q | k + alpha with q <= alpha + 1 divides an element of S_alpha: if
+    q | r + s then q | k, so q | alpha and q divides -r*alpha; if not,
+    (r + s)i = r*alpha mod q has a root i < q.
+    So a good alpha >= k - 1 makes k + alpha <= 2*alpha + 1, all of whose
+    prime factors exceed alpha + 1, a prime p; p does not divide r + s,
+    as p > k, and the root of (r + s)i = r*alpha = -rk mod p must exceed
+    alpha, so it is p - y with y in [1, k - 1] and p | (r + s)y - rk.
+    That number is nonzero, as r + s does not divide k, and below
+    max(r, s)k in absolute value, so alpha = p - k < (r + s)k.  A search
+    to (r + s)k that finds nothing thus proves that no good shift exists.
+
+    Exhausting the search raises ShiftSearchError with the scanned range,
+    marked ``proven`` when it was the whole proven range.
     """
-    if horizon is not None:
-        limit = horizon
-    else:
-        limit = _FALLBACK_HORIZON if params.k % params.modulus else params.k
+    m = params.modulus
+    limit = horizon if horizon is not None else params.k * (m if params.k % m else 1)
     if limit < 1:
         raise ParameterError(f"horizon must be >= 1, got {limit}")
     for alpha in range(1, limit + 1):
         verdict = is_good_shift(params, alpha)
         if verdict.good:
             return verdict
-    raise ShiftSearchError(
-        f"no good shift for (r, s, k) = ({params.r}, {params.s}, {params.k}) "
-        f"with alpha in [1, {limit}]",
-        1,
-        limit,
-    )
+    where = f"(r, s, k) = ({params.r}, {params.s}, {params.k})"
+    if horizon is None:
+        raise ShiftSearchError(
+            f"no good shift exists for {where}: the least would lie in [1, {limit}]",
+            1, limit, proven=True,
+        )
+    raise ShiftSearchError(f"no good shift for {where} with alpha in [1, {limit}]", 1, limit)
 
 
 def prime_shift(params: Params) -> GoodShift:

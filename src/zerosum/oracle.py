@@ -31,7 +31,10 @@ import math
 import os
 from collections import Counter, namedtuple
 
-from .core import MODE_AP, MODE_BLOCK, BudgetExceededError, ParameterError, Params, Report, SignSeq
+from .core import (
+    MODE_AP, MODE_BLOCK, BudgetExceededError, ParameterError, Params, Report, SignSeq,
+    require_even_k, require_nonnegative_q,
+)
 from .constructions import ResidueFunction, build_ap_mod_k_product, product_factors
 
 DEFAULT_BUDGET = 10**9
@@ -333,8 +336,7 @@ def exact_threshold(
     ``shards`` has no effect; it is accepted for callers that pass it.
     """
     params.require_block_divisibility()
-    if q < 0:
-        raise ParameterError(f"q must be nonnegative, got {q}")
+    require_nonnegative_q(q)
     if mode not in (MODE_BLOCK, MODE_AP):
         raise ParameterError(f"mode must be 'block' or 'ap', got {mode!r}")
     ceiling = resolve_budget(budget)
@@ -386,8 +388,7 @@ def verify_2k_proposition(k: int, budget: int | None = None) -> TwoKVerdict:
     """Enumerate all C(2k, k) zero-sum sequences of length 2k and confirm
     each contains a zero-sum k-block, by the block DP under its own step
     bound and the shared budget."""
-    if k < 2 or k % 2:
-        raise ParameterError(f"k must be even and >= 2, got {k}")
+    require_even_k(k)
     params = Params(1, 1, k)
     _require_budget(_block_dp_estimate(params, 0), budget)
     counts, layers, _ = _block_dp(params, 0, 2 * k, probe=False)

@@ -26,12 +26,13 @@ off the prefix sums, an engine the scanners do not use.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
 from functools import cache
 from itertools import islice
 from operator import sub
 
-from .core import MODE_AP, MODE_BLOCK, MODE_SMALLSUM, ParameterError, Report, SignSeq
+from .core import (
+    MODE_AP, MODE_BLOCK, MODE_SMALLSUM, ParameterError, Report, SignSeq, require_tolerance,
+)
 
 
 class ScanReport(Report, namedtuple(
@@ -97,31 +98,6 @@ def _fields(bits: int, n: int, w: int) -> tuple[int, int, int]:
     return _spread(bits, n, w), units, units << (w - 1)
 
 
-def _least(holds: Callable[[int], bool], empty: int, full: int, guess: int) -> int:
-    """Least x in (empty, full] with holds(x), for holds false up to some
-    point and true from there on, holds(full) being true.  Gallops from
-    ``guess`` in doubling steps, then bisects: O(log |answer - guess|)
-    calls."""
-    x, step = min(max(guess, empty + 1), full), 1
-    if holds(x):
-        full = x
-        while full - step > empty and holds(full - step):
-            full, step = full - step, 2 * step
-        empty = max(empty, full - step)
-    else:
-        empty = x
-        while empty + step < full and not holds(empty + step):
-            empty, step = empty + step, 2 * step
-        full = min(full, empty + step)
-    while full - empty > 1:
-        mid = (empty + full) // 2
-        if holds(mid):
-            full = mid
-        else:
-            empty = mid
-    return full
-
-
 def _scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
     """The least (difference, start) k-term AP with |weight| <= t, or a
     certificate that there is none.  AP mode scans every difference up to
@@ -149,10 +125,10 @@ def _scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
     small d >= 2 pays the whole o = 1 chain, about log2(n) shift-adds on
     its widest fields.
 
-    The AP weighs s*k - (r + s)*N, so |weight| <= t exactly when N lies in
-    [c_lo, c_hi], c_lo = ceil((s*k - t)/(r + s)) and c_hi = floor((s*k +
-    t)/(r + s)); c_lo > c_hi (as at t = 0 when r + s does not divide k)
-    leaves no hit.
+    The AP of -r count N weighs s*k - (r + s)*N, so its |weight| is at
+    most b exactly when N lies in [ceil((s*k - b)/(r + s)), floor((s*k +
+    b)/(r + s))], a range that may be empty (as at b = 0 when r + s does
+    not divide k).
 
     The verdict is read off the counts without unpacking them.  Every
     field holds at most k, those from n - (k-1)*d on the counts of APs
@@ -161,83 +137,74 @@ def _scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
     field's guard bit exactly when its count is at least c, for 0 <= c <=
     k + 1, and no borrow crosses a field, as every raised field is at
     least 2**(W-1) > k.  Masked to the guard bits of the first n - (k-1)*d
-    fields, the APs of difference d, two such tests bound a range; the
-    multiples c*units of the hit and bound tests are kept until the bound
-    moves.  A hit is a count in [c_lo, c_hi], the lowest flag giving its
-    start and its field the hit's own |weight|, which is the least |weight|
-    up to it since every earlier AP misses the range.  Otherwise the least
-    |weight| of difference d comes from the least radius rho whose window
-    [floor(tau) - rho, ceil(tau) + rho] around tau = s*k/(r + s) holds a
-    count, galloped from the last rho read and then bisected.  One range
-    test first asks for a count within the tolerance or with |weight| below
-    the least so far, and a difference with none is done; it tests |s*k -
-    (r + s)*N|, as the radius alone misjudges |weight| when r + s does not
-    divide k.  A difference past that test hits or lowers the least, so the
-    least read is the report's minimum.  No per-start Python object is
-    made.  For k = 1 only d = 1 is scanned: one-term windows are the same
-    set for every difference.
+    fields, the APs of difference d, two such tests bound a count range,
+    so one monotone question, within(b), flags the APs of |weight| <= b.
+    A difference with no flag at b = max(t, least - 1) neither hits nor
+    lowers the least so far, and is done.  Otherwise a flag at b = t is a
+    hit, the lowest giving its start and its field the hit's own |weight|,
+    the least up to it as every earlier AP misses t.  Else the new least
+    is the least b with a flag, probed at b = t + (r + s)*x for x = 1, 2,
+    4, ... below the old least and then bisected: a step of r + s moves
+    each end of the count range by one.  So the least read is the report's
+    minimum; the multiples c*units are kept until it moves.  No per-start
+    Python object is made.  For k = 1 only d = 1 is scanned: one-term
+    windows are the same set for every difference.
     """
     _check_window_length(seq, k)
     n = seq.n
     s, m = seq.params.s, seq.params.modulus
-    floor_tau, rem = divmod(s * k, m)
-    ceil_tau = floor_tau + (rem > 0)
-    c_lo, c_hi = -((t - s * k) // m), (s * k + t) // m
     negs = ((1 << n) - 1) ^ seq.bits
     max_d = max_difference(n, k) if mode == MODE_AP else 1
-    least, rho = m * k + 1, 0  # least |weight| read so far; last radius
+    least = m * k + 1  # least |weight| read so far
 
     def read(raised: int, d: int) -> int | None:
         """Read difference d, field p of ``raised`` holding the -r count
         of the AP at (p, d) below its guard bit, which is set; return the
         start of its first hit, or None."""
-        nonlocal least, rho
+        nonlocal least
         # fields from n - (k-1)*d on hold APs that run past the end: no
         # guard bit reads them
         guard = guards >> (k - 1) * d * w
         at_least = {0: guard, k + 1: 0}  # c: flags of the fields holding >= c
 
-        def holds(lo: int, hi: int, keep: bool = False) -> bool:
-            """Whether some AP count lies in [lo, hi], clipped to [0, k];
-            ``keep`` caches the bounds' multiples of ``units``."""
-            lo, hi = max(lo, 0), min(hi, k) + 1
+        def within(b: int) -> int:
+            """Guard flags of the APs whose count N has |s*k - (r + s)*N|
+            <= b, 0 when there are none."""
+            lo, hi = max(-((b - s * k) // m), 0), min((s * k + b) // m, k) + 1
+            if lo >= hi:
+                return 0
             for c in (lo, hi):
                 if c not in at_least:
                     times = kept.get(c)
                     if times is None:
-                        times = c * units
-                        if keep:
-                            kept[c] = times
+                        times = kept[c] = c * units
                     at_least[c] = (raised - times) & guard
-            return at_least[lo] != at_least[hi]
+            return at_least[lo] ^ at_least[hi]
 
-        bound = max(t, least - 1)  # a count within t or below the least so far
-        lo, hi = -((bound - s * k) // m), (s * k + bound) // m
-        if lo > hi or not holds(lo, hi, True):
+        if not within(max(t, least - 1)):  # within t or below the least so far
             return None
-        if c_lo <= c_hi and holds(c_lo, c_hi, True):  # 0 <= c_lo, c_hi <= k as t < k
-            hit = at_least[c_lo] ^ at_least[c_hi + 1]
+        hit = within(t)
+        if hit:
             start = ((hit & -hit).bit_length() - 1) // w
-            count = (raised >> start * w) & ((1 << (w - 1)) - 1)
-            least = abs(s * k - m * count)
+            least = abs(s * k - m * ((raised >> start * w) & ((1 << (w - 1)) - 1)))
             return start
-        rho = _least(
-            lambda x: holds(floor_tau - x, ceil_tau + x),
-            0 if rem == 0 else -1,
-            max(floor_tau, k - ceil_tau),
-            rho,
-        )
-        least = min(  # a count nearest tau lies at an end of the window
-            abs(s * k - m * c)
-            for c in (floor_tau - rho, ceil_tau + rho)
-            if 0 <= c <= k and holds(c, c)
-        )
-        kept.clear()  # the bound moved: its multiples are stale
+        kept.clear()  # the least moves: the old bound's multiples are spent
+        empty, full, b = t, least - 1, t + m  # within(empty) is 0, within(full) is not
+        while b < full and not within(b):
+            empty, b = b, 2 * b - t
+        full = min(full, b)
+        while full - empty > 1:
+            mid = (empty + full) // 2
+            if within(mid):
+                full = mid
+            else:
+                empty = mid
+        least = full
         return None
 
     w = k.bit_length() + 1
     flags, units, guards = _fields(negs, n, w)
-    kept: dict[int, int] = {}  # c: c * units, for the hit and bound tests
+    kept: dict[int, int] = {}  # c: c * units, until the least moves
     total, terms = flags, 1
     for bit in bin(k)[3:]:
         total += total >> (terms * w)
@@ -333,10 +300,7 @@ def smallsum_block_scan(seq: SignSeq, k: int, t: int) -> ScanReport:
     """Find the lowest-start k-block with |weight| <= t in a {-1, 1}-sequence."""
     if seq.params.r != 1 or seq.params.s != 1:
         raise ParameterError("small-sum scans are defined for r = s = 1 only")
-    if not 0 <= t < k:
-        raise ParameterError(f"t must satisfy 0 <= t < k, got t={t} k={k}")
-    if t % 2 != k % 2:
-        raise ParameterError(f"t and k must have the same parity, got t={t} k={k}")
+    require_tolerance(t, k)
     return _scan(seq, k, t, MODE_SMALLSUM)
 
 

@@ -533,6 +533,16 @@ class TestShiftCommand:
         assert result.exit_code == 1
         assert "[1, 1]" in result.output
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_no_good_shift_exists(self, runner, json_flag):
+        """4 does not divide 2, and no shift below (r + s)k = 8 is good, so
+        none is: exit 1, nothing on stdout, and that verdict on stderr."""
+        result = runner.invoke(["shift", "--r", "1", "--s", "3", "--k", "2", *json_flag])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == (
+            "no good shift exists for (r, s, k) = (1, 3, 2): the least would lie in [1, 8]\n"
+        )
+
 
 class TestTableCommand:
     def test_ap_lb_table(self, runner, tmp_path):

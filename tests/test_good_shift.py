@@ -104,17 +104,18 @@ def test_prime_horizon_is_good_wherever_r_plus_s_divides_k():
 
 
 def test_min_good_shift_matches_brute_force():
-    """On coprime r, s <= 6 and k <= 40 the search returns the least good
-    alpha found by trying every alpha up to 1000, and fails where there is
-    none.  Points like (4, 1, 7), whose least good shift 6 lies past the
-    first prime 11 = k + 4, are among them."""
-    for r in range(1, 7):
-        for s in range(1, 7):
+    """On coprime r, s <= 8 and k <= 60 the search returns the least good
+    alpha found by trying every alpha up to 4000, and fails where there is
+    none, so no least good shift lies past its horizon of (r + s)k when
+    r + s does not divide k.  Points like (4, 1, 7), whose least good
+    shift 6 lies past the first prime 11 = k + 4, are among them."""
+    for r in range(1, 9):
+        for s in range(1, 9):
             if math.gcd(r, s) == 1:
-                for k in range(1, 41):
+                for k in range(1, 61):
                     params = Params(r, s, k)
                     least = next(
-                        (a for a in range(1, 1001) if is_good_shift(params, a).good), None
+                        (a for a in range(1, 4001) if is_good_shift(params, a).good), None
                     )
                     if least is None:
                         with pytest.raises(ShiftSearchError):
@@ -137,6 +138,18 @@ def test_min_good_shift_horizon_exhaustion():
     with pytest.raises(ShiftSearchError) as exc_info:
         min_good_shift(Params(1, 2, 21), horizon=1)
     assert exc_info.value.alpha_max == 1
+    assert not exc_info.value.proven
+
+
+@pytest.mark.parametrize("r,s,k", [(1, 3, 2), (2, 7, 3), (3, 5, 4), (7, 5, 6)])
+def test_min_good_shift_proves_none_exists(r, s, k):
+    """Where r + s does not divide k the search runs to (r + s)k, past
+    which no least good shift lies, so finding none there proves that
+    none exists."""
+    with pytest.raises(ShiftSearchError) as exc_info:
+        min_good_shift(Params(r, s, k))
+    assert exc_info.value.proven
+    assert exc_info.value.alpha_max == (r + s) * k
 
 
 def test_good_shift_enables_clean_construction():

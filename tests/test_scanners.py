@@ -316,13 +316,21 @@ def _planted_seq(rng: random.Random, params: Params, n: int, k: int, p: int) -> 
 @pytest.mark.parametrize("k", range(1, 13))
 def test_block_scans_match_reference_loop(k):
     """block_scan and smallsum_block_scan (every t of k's parity) give the
-    reference loop's full report: random letters, all +s, and zero-sum
-    blocks planted at the first and the last start, from n = k up."""
+    reference loop's full report: random letters, all +s, a run of N -r
+    letters each period of k for every N in [0, k], and zero-sum blocks
+    planted at the first and the last start, from n = k up.  Every window
+    of the runs weighs s*k - (r + s)*N, so each least value is read, those
+    between the search's probes and those where r + s does not divide k
+    included."""
     rng = random.Random(k)
     for params in (Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5)):
         for n in (k, k + 1, k + 9, 3 * k + 40):
             seqs = [_random_seq(rng, params, n) for _ in range(4)]
             seqs.append(SignSeq(params, n, (1 << n) - 1))
+            for negs in range(k + 1):
+                period = ((1 << k) - 1) ^ ((1 << negs) - 1)  # -r at 0..negs-1
+                runs = sum(period << j * k for j in range(n // k + 1))
+                seqs.append(SignSeq(params, n, runs & ((1 << n) - 1)))
             if k % params.modulus == 0:
                 for p in {0, min(2, n - k), n - k}:
                     seqs.append(_planted_seq(rng, params, n, k, p))
