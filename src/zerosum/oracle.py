@@ -5,13 +5,16 @@ Both modes run one DP over (last k-1 letters, negatives so far) past the
 cap until no prefix lives, its work bounded up front by (r, s, k, q) alone
 (see _block_dp_estimate): an AP avoider is a block avoider (a k-block is
 the d = 1 AP), so the DP bounds where avoiders of either kind can lie.
-Avoiders come from one walk back through the DP's stored states (see
-_avoiders), which places one letter per step; AP mode also tests, against
-its own position bitmask, each k-term AP of difference d >= 2 as its first
-term is placed (a zero-sum AP holds c* = sk/(r+s) negatives), and drops a
-state holding one with its prefix count, so the walk's avoiders plus drops
-equal the DP's count.  Each walk is bounded, before it starts, by that
-count (see exact_threshold); no work grows with the search cap.
+Below length k - 1 no window closes and every prefix lives, so the DP
+starts there and stores no state before it.  Avoiders come from one walk
+back through the DP's stored states (see _avoiders), which starts from a
+state's k - 1 tail letters, adds one letter per step and stops at length
+k - 1; AP mode also tests, against its own position bitmask, each k-term
+AP of difference d >= 2 as soon as the visited state fixes its first term
+(a zero-sum AP holds c* = sk/(r+s) negatives), and drops a state holding
+one with its prefix count, so the walk's avoiders plus drops equal the
+DP's count.  Each walk is bounded, before it starts, by that count (see
+exact_threshold); no work grows with the search cap.
 
 At r = s = 1 negating every letter maps avoiders, kills, drops and
 zero-sum APs to themselves, so the DP keeps one state of each mirror pair,
@@ -127,8 +130,9 @@ def _zero_negs(params: Params) -> int:
 
 def _block_dp_estimate(params: Params, q: int) -> int:
     """Bound on the block DP's transitions (one window check each): 2^n states
-    at n < k, then tails of under c* negatives on prefixes weighing -r(k-1) to
-    q + r(k-1), so of (q + 2r(k-1)) // (r+s) windows at most; mirrored in s."""
+    at n < k (an overcount, as the DP starts at n = k - 1), then tails of
+    under c* negatives on prefixes weighing -r(k-1) to q + r(k-1), so of
+    (q + 2r(k-1)) // (r+s) windows at most; mirrored in s."""
     k, m, c_star = params.k, params.modulus, _zero_negs(params)
     total = 2**k - 1
     for side, tails in ((params.r, range(c_star)), (params.s, range(c_star, k))):
@@ -160,7 +164,7 @@ def _block_bounds(params: Params, q: int) -> tuple[list[int], list[int]]:
 
 def _block_dp(
     params: Params, q: int, through: int, probe: bool = True
-) -> tuple[list[int], list[dict[int, int]], int | None]:
+) -> tuple[list[int], list[dict[int, int] | None], int | None]:
     """Count avoiding prefixes per state ``negs << (k-1) | tail`` (the last
     k-1 letters, bit 0 the newest, a set bit a -r letter).  A step kills a
     prefix whose newest k-window holds c* negatives, and drops one that no
@@ -171,30 +175,37 @@ def _block_dp(
     prefix count) per length run, up to ``through``, and that later length
     or None.
 
+    Below length k - 1 no window closes, so every prefix lives, once: those
+    lengths store no states (None) and take their counts from the binomials.
+    The DP starts at n = k - 1, where the tail is the whole prefix, with
+    every tail at count 1, and from there every step closes a window.
+
     At r = s = 1 it keeps one state per mirror pair.  Negating every letter
     maps a length-n prefix in state (negs, tail) to one in (n - negs,
-    tail ^ flip), flip the low min(n, k-1) bits: a k-window's negatives go
-    from j to k - j, so it is zero-sum (j = c* = k/2) exactly when its
-    mirror is, and _block_bounds gives the mirror's bound on negative
-    windows as the tail's bound on positive ones (hi[t] == lo[t ^ flip]).
-    So both states of a pair hold the same prefix count, and they differ
-    in bit 0 from n = 1 on.  Only the state whose newest letter is +1 (bit
-    0 clear) is kept: its +1 successor is kept as it is, its -1 successor
-    is stored as that successor's mirror, and the two stand for the
-    successors of the dropped mirror too.  The empty prefix is its own
-    mirror, so length 1 keeps only "+".  The tallies add each per-negs list
-    to its reverse, so every length still accounts for C(n, negs)."""
+    tail ^ tail_mask): a k-window's negatives go from j to k - j, so it is
+    zero-sum (j = c* = k/2) exactly when its mirror is, and _block_bounds
+    gives the mirror's bound on negative windows as the tail's bound on
+    positive ones (hi[t] == lo[t ^ tail_mask]).  So both states of a pair
+    hold the same prefix count, and they differ in bit 0.  Only the state
+    whose newest letter is +1 (bit 0 clear) is kept: its +1 successor is
+    kept as it is, its -1 successor is stored as that successor's mirror,
+    and the two stand for the successors of the dropped mirror too.  The
+    tallies add each per-negs list to its reverse, so every length still
+    accounts for C(n, negs)."""
     k, m, s, (hi, lo) = params.k, params.modulus, params.s, _block_bounds(params, q)
     c_star, shift, tail_mask = _zero_negs(params), k - 1, (1 << (k - 1)) - 1
     mirrored = params.r == params.s  # gcd 1: r = s = 1
-    states, dead = {0: 1}, [0]  # dead[negs]: length-n prefixes killed or dropped
-    counts, layers, n = [], [], 0
+    counts = [sum(math.comb(n, b) for b in admissible_pos_counts(params, q, n))
+              for n in range(min(shift, through + 1))]
+    layers: list[dict[int, int] | None] = [None] * len(counts)
+    states = {tail.bit_count() << shift | tail: 1 for tail in range(0, 1 << shift, 1 + mirrored)}
+    n, dead = shift, [0] * k  # dead[negs]: length-n prefixes killed or dropped
     while True:
         alive = [0] * (n + 1)
         for key, count in states.items():
             alive[key >> shift] += count
         full_alive, full_dead = alive, dead
-        if mirrored and n:  # each kept state and kill stands for its mirror too
+        if mirrored:  # each kept state and kill stands for its mirror too
             full_alive = [a + b for a, b in zip(alive, reversed(alive))]
             full_dead = [a + b for a, b in zip(dead, reversed(dead))]
         avoiders = 0
@@ -209,29 +220,26 @@ def _block_dp(
         if not (states if probe else n < through):
             return counts, layers, None
         dead = [a + b for a, b in zip(dead + [0], [0] + dead)]
-        if mirrored and not n:  # "+" and "-" mirror each other
-            states, n = {0: 1}, 1
-            continue
         nxt: dict[int, int] = {}
-        get, grown, closes = nxt.get, s * (n + 1), n >= shift  # closes: a k-window ends here
+        get, grown = nxt.get, s * (n + 1)
         # The -r successor's key is (plus ^ invert) + offset, plus the +s one's:
         # plus + (1 << shift | 1), or at r = s = 1 its mirror's key,
-        # (n - negs) << shift | (older | 1) ^ flip = (n << shift) + flip - 1 - plus
-        # (older | 1 lies within flip, and plus ^ -1 = -1 - plus).
+        # (n - negs) << shift | (older | 1) ^ tail_mask = (n + 1 << shift) - 2 - plus
+        # (older | 1 lies within tail_mask, and plus ^ -1 = -1 - plus).
         if mirrored:
-            invert, offset = -1, (n << shift) + (1 << min(n + 1, shift)) - 1
+            invert, offset = -1, (n + 1 << shift) - 1
         else:
             invert, offset = 0, 1 << shift | 1
         for key, count in states.items():
             negs, tail = key >> shift, key & tail_mask
             ones, older = tail.bit_count(), tail << 1 & tail_mask
             plus, w = older | negs << shift, grown - m * negs  # after +s: key, weight
-            if closes and (ones == c_star or (w > hi[older] if ones < c_star else -w > lo[older])):
+            if ones == c_star or (w > hi[older] if ones < c_star else -w > lo[older]):
                 dead[negs] += count
             else:
                 nxt[plus] = get(plus, 0) + count
             ones, w, older = ones + 1, w - m, older | 1  # after -r instead
-            if closes and (ones == c_star or (w > hi[older] if ones < c_star else -w > lo[older])):
+            if ones == c_star or (w > hi[older] if ones < c_star else -w > lo[older]):
                 dead[negs + 1] += count
             else:
                 new = (plus ^ invert) + offset
@@ -251,15 +259,18 @@ def _ap_starts(n: int, k: int) -> list[list[int]]:
 
 
 def _avoiders(
-    params: Params, q: int, layers: list[dict[int, int]], n: int,
+    params: Params, q: int, layers: list[dict[int, int] | None], n: int,
     starts: list[list[int]] | None = None,
 ) -> list[SignSeq]:
     """Every admissible avoider of length n, recovered by walking back from
-    the layer-n states kept by _block_dp, one letter per step; every state
-    it visits has a live prefix.  With ``starts`` (see _ap_starts), placing
-    letter t tests the APs whose first term is t, and a hit drops the state
-    with its prefix count.  Avoiders plus dropped counts must equal the DP's
-    avoider count at n.
+    the layer-n states kept by _block_dp, one letter per step, down to
+    length k - 1, where the tail is the whole prefix; every state it visits
+    has a live prefix.  ``mask`` holds the letters fixed so far: the root's
+    tail, then at each step the letter that enters the predecessor's tail.
+    With ``starts`` (see _ap_starts), visiting a state tests the APs whose
+    first term is its oldest tail letter, the first state to fix all their
+    terms, and a hit drops the state with its prefix count.  Avoiders plus
+    dropped counts must equal the DP's avoider count at n.
 
     At r = s = 1 the walk starts from the kept states only, reads each
     state it visits through the one kept for its mirror pair, and emits
@@ -272,34 +283,34 @@ def _avoiders(
     def kept(key: int, length: int) -> int:  # the stored state of key's mirror pair
         if pair == 1 or not key & 1:
             return key
-        flip = (1 << min(length, shift)) - 1
-        return (length - (key >> shift)) << shift | (key & tail_mask) ^ flip
+        return (length - (key >> shift)) << shift | (key & tail_mask) ^ tail_mask
 
-    negs_ok = {n - b for b in admissible_pos_counts(params, q, n)}
-    stack = [(key, n, 0) for key in layers[n] if key >> shift in negs_ok]
+    negs_ok, low = {n - b for b in admissible_pos_counts(params, q, n)}, n - shift
+    stack = [  # the root's tail, newest letter (bit 0) first, onto positions n - 1 .. n - k + 1
+        (key, n, int(f"{key & tail_mask:0{shift}b}"[::-1], 2) << low)
+        for key in layers[n] if key >> shift in negs_ok]
     expected, dropped = pair * sum(layers[n][key] for key, _, _ in stack), 0
     out: list[SignSeq] = []
     while stack:
         key, length, mask = stack.pop()
-        if length == 0:
+        aps = starts[length - shift] if starts else None  # empty from n - 2k + 2 on
+        if aps and any((mask & ap).bit_count() == c_star for ap in aps):
+            dropped += pair * layers[length][kept(key, length)]
+            continue
+        if length == shift:
             out.append(SignSeq(params, n, ((1 << n) - 1) ^ mask))
             if pair == 2:
                 out.append(SignSeq(params, n, mask))
             continue
         negs, tail, x = key >> shift, key & tail_mask, key & 1
-        mask |= x << (length - 1)
-        aps = starts[length - 1] if starts else None  # empty from n - 2k + 2 on
-        if aps and any((mask & ap).bit_count() == c_star for ap in aps):
-            dropped += pair * layers[length][kept(key, length)]
-            continue
-        layer = layers[length - 1]
+        layer, low = layers[length - 1], length - k
         for y in (0, 1):
             prev_tail = tail >> 1 | y << (shift - 1)
-            if length >= k and prev_tail.bit_count() + x == c_star:
+            if prev_tail.bit_count() + x == c_star:
                 continue  # that transition was killed
             prev = (negs - x) << shift | prev_tail
             if kept(prev, length - 1) in layer:
-                stack.append((prev, length - 1, mask))
+                stack.append((prev, length - 1, mask | y << low))
     if len(out) + dropped != expected:
         raise AssertionError(
             f"walk accounted for {len(out)} avoiders and {dropped} dropped "
@@ -331,7 +342,8 @@ def exact_threshold(
     total of (2n + 1) times the DP's avoider count at each length n before
     it is walked: every state the walk pops leads to at least one of those
     avoiders, and distinct pops at one depth to disjoint sets of them, so a
-    walk makes at most n + 1 pops per avoider and spends n letters on each
+    walk, which pops one state per length from n down to k - 1, makes at
+    most n - k + 2 <= n + 1 pops per avoider and spends n letters on each
     witness.  Neither bound depends on the cap.
     ``shards`` has no effect; it is accepted for callers that pass it.
     """
@@ -346,7 +358,7 @@ def exact_threshold(
     counts, layers, beyond = _block_dp(params, q, search_cap)
     max_avoiding, witnesses, walk = None, [], 0
     for n in reversed([n for n in range(k, len(counts)) if counts[n]]):  # block avoiders, top down
-        walk += (2 * n + 1) * counts[n]  # n + 1 pops and n letters per avoider
+        walk += (2 * n + 1) * counts[n]  # at most n + 1 pops and n letters per avoider
         _require_budget(walk, ceiling)
         witnesses = _avoiders(params, q, layers, n, _ap_starts(n, k) if mode == MODE_AP else None)
         if witnesses:

@@ -179,12 +179,15 @@ def test_skewed_large_k_point_runs_within_its_own_bound():
 @pytest.mark.parametrize("q", [0, 1, 5])
 def test_block_dp_estimate_bounds_its_work(r, s, k, q):
     """Nothing lives at the estimate's horizon, and the transitions made on
-    the way (two per live state) stay within the estimate."""
+    the way (two per live state) stay within the estimate.  A length below
+    k - 1 stores no states, and counts as the 2 * 2^n transitions of its
+    2^n prefixes."""
     params = Params(r, s, k)
     horizon = k * ((q + 2 * max(r, s) * (k - 1)) // params.modulus + 1)
     _, layers, _ = _block_dp(params, q, horizon, probe=False)
     assert len(layers[horizon]) == 0
-    assert sum(2 * len(layer) for layer in layers) <= _block_dp_estimate(params, q)
+    work = sum(2 * (2**n if layer is None else len(layer)) for n, layer in enumerate(layers))
+    assert work <= _block_dp_estimate(params, q)
 
 
 @pytest.mark.parametrize(
@@ -247,6 +250,19 @@ def _full_block_dp(params, q, through, probe=True):
         states, n = nxt, n + 1
 
 
+def _every_prefix(n, k):
+    """The full DP's layer at n < k: every prefix once, its tail all of it."""
+    return {tail.bit_count() << (k - 1) | tail: 1 for tail in range(1 << n)}
+
+
+def _lower_layers_skipped(layers, want_layers, k):
+    """``_block_dp`` stores no states below length k - 1, where the
+    reference's layers hold every prefix once."""
+    low = min(k - 1, len(want_layers))
+    assert layers[:low] == [None] * low
+    assert want_layers[:low] == [_every_prefix(n, k) for n in range(low)]
+
+
 def _mirror(key, n, k):
     """The state of the negated prefix: (n - negs, tail ^ the low min(n, k-1) bits)."""
     shift = k - 1
@@ -258,17 +274,20 @@ def _mirror(key, n, k):
 def test_halved_pm1_dp_matches_the_full_dp(k, q):
     """At (1,1) the DP keeps the state with newest letter +1 of each mirror
     pair.  With probe on, its counts and ``beyond`` equal the full DP's, and
-    each kept layer, expanded by the mirrors, is the full layer.  Through
-    3k + 6 every prefix dies up to k = 12; at k = 14 and 16 the probe finds
-    a later avoider for some q."""
+    each kept layer from k - 1 on, expanded by the mirrors, is the full
+    layer.  Through 3k + 6 every prefix dies up to k = 12; at k = 14 and 16
+    the probe finds a later avoider for some q."""
     params = Params(1, 1, k)
     through = 3 * k + 6
     counts, layers, beyond = _block_dp(params, q, through)
     want_counts, want_layers, want_beyond = _full_block_dp(params, q, through)
     assert (counts, beyond) == (want_counts, want_beyond)
     assert len(layers) == len(want_layers)
+    _lower_layers_skipped(layers, want_layers, k)
     for n, (layer, want) in enumerate(zip(layers, want_layers)):
-        assert all(not key & 1 for key in layer) or n == 0, n
+        if n < k - 1:
+            continue
+        assert all(not key & 1 for key in layer), n
         expanded = dict(layer)
         for key, count in layer.items():
             expanded[_mirror(key, n, k)] = count
@@ -277,9 +296,15 @@ def test_halved_pm1_dp_matches_the_full_dp(k, q):
 
 @pytest.mark.parametrize("r,s,k,q,through", [(1, 2, 9, 0, 24), (2, 3, 10, 1, 30), (3, 1, 8, 2, 20)])
 def test_dp_off_pm1_keeps_every_state(r, s, k, q, through):
-    """Off (1,1) nothing is halved: the DP is the full one, layer by layer."""
+    """Off (1,1) nothing is halved: the DP is the full one, layer by layer
+    from k - 1 on."""
     params = Params(r, s, k)
-    assert _block_dp(params, q, through) == _full_block_dp(params, q, through)
+    counts, layers, beyond = _block_dp(params, q, through)
+    want_counts, want_layers, want_beyond = _full_block_dp(params, q, through)
+    assert (counts, beyond) == (want_counts, want_beyond)
+    assert len(layers) == len(want_layers)
+    _lower_layers_skipped(layers, want_layers, k)
+    assert layers[k - 1:] == want_layers[k - 1:]
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 12])
@@ -293,12 +318,30 @@ def test_pm1_block_bounds_mirror(k, q):
 
 
 def test_pm1_dp_stores_one_state_per_mirror_pair():
-    """(1,1,12) through 24 keeps 4046 states, the full DP 8091: every pair
-    but the empty prefix, its own mirror, is halved."""
+    """(1,1,12) through 24 keeps 3022 states, the full DP 8091.  The halved
+    DP stores nothing below length 11, where it would keep 1024 states (the
+    empty prefix, its own mirror, and half of every later layer); from 11
+    on every mirror pair is halved."""
     params = Params(1, 1, 12)
     for probe in (True, False):
-        assert sum(map(len, _block_dp(params, 0, 24, probe)[1])) == 4046
+        layers = _block_dp(params, 0, 24, probe)[1]
+        assert layers[:11] == [None] * 11
+        assert sum(map(len, layers[11:])) == 3022
         assert sum(map(len, _full_block_dp(params, 0, 24, probe)[1])) == 8091
+
+
+@pytest.mark.parametrize(
+    "r,s,k", [(1, 1, 2), (1, 1, 6), (1, 1, 12), (1, 2, 3), (2, 1, 9), (2, 3, 10), (3, 4, 7)]
+)
+@pytest.mark.parametrize("q", [0, 3])
+def test_dp_starts_with_every_tail_once(r, s, k, q):
+    """Layer k - 1, the first the DP stores, holds every tail at count 1:
+    2^(k-1) states, and at (1,1) the 2^(k-2) whose newest letter is +1."""
+    params = Params(r, s, k)
+    layers = _block_dp(params, q, k - 1, probe=False)[1]
+    tails = range(0, 1 << (k - 1), 2 if r == s else 1)
+    assert layers[k - 1] == {tail.bit_count() << (k - 1) | tail: 1 for tail in tails}
+    assert len(layers[k - 1]) == (1 << (k - 2) if r == s else 1 << (k - 1))
 
 
 def _dp_avoiders(n, k, negs, c_star):
@@ -626,6 +669,27 @@ def test_ap_walk_matches_the_reference_search_beyond_difference_two(r, s, k, q, 
     assert any(walked[n] for n in range(3 * k - 2, cap + 1))
     for n in range(k, cap + 1):
         assert walked[n] == _reference_ap_avoiders(r, s, k, q, n), n
+
+
+@pytest.mark.parametrize(
+    "r,s,k,q,cap,deep",
+    [(2, 3, 10, 0, 26, 15), (2, 3, 10, 1, 26, 17), (2, 3, 10, 2, 26, 24),
+     (3, 4, 7, 0, 21, None), (3, 4, 7, 2, 21, 11), (3, 4, 7, 5, 21, 17), (3, 4, 7, 10, 21, 18)],
+)
+def test_ap_walk_matches_the_reference_search_with_r_and_s_above_one(r, s, k, q, cap, deep):
+    """Alphabets with r, s > 1, at every length up to the cap: no mirror
+    halving, and c* = sk/(r+s) is neither k/2 nor k - 1.  ``deep`` is the
+    longest length with an AP avoider: (2,3,10) at q = 2 has some at
+    n = 24, where d = 2 APs span 19 letters, and (3,4,7) at q = 10 at
+    n = 18, where they span 13."""
+    params = Params(r, s, k)
+    layers = _block_dp(params, q, cap, probe=False)[1]
+    for n in range(k, cap + 1):
+        assert _walk_ap_avoiders(params, q, layers, n) == _reference_ap_avoiders(
+            r, s, k, q, n
+        ), n
+    found = [n for n in range(k, cap + 1) if _reference_ap_avoiders(r, s, k, q, n)]
+    assert max(found, default=None) == deep
 
 
 @pytest.mark.parametrize("starts", [False, True])
