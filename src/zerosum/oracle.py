@@ -26,19 +26,24 @@ The pow2 check enumerates the 2^(2^v) sign functions on Z/2^v bit-sliced,
 2^16 to a word (one big int per position, one bit per function), so its
 memory does not grow with v: a ripple-carry counter sums a progression's
 words, and one AND over the count's digits marks every function it hits.
+
+The residue-lemma check sums the product residue function over each class
+mod d, for every d | k: the k values fold into the d class sums one prime
+of k at a time, depth first, so no class is summed from scratch.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .core import (
     MODE_AP, MODE_BLOCK, BudgetExceededError, ParameterError, Params, Report, SignSeq,
     require_even_k, require_nonnegative_q,
 )
-from .constructions import ResidueFunction, build_ap_mod_k_product, product_factors
+from .constructions import build_ap_mod_k_product, product_factors
+from .good_shift import prime_factors
 
 DEFAULT_BUDGET = 10**9
 BUDGET_ENV_VAR = "ZEROSUM_BUDGET"
@@ -366,7 +371,7 @@ def exact_threshold(
             break
     # n = k admits b = rk/(r+s) (weight 0), so some length is admissible iff the cap reaches k.
     notes = [] if search_cap >= k else ["no admissible length within the search cap"]
-    derived = k if max_avoiding is None else max(k, max_avoiding + 1)
+    derived = k if max_avoiding is None else max_avoiding + 1  # every walked n is >= k
     lower = "; the derived threshold is only a lower bound"
     if beyond is not None and mode == MODE_BLOCK:
         notes.append(f"an admissible avoider exists at n={beyond}, beyond the search cap" + lower)
@@ -403,7 +408,7 @@ def verify_2k_proposition(k: int, budget: int | None = None) -> TwoKVerdict:
     require_even_k(k)
     params = Params(1, 1, k)
     _require_budget(_block_dp_estimate(params, 0), budget)
-    counts, layers, _ = _block_dp(params, 0, 2 * k, probe=False)
+    _, layers, _ = _block_dp(params, 0, 2 * k, probe=False)
     witnesses = _avoiders(params, 0, layers, 2 * k)
     counterexample = min(witnesses, key=SignSeq.bitstring, default=None)
     return TwoKVerdict(
@@ -508,35 +513,28 @@ def verify_lemma_residue_properties(
     Valid factors come first, then k^2 must fit the budget."""
     factors = product_factors(k, factors)
     _require_budget(k * k, budget)
-    fn: ResidueFunction = build_ap_mod_k_product(k, factors)
+    fn = build_ap_mod_k_product(k, factors)
     plus, minus = fn.count_plus(), fn.count_minus()
     counts_ok = plus == k // 2 + 1 and minus == k // 2 - 1
-    # sums[d]: the weights of the d full progressions of difference d, one
-    # per residue class mod d (start < d and d * (k/d) = k: none wraps).
-    # Class a mod d is the union of classes a + jd mod dp, j < p, p the
-    # least prime with dp | k, so the sums fold down from those mod k.
-    # A list is dropped once its last child is folded, and each d keeps
-    # only the start of its first zero-weight progression (or None).
-    divisors = [d for d in range(1, k + 1) if k % d == 0]
-    parent = {
-        d: d * next(p for p in range(2, k // d + 1) if k // d % p == 0)
-        for d in divisors[:-1]
-    }
-    children = Counter(parent.values())
-    sums, zero = {k: fn.values}, {}
-    for d in reversed(divisors):
-        if d < k:
-            up = parent[d]
-            finer = sums[up]
-            sums[d] = list(map(sum, zip(*(finer[j * d:(j + 1) * d] for j in range(up // d)))))
-            children[up] -= 1
-            if not children[up]:
-                del sums[up]
-        weights = sums[d] if children[d] else sums.pop(d)
-        zero[d] = weights.index(0) if 0 in weights else None
+    # A list of d sums holds the weights of the d full progressions of
+    # difference d, one per residue class mod d (start < d and d * (k/d) = k:
+    # none wraps).  Class a mod d/p is the union of classes a + j(d/p) mod d,
+    # j < p, so each list folds into one for every prime p | d.  Dividing out
+    # k's primes in non-increasing order reaches each d | k once, from dp with
+    # p the least prime of k/d; a list is dropped once its folds are pushed,
+    # and each d keeps only the start of its first zero-weight progression.
+    primes, zero, stack = prime_factors(k), {}, [(fn.values, k, k)]
+    while stack:
+        sums, d, top = stack.pop()
+        zero[d] = sums.index(0) if 0 in sums else None
+        for p in primes:
+            if p <= top and d % p == 0:
+                e = d // p
+                parts = (sums[j * e:(j + 1) * e] for j in range(p))
+                stack.append((list(map(sum, zip(*parts))), e, p))
     checked = 0
     failure: tuple[int, int] | None = None
-    for d in divisors:
+    for d in sorted(zero):
         if zero[d] is not None:
             checked += zero[d] + 1
             failure = (d, zero[d])

@@ -980,7 +980,11 @@ class TestResidueLemma:
 
     @pytest.mark.parametrize(
         "k,factors",
-        [(30, (3, 5)), (210, (3, 5, 7)), (2310, (3, 5, 7, 11)), (30030, (3, 5, 7, 11, 13))],
+        [
+            (30, (3, 5)), (210, (3, 5, 7)), (2310, (3, 5, 7, 11)), (30030, (3, 5, 7, 11, 13)),
+            # prime powers: the fold divides by the same prime more than once
+            (18, (9,)), (54, (27,)), (450, (9, 25)), (1350, (27, 25)),
+        ],
     )
     def test_folded_sums_match_per_start_slices(self, monkeypatch, k, factors):
         """The folded class sums give the per-start check's count and first
