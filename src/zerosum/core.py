@@ -9,8 +9,9 @@ safe to share across threads; positions are 0-based throughout.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import cache
 from itertools import accumulate, chain, islice, zip_longest
 
@@ -180,6 +181,19 @@ def _letter_bytes(r: int, s: int) -> dict[tuple[int, ...], int]:
     return {letters: b for b, letters in enumerate(_letter_table(r, s))}
 
 
+@cache
+def _packed_table(r: int, s: int) -> tuple[tuple[bytes, ...], str] | None:
+    """Byte b as its 8 letters packed as machine ints, bit 0 first, and the
+    ``memoryview`` format that reads them; None unless both letters lie in
+    -5..256, the ints CPython shares: a wider letter read off a view is a
+    new object per position, slower than the tuple table's shared ones."""
+    if r > 5 or s > 256:
+        return None
+    size, fmt = (1, "b") if s < 128 else (2, "h")
+    neg, pos = (v.to_bytes(size, sys.byteorder, signed=True) for v in (-r, s))
+    return tuple(b"".join(pos if b >> j & 1 else neg for j in range(8)) for b in range(256)), fmt
+
+
 class SignSeq:
     """A finite {-r, +s}-valued sequence with a compact selector encoding.
 
@@ -187,14 +201,18 @@ class SignSeq:
     ``from_values``, ``from_bitstring``, ``values`` and ``bitstring`` cost
     O(n) in C-level passes.  ``values`` and the prefix sums read the
     letters eight positions per lookup, each byte of ``bits`` in a
-    256-entry table cached per (r, s).  ``from_values`` maps each group of
-    eight values to its byte by the inverse dict, the last group padded
-    with -r letters (zero bits), so a hashable value equal to a letter,
-    like ``True`` or ``1.0``, counts as it.  ``from_bitstring`` and
-    ``bitstring`` are one base-2 int/str conversion, which Python's int/str
-    digit limit exempts.  Prefix weights cost O(n) once, built lazily, so
-    full-sequence and window weights cost O(1) after the first query.
-    ``value(i)`` costs O(n - i).
+    256-entry table cached per (r, s).  When both letters lie in -5..256
+    the table packs each byte's letters as machine ints, and the lookups
+    join into one ``memoryview`` of n ints that ``tuple`` and
+    ``accumulate`` iterate in C; wider letters come off a table of int
+    tuples, whose letter objects are shared.  ``from_values`` maps each
+    group of eight values to its byte by the inverse dict, the last group
+    padded with -r letters (zero bits), so a hashable value equal to a
+    letter, like ``True`` or ``1.0``, counts as it.  ``from_bitstring``
+    and ``bitstring`` are one base-2 int/str conversion, which Python's
+    int/str digit limit exempts.  Prefix weights cost O(n) once, built
+    lazily, so full-sequence and window weights cost O(1) after the first
+    query.  ``value(i)`` costs O(n - i).
     """
 
     __slots__ = ("params", "n", "bits", "_prefix")
@@ -244,10 +262,15 @@ class SignSeq:
             raise ParameterError(f"index {i} out of range [0, {self.n})")
         return self.params.s if (self.bits >> i) & 1 else -self.params.r
 
-    def _letters(self) -> Iterator[int]:
-        table = _letter_table(self.params.r, self.params.s)
+    def _letters(self) -> Iterable[int]:
+        r, s = self.params.r, self.params.s
         octets = self.bits.to_bytes((self.n + 7) // 8, "little")
-        return islice(chain.from_iterable(map(table.__getitem__, octets)), self.n)
+        packed = _packed_table(r, s)
+        if packed is None:
+            table = _letter_table(r, s)
+            return islice(chain.from_iterable(map(table.__getitem__, octets)), self.n)
+        table, fmt = packed
+        return memoryview(b"".join(map(table.__getitem__, octets))).cast(fmt)[:self.n]
 
     def values(self) -> tuple[int, ...]:
         return tuple(self._letters())

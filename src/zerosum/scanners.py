@@ -20,7 +20,8 @@ for APs, and makes no per-start Python object.  Witness order is
 deterministic: blocks by lowest start, APs by lowest difference then
 lowest start.  A naive rescan is kept alongside as the AP scanner's
 correctness oracle; the interpolation checker reads the window weights
-off the prefix sums, an engine the scanners do not use.
+off the prefix sums, an engine the scanners do not use, and differences
+neighbouring windows only when their weights span more than r + s.
 """
 
 from __future__ import annotations
@@ -322,7 +323,10 @@ def interpolation_check(seq: SignSeq, k: int) -> InterpolationReport:
     differ by at most r + s (they differ in exactly two elements), and
     (c) every window weight is divisible by r + s.  The weights come off
     the prefix sums, and each fact is decided exactly over the set of
-    distinct weights or of distinct adjacent steps.
+    distinct weights.  Weights that span at most r + s settle (b) at
+    once, as no step between them can exceed their span (every periodic
+    input, whose windows all weigh the same, takes this path); a wider
+    span reads the distinct adjacent steps.
     """
     m = seq.params.modulus
     if k % m != 0:
@@ -332,8 +336,9 @@ def interpolation_check(seq: SignSeq, k: int) -> InterpolationReport:
     weights = list(map(sub, islice(prefix, k, None), prefix))
     seen = set(weights)
 
-    sign_ok = not (min(seen) < 0 < max(seen)) or 0 in seen
-    steps = set(map(sub, islice(weights, 1, None), weights))
+    low, high = min(seen), max(seen)
+    sign_ok = not (low < 0 < high) or 0 in seen
+    steps = () if high - low <= m else set(map(sub, islice(weights, 1, None), weights))
     step_ok = max(map(abs, steps), default=0) <= m
     residue_ok = not any(map(m.__rmod__, seen))
 

@@ -21,6 +21,7 @@ from zerosum import (
     weight,
     weight_range,
 )
+from zerosum.core import _packed_table
 
 SMALL_PARAMS = [Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5), Params(3, 4, 7)]
 
@@ -166,6 +167,27 @@ def test_codec_matches_reference_past_the_int_str_digit_limit():
     rng = random.Random(5)
     for n in (4301, 20000):
         check_codec_against_reference(Params(2, 3, 5), n, rng.getrandbits(n - 7))
+
+
+@pytest.mark.parametrize(
+    "r,s,packed",
+    [
+        # letters within -5..256 read off the packed view, one byte or two
+        (1, 1, "b"), (5, 127, "b"), (5, 128, "h"), (5, 256, "h"),
+        # wider letters, in 1, 2, 4 and 8 bytes and past 64 bits, read off the tuple table
+        (6, 1, None), (1, 257, None), (128, 127, None), (129, 127, None),
+        (40000, 1, None), (2**31 + 1, 1, None), (2**64 + 1, 2**64, None),
+    ],
+)
+def test_codec_matches_reference_across_letter_widths(r, s, packed):
+    """Both letter readers agree with the per-bit reference, on random bits
+    and on bits whose top positions are cleared (a last octet of -r)."""
+    assert (_packed_table(r, s) or (None, None))[1] == packed
+    rng = random.Random(r * 31 + s)
+    params = Params(r, s, r + s)
+    for n in (0, 1, 7, 8, 9, 300):
+        for bits in (rng.getrandbits(n), rng.getrandbits(n // 2)):
+            check_codec_against_reference(params, n, bits)
 
 
 STRICT_BITSTRINGS = [

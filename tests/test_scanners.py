@@ -3,6 +3,7 @@ the optimized AP scan with its naive rescan oracle."""
 
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from zerosum import (
     build_ap_mod_k,
     build_ap_mod_k_plus1,
     build_block_extremal,
+    build_block_extremal_negated,
     interpolation_check,
     pm1_smallsum_threshold,
     smallsum_block_scan,
@@ -598,6 +600,11 @@ class TestInterpolation:
             # a step and a residue at once: the step is named
             (2, 3, 5, [0, 5, 12], "adjacent windows differ by more than r + s"),
             (2, 3, 5, [-5, 0, 5], None),
+            # a span of exactly r + s settles the steps without reading them
+            (2, 3, 5, [5, 0, 5, 0], None),
+            (1, 1, 2, [-2, 0, 0, -2], None),
+            # a span of 2(r + s) with one step past r + s: the step is named
+            (2, 3, 5, [0, 10, 5], "adjacent windows differ by more than r + s"),
         ],
     )
     def test_failure_branches_match_reference(self, r, s, k, weights, detail):
@@ -606,6 +613,22 @@ class TestInterpolation:
         assert report == _reference_interpolation_check(seq, k)
         assert report.detail == detail
         assert report.window_count == len(weights)
+
+    @pytest.mark.parametrize("weights,step_passes", [([5, 0, 5, 0], 0), ([0, 10, 5], 1)])
+    def test_steps_are_read_only_past_a_span_of_r_plus_s(self, monkeypatch, weights, step_passes):
+        calls = []
+        monkeypatch.setattr(scanners, "islice", lambda *a: calls.append(a) or islice(*a))
+        interpolation_check(_forged_seq(Params(2, 3, 5), 5, weights), 5)
+        assert len(calls) == 1 + step_passes
+
+    @pytest.mark.parametrize("r,s,k", [(1, 1, 100), (2, 3, 100), (1, 2, 120), (3, 4, 140)])
+    def test_block_extremal_matches_reference(self, r, s, k):
+        """Thousands of letters whose k-windows all weigh the same, so the
+        weights span 0 and the steps are never read."""
+        for build in (build_block_extremal, build_block_extremal_negated):
+            seq = build(Params(r, s, k)).seq
+            assert seq.n >= 2000
+            assert interpolation_check(seq, k) == _reference_interpolation_check(seq, k)
 
     def test_example_windows(self):
         seq = SignSeq.from_values(Params(1, 2, 3), [-1, -1, 2, 2, -1, -1])

@@ -103,20 +103,22 @@ def _command(args: list[str]) -> str:
     )
 
 
+# Each command with the modules it adds to START.
+COMMANDS = [
+    (["bound", "--r", "1", "--s", "2", "--k", "6"], {"formulas", "good_shift"}),
+    (["construct", "--kind", "block-extremal", "--r", "1", "--s", "2", "--k", "6",
+      "--out", "out.txt"], {"constructions", "formulas", "good_shift"}),
+    (["verify", "--mode", "block", "--k", "6", "--in", "s.txt"], {"scanners"}),
+    (["oracle", "--target", "pow2", "--v", "2"],
+     {"oracle", "constructions", "formulas", "good_shift"}),
+    (["shift", "--r", "1", "--s", "2", "--k", "21", "--json"], {"good_shift"}),
+    (["table", "--r", "1", "--s", "1", "--k-min", "6", "--k-max", "8", "--what", "ap-lb",
+      "--out", "t.csv"], {"formulas", "good_shift"}),
+]
+
+
 @pytest.mark.parametrize(
-    "args, extra",
-    [
-        (["bound", "--r", "1", "--s", "2", "--k", "6"], {"formulas", "good_shift"}),
-        (["construct", "--kind", "block-extremal", "--r", "1", "--s", "2", "--k", "6",
-          "--out", "out.txt"], {"constructions", "formulas", "good_shift"}),
-        (["verify", "--mode", "block", "--k", "6", "--in", "s.txt"], {"scanners"}),
-        (["oracle", "--target", "pow2", "--v", "2"],
-         {"oracle", "constructions", "formulas", "good_shift"}),
-        (["shift", "--r", "1", "--s", "2", "--k", "21", "--json"], {"good_shift"}),
-        (["table", "--r", "1", "--s", "1", "--k-min", "6", "--k-max", "8", "--what", "ap-lb",
-          "--out", "t.csv"], {"formulas", "good_shift"}),
-    ],
-    ids=lambda v: v[0] if isinstance(v, list) else None,
+    "args, extra", COMMANDS, ids=lambda v: v[0] if isinstance(v, list) else None,
 )
 def test_command_loads_only_its_modules(tmp_path, args, extra):
     (tmp_path / "s.txt").write_text(SEQ_FILE)
@@ -145,6 +147,23 @@ def test_command_on_a_bare_interpreter_loads_no_re_typing_or_pathlib(tmp_path, a
     # Nothing has loaded them before the command starts, so a load would show.
     assert _added("import pathlib, re, typing", tmp_path, "-S") >= BARE_FREE
     assert not _added(_command(args), tmp_path, "-S") & BARE_FREE
+
+
+# ``SignSeq`` packs its letters with ``int.to_bytes`` and reads them through
+# ``memoryview``, so nothing needs these; loading ``array`` alone costs about
+# 0.4 ms of each process start (a shared-library load).  Under ``python -S``
+# no ``.pth`` file has loaded ``struct`` first, so a load would show.
+PACKERS = {"array", "struct"}
+
+
+@pytest.mark.parametrize(
+    "code", ["import zerosum.cli", *(_command(args) for args, _ in COMMANDS)],
+    ids=["import", *(args[0] for args, _ in COMMANDS)],
+)
+def test_no_import_or_command_loads_array_or_struct(tmp_path, code):
+    (tmp_path / "s.txt").write_text(SEQ_FILE)
+    assert _added("import array, struct", tmp_path, "-S") >= PACKERS
+    assert not _added(code, tmp_path, "-S") & PACKERS
 
 
 def test_every_imported_name_is_used():
