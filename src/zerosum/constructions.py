@@ -6,13 +6,15 @@ to length n.  A builder fixes only those three numbers and its claim, what
 the sequence avoids (zero-sum k-blocks or zero-sum k-term arithmetic
 subsequences); the scanners re-check each claim independently.  The
 lengths of block-extremal and ap-good-shift are closed forms that live in
-``formulas`` (M1 - 1 and ``ap_lower_bound_value``).  Three kinds retag
-another builder's sequence with their own kind and claim: ap-two-p is
-block-extremal at (1, 1, 2p), ap-mod-k1 is ap-good-shift at (1, 1, k) with
-alpha = 1, and block-extremal-neg negates block-extremal with r and s
-swapped.  The residue product is the exception: a sign function on Z/k,
-not a run pattern.  Lengths that legally evaluate to 0 at small
-parameters are flagged degenerate rather than rejected.
+``formulas``: block-extremal reads M1 - 1, and ap-good-shift reads its
+whole run pattern (certified shift, period, run and the length
+``ap_lower_bound_value``) from ``formulas._good_shift_pattern``.  Three
+kinds retag another builder's sequence with their own kind and claim:
+ap-two-p is block-extremal at (1, 1, 2p), ap-mod-k1 is ap-good-shift at
+(1, 1, k) with alpha = 1, and block-extremal-neg negates block-extremal
+with r and s swapped.  The residue product is the exception: a sign
+function on Z/k, not a run pattern.  Lengths that legally evaluate to 0 at
+small parameters are flagged degenerate rather than rejected.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .core import (
     SignSeq,
     require_even_k,
 )
-from .formulas import ap_lower_bound_value, exact_block_threshold
-from .good_shift import GoodShift, certified_shift, is_prime
+from .formulas import _good_shift_pattern, exact_block_threshold
+from .good_shift import GoodShift, is_prime
 
 
 # What the construction avoids, stated checkably.
@@ -206,21 +208,16 @@ def build_ap_good_shift(params: Params, alpha: int | GoodShift) -> Construction:
     """Period-(k+alpha) {-r, s}-sequence avoiding zero-sum k-term APs,
     for any good shift alpha.
 
-    f(j) = -r when j mod (k+alpha) < sk/(r+s) - 1, else +s; each full
-    period weighs r + s + s*alpha, and the length, ``ap_lower_bound_value``,
-    leaves a remainder that is all -r and cancels the full periods exactly.
+    f(j) = -r when j mod (k+alpha) < sk/(r+s) - 1, else +s; the run pattern,
+    its length ``ap_lower_bound_value`` included, is read from
+    ``formulas._good_shift_pattern``.
     """
-    params.require_block_divisibility()
-    shift = certified_shift(params, alpha)
-    s, k = params.s, params.k
-    a = k + shift.alpha
-    period_weight = params.modulus + s * shift.alpha
-    n = ap_lower_bound_value(params, shift)
+    shift, period, neg_run, n = _good_shift_pattern(params, alpha)
     return _construction(
         AP_GOOD_SHIFT,
-        _periodic(params, a, s * k // params.modulus - 1, n),
-        f"no zero-sum {k}-term arithmetic subsequence (period {a}, per-period "
-        f"weight {period_weight}, good shift alpha = {shift.alpha})",
+        _periodic(params, period, neg_run, n),
+        f"no zero-sum {params.k}-term arithmetic subsequence (period {period}, per-period "
+        f"weight {params.modulus + params.s * shift.alpha}, good shift alpha = {shift.alpha})",
     )
 
 

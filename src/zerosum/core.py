@@ -79,12 +79,12 @@ class BudgetExceededError(RuntimeError):
 
 
 class ShiftSearchError(RuntimeError):
-    """No qualifying shift was found within the scanned range; ``proven``
-    when that range holds every good shift, so none exists."""
+    """No qualifying shift was found for alpha in [1, alpha_max]; ``proven``
+    when that range holds every good shift, so none exists.  The message is
+    the whole failure text, the one ``zerosum shift`` prints."""
 
-    def __init__(self, message: str, alpha_min: int, alpha_max: int, proven: bool = False) -> None:
+    def __init__(self, message: str, alpha_max: int, proven: bool = False) -> None:
         super().__init__(message)
-        self.alpha_min = alpha_min
         self.alpha_max = alpha_max
         self.proven = proven
 

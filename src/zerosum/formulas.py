@@ -133,6 +133,20 @@ def sufficient_block_bound(params: Params, q: int = 0) -> SufficientBound:
     return SufficientBound(params=params, q=q, n_sufficient=n)
 
 
+def _good_shift_pattern(params: Params, alpha: int | GoodShift) -> tuple[GoodShift, int, int, int]:
+    """(shift, period, neg_run, n): sk/(r+s) - 1 letters -r, then +s to the
+    period k + alpha, cut to length n.  Each full period weighs
+    r + s + s*alpha, and n leaves an all -r remainder that cancels them.
+    (r + s) | k is checked before the shift is certified."""
+    params.require_block_divisibility()
+    shift = certified_shift(params, alpha)
+    r, s, k = params.r, params.s, params.k
+    period = k + shift.alpha
+    period_weight = params.modulus + s * shift.alpha
+    neg_run = s * k // params.modulus - 1
+    return shift, period, neg_run, (r * period + period_weight) * (neg_run // (r * period_weight))
+
+
 def ap_lower_bound_value(params: Params, alpha: int | GoodShift) -> int:
     """Length of the shifted periodic construction certifying
     M(r, s, k) >= (r(k+a) + (r+s+s*a)) * floor((sk/(r+s) - 1) / (r(r+s+s*a))).
@@ -140,10 +154,4 @@ def ap_lower_bound_value(params: Params, alpha: int | GoodShift) -> int:
     ``alpha`` may be a verified GoodShift or a plain integer, in which case
     goodness is checked here.
     """
-    params.require_block_divisibility()
-    shift = certified_shift(params, alpha)
-    r, s, k = params.r, params.s, params.k
-    a = k + shift.alpha
-    period_weight = params.modulus + s * shift.alpha
-    neg_run = s * k // params.modulus - 1
-    return (r * a + period_weight) * (neg_run // (r * period_weight))
+    return _good_shift_pattern(params, alpha)[3]

@@ -123,6 +123,16 @@ def certified_shift(params: Params, alpha: int | GoodShift) -> GoodShift:
     return shift
 
 
+def _first_good(params: Params, alphas, limit: int, text: str, proven: bool = False) -> GoodShift:
+    """The first good verdict among ``alphas``, all within [1, limit]; else
+    ShiftSearchError with ``text``, the failure text the CLI prints."""
+    for alpha in alphas:
+        verdict = is_good_shift(params, alpha)
+        if verdict.good:
+            return verdict
+    raise ShiftSearchError(text, limit, proven)
+
+
 def min_good_shift(params: Params, horizon: int | None = None) -> GoodShift:
     """Smallest alpha >= 1 that is a good shift, searched up to ``horizon``.
 
@@ -151,24 +161,19 @@ def min_good_shift(params: Params, horizon: int | None = None) -> GoodShift:
     max(r, s)k in absolute value, so alpha = p - k < (r + s)k.  A search
     to (r + s)k that finds nothing thus proves that no good shift exists.
 
-    Exhausting the search raises ShiftSearchError with the scanned range,
-    marked ``proven`` when it was the whole proven range.
+    Exhausting the search raises ShiftSearchError with the scanned range.
+    With no horizon it is ``proven`` and says that no good shift exists for
+    (r, s, k); a horizon h gives "no good shift found for alpha in [1, h]".
     """
     m = params.modulus
     limit = horizon if horizon is not None else params.k * (m if params.k % m else 1)
     if limit < 1:
         raise ParameterError(f"horizon must be >= 1, got {limit}")
-    for alpha in range(1, limit + 1):
-        verdict = is_good_shift(params, alpha)
-        if verdict.good:
-            return verdict
-    where = f"(r, s, k) = ({params.r}, {params.s}, {params.k})"
-    if horizon is None:
-        raise ShiftSearchError(
-            f"no good shift exists for {where}: the least would lie in [1, {limit}]",
-            1, limit, proven=True,
-        )
-    raise ShiftSearchError(f"no good shift for {where} with alpha in [1, {limit}]", 1, limit)
+    proven = horizon is None
+    failure = (f"no good shift exists for (r, s, k) = ({params.r}, {params.s}, {params.k}): "
+               f"the least would lie in [1, {limit}]" if proven else
+               f"no good shift found for alpha in [1, {limit}]")
+    return _first_good(params, range(1, limit + 1), limit, failure, proven)
 
 
 def prime_shift(params: Params) -> GoodShift:
@@ -179,19 +184,13 @@ def prime_shift(params: Params) -> GoodShift:
     r <= s and (r + s) | k it exceeds every element of S_alpha in absolute
     value and cannot divide 0, so the shift is automatically good.
     Goodness is verified regardless, never assumed; candidates that fail
-    the check are skipped.
+    the check are skipped.  Finding none raises ShiftSearchError, never
+    ``proven``: a larger alpha or a composite k + alpha may still be good.
     """
     k, s = params.k, params.s
     limit = max(1, math.ceil(k**PRIME_GAP_EXPONENT))
-    for alpha in range(1, limit + 1):
-        if k + alpha <= s * alpha or not is_prime(k + alpha):
-            continue
-        verdict = is_good_shift(params, alpha)
-        if verdict.good:
-            return verdict
-    raise ShiftSearchError(
+    alphas = (a for a in range(1, limit + 1) if k + a > s * a and is_prime(k + a))
+    return _first_good(params, alphas, limit, (
         f"no prime k + alpha with k + alpha > s*alpha and alpha in "
-        f"[1, {limit}] certifies a good shift at k = {k}",
-        1,
-        limit,
-    )
+        f"[1, {limit}] certifies a good shift at k = {k}"
+    ))

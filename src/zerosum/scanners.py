@@ -261,37 +261,32 @@ def ap_scan(seq: SignSeq, k: int) -> ScanReport:
 
 
 def ap_scan_naive(seq: SignSeq, k: int) -> ScanReport:
-    """Reference AP scan: sum every window term by term, O(#APs * k).
+    """Reference AP scan: sum every AP's k terms, one strided slice each,
+    O(#APs * k).
 
     Kept deliberately independent of ap_scan as its correctness oracle.
     """
     _check_window_length(seq, k)
     n = seq.n
     values = seq.values()
-    min_abs: int | None = None
+    min_abs = witness = None
     scanned = 0
     for d in range(1, max_difference(n, k) + 1):
         for start in range(0, n - (k - 1) * d):
-            w = 0
-            for j in range(k):
-                w += values[start + j * d]
+            w = abs(sum(values[start:start + (k - 1) * d + 1:d]))
             scanned += 1
-            if min_abs is None or abs(w) < min_abs:
-                min_abs = abs(w)
+            if min_abs is None or w < min_abs:
+                min_abs = w
             if w == 0:
-                return ScanReport(
-                    mode=MODE_AP,
-                    k=k,
-                    found=True,
-                    witness=(start, d),
-                    min_abs_weight=0,
-                    scanned_count=scanned,
-                )
+                witness = (start, d)
+                break
+        if witness is not None:
+            break
     return ScanReport(
         mode=MODE_AP,
         k=k,
-        found=False,
-        witness=None,
+        found=witness is not None,
+        witness=witness,
         min_abs_weight=min_abs,
         scanned_count=scanned,
     )

@@ -17,6 +17,7 @@ from zerosum import (
     SequenceFileError,
     SignSeq,
     format_sequence,
+    is_good_shift,
     parse_sequence,
     weight,
     weight_range,
@@ -42,6 +43,18 @@ def test_params_validation():
     Params(1, 1, 1).require_block_divisibility  # attribute exists
     with pytest.raises(ParameterError):
         Params(1, 2, 4).require_block_divisibility()
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: SignSeq(Params(1, 1, 2), -1, 0), "sequence length must be nonnegative, got -1"),
+    (lambda: SignSeq(Params(1, 1, 2), 2, 4), "selector bits out of range for length"),
+    (lambda: weight_range(-1, Params(1, 1, 2)), "alpha must be nonnegative, got -1"),
+    (lambda: is_good_shift(Params(1, 2, 6), -1), "alpha must be nonnegative, got -1"),
+], ids=["negative-length", "bits-past-length", "negative-alpha", "negative-shift"])
+def test_out_of_range_arguments(make, message):
+    with pytest.raises(ParameterError) as exc_info:
+        make()
+    assert str(exc_info.value) == message
 
 
 def test_weight_balanced_pair():

@@ -139,6 +139,7 @@ def test_min_good_shift_horizon_exhaustion():
         min_good_shift(Params(1, 2, 21), horizon=1)
     assert exc_info.value.alpha_max == 1
     assert not exc_info.value.proven
+    assert str(exc_info.value) == "no good shift found for alpha in [1, 1]"
 
 
 @pytest.mark.parametrize("r,s,k", [(1, 3, 2), (2, 7, 3), (3, 5, 4), (7, 5, 6)])
@@ -219,6 +220,19 @@ class TestPrimeShift:
         shift = prime_shift(Params(1, 4, 30))
         assert is_prime(shift.a)
         assert shift.good
+
+    def test_exhausted_search_names_the_prime_certificate(self):
+        """(1, 10, 11) has the good shift 2, but 11 + alpha > 10 alpha only
+        for alpha = 1, and 12 is not prime: the prime search fails, unproven."""
+        params = Params(1, 10, 11)
+        assert min_good_shift(params).alpha == 2
+        with pytest.raises(ShiftSearchError) as exc_info:
+            prime_shift(params)
+        assert (exc_info.value.alpha_max, exc_info.value.proven) == (4, False)
+        assert str(exc_info.value) == (
+            "no prime k + alpha with k + alpha > s*alpha and alpha in [1, 4] "
+            "certifies a good shift at k = 11"
+        )
 
 
 def test_good_shift_json_keys():
