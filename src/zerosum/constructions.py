@@ -7,8 +7,9 @@ the sequence avoids (zero-sum k-blocks or zero-sum k-term arithmetic
 subsequences); the scanners re-check each claim independently.  The
 lengths of block-extremal and ap-good-shift are closed forms that live in
 ``formulas``: block-extremal reads M1 - 1, and ap-good-shift reads its
-whole run pattern (certified shift, period, run and the length
-``ap_lower_bound_value``) from ``formulas._good_shift_pattern``.  Three
+whole run pattern (certified shift, period, the per-period weight its
+claim names, run and the length ``ap_lower_bound_value``) from
+``formulas._good_shift_pattern``.  Three
 kinds retag another builder's sequence with their own kind and claim:
 ap-two-p is block-extremal at (1, 1, 2p), ap-mod-k1 is ap-good-shift at
 (1, 1, k) with alpha = 1, and block-extremal-neg negates block-extremal
@@ -209,15 +210,15 @@ def build_ap_good_shift(params: Params, alpha: int | GoodShift) -> Construction:
     for any good shift alpha.
 
     f(j) = -r when j mod (k+alpha) < sk/(r+s) - 1, else +s; the run pattern,
-    its length ``ap_lower_bound_value`` included, is read from
-    ``formulas._good_shift_pattern``.
+    its length ``ap_lower_bound_value`` and the per-period weight the claim
+    names included, is read from ``formulas._good_shift_pattern``.
     """
-    shift, period, neg_run, n = _good_shift_pattern(params, alpha)
+    shift, period, period_weight, neg_run, n = _good_shift_pattern(params, alpha)
     return _construction(
         AP_GOOD_SHIFT,
         _periodic(params, period, neg_run, n),
         f"no zero-sum {params.k}-term arithmetic subsequence (period {period}, per-period "
-        f"weight {params.modulus + params.s * shift.alpha}, good shift alpha = {shift.alpha})",
+        f"weight {period_weight}, good shift alpha = {shift.alpha})",
     )
 
 

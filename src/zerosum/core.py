@@ -181,17 +181,39 @@ def _letter_bytes(r: int, s: int) -> dict[tuple[int, ...], int]:
     return {letters: b for b, letters in enumerate(_letter_table(r, s))}
 
 
+def _columns(entries: Iterable[bytes]) -> tuple[bytes | None, ...]:
+    """The byte columns of 256 entries of one width: column u maps byte b
+    to byte u of entry b, a ``bytes.translate`` table, or None when it maps
+    every byte to 0."""
+    columns = map(bytes, zip(*entries))
+    return tuple(column if column.count(0) < 256 else None for column in columns)
+
+
+def _expand(octets: bytes, columns: tuple[bytes | None, ...]) -> bytearray:
+    """Each octet replaced by its entry in the table of ``columns``, the
+    entries joined: one ``translate`` and one strided store per nonzero
+    column fill byte u of every entry at C speed."""
+    width = len(columns)
+    out = bytearray(width * len(octets))
+    for u, column in enumerate(columns):
+        if column is not None:
+            out[u::width] = octets.translate(column)
+    return out
+
+
 @cache
-def _packed_table(r: int, s: int) -> tuple[tuple[bytes, ...], str] | None:
-    """Byte b as its 8 letters packed as machine ints, bit 0 first, and the
-    ``memoryview`` format that reads them; None unless both letters lie in
-    -5..256, the ints CPython shares: a wider letter read off a view is a
-    new object per position, slower than the tuple table's shared ones."""
+def _packed_table(r: int, s: int) -> tuple[tuple[bytes | None, ...], str] | None:
+    """Byte b as its 8 letters packed as machine ints, bit 0 first, held as
+    the table's byte columns for ``_expand``, and the ``memoryview`` format
+    that reads them; None unless both letters lie in -5..256, the ints
+    CPython shares: a wider letter read off a view is a new object per
+    position, slower than the tuple table's shared ones."""
     if r > 5 or s > 256:
         return None
     size, fmt = (1, "b") if s < 128 else (2, "h")
     neg, pos = (v.to_bytes(size, sys.byteorder, signed=True) for v in (-r, s))
-    return tuple(b"".join(pos if b >> j & 1 else neg for j in range(8)) for b in range(256)), fmt
+    entries = (b"".join(pos if b >> j & 1 else neg for j in range(8)) for b in range(256))
+    return _columns(entries), fmt
 
 
 class SignSeq:
@@ -200,19 +222,20 @@ class SignSeq:
     Bit i of ``bits`` is 0 for value -r and 1 for value +s at position i.
     ``from_values``, ``from_bitstring``, ``values`` and ``bitstring`` cost
     O(n) in C-level passes.  ``values`` and the prefix sums read the
-    letters eight positions per lookup, each byte of ``bits`` in a
-    256-entry table cached per (r, s).  When both letters lie in -5..256
-    the table packs each byte's letters as machine ints, and the lookups
-    join into one ``memoryview`` of n ints that ``tuple`` and
-    ``accumulate`` iterate in C; wider letters come off a table of int
-    tuples, whose letter objects are shared.  ``from_values`` maps each
-    group of eight values to its byte by the inverse dict, the last group
-    padded with -r letters (zero bits), so a hashable value equal to a
-    letter, like ``True`` or ``1.0``, counts as it.  ``from_bitstring``
-    and ``bitstring`` are one base-2 int/str conversion, which Python's
-    int/str digit limit exempts.  Prefix weights cost O(n) once, built
-    lazily, so full-sequence and window weights cost O(1) after the first
-    query.  ``value(i)`` costs O(n - i).
+    letters eight positions per byte of ``bits``, from a 256-entry table
+    cached per (r, s).  When both letters lie in -5..256 the table packs
+    each byte's letters as machine ints and is held as its byte columns:
+    ``_expand`` fills one ``memoryview`` of n ints with one ``translate``
+    and one strided store per column, not one lookup per byte, and
+    ``tuple`` and ``accumulate`` iterate it in C; wider letters come off a
+    table of int tuples, one lookup per byte, whose letter objects are
+    shared.  ``from_values`` maps each group of eight values to its byte by
+    the inverse dict, the last group padded with -r letters (zero bits), so
+    a hashable value equal to a letter, like ``True`` or ``1.0``, counts as
+    it.  ``from_bitstring`` and ``bitstring`` are one base-2 int/str
+    conversion, which Python's int/str digit limit exempts.  Prefix weights
+    cost O(n) once, built lazily, so full-sequence and window weights cost
+    O(1) after the first query.  ``value(i)`` costs O(n - i).
     """
 
     __slots__ = ("params", "n", "bits", "_prefix")
@@ -269,8 +292,8 @@ class SignSeq:
         if packed is None:
             table = _letter_table(r, s)
             return islice(chain.from_iterable(map(table.__getitem__, octets)), self.n)
-        table, fmt = packed
-        return memoryview(b"".join(map(table.__getitem__, octets))).cast(fmt)[:self.n]
+        columns, fmt = packed
+        return memoryview(_expand(octets, columns)).cast(fmt)[:self.n]
 
     def values(self) -> tuple[int, ...]:
         return tuple(self._letters())

@@ -133,18 +133,22 @@ def sufficient_block_bound(params: Params, q: int = 0) -> SufficientBound:
     return SufficientBound(params=params, q=q, n_sufficient=n)
 
 
-def _good_shift_pattern(params: Params, alpha: int | GoodShift) -> tuple[GoodShift, int, int, int]:
-    """(shift, period, neg_run, n): sk/(r+s) - 1 letters -r, then +s to the
-    period k + alpha, cut to length n.  Each full period weighs
-    r + s + s*alpha, and n leaves an all -r remainder that cancels them.
-    (r + s) | k is checked before the shift is certified."""
+def _good_shift_pattern(
+    params: Params, alpha: int | GoodShift
+) -> tuple[GoodShift, int, int, int, int]:
+    """(shift, period, period_weight, neg_run, n): sk/(r+s) - 1 letters -r,
+    then +s to the period k + alpha, cut to length n.  Each full period
+    weighs period_weight = r + s + s*alpha, and n leaves an all -r
+    remainder that cancels them.  (r + s) | k is checked before the shift
+    is certified."""
     params.require_block_divisibility()
     shift = certified_shift(params, alpha)
     r, s, k = params.r, params.s, params.k
     period = k + shift.alpha
     period_weight = params.modulus + s * shift.alpha
     neg_run = s * k // params.modulus - 1
-    return shift, period, neg_run, (r * period + period_weight) * (neg_run // (r * period_weight))
+    n = (r * period + period_weight) * (neg_run // (r * period_weight))
+    return shift, period, period_weight, neg_run, n
 
 
 def ap_lower_bound_value(params: Params, alpha: int | GoodShift) -> int:
@@ -154,4 +158,4 @@ def ap_lower_bound_value(params: Params, alpha: int | GoodShift) -> int:
     ``alpha`` may be a verified GoodShift or a plain integer, in which case
     goodness is checked here.
     """
-    return _good_shift_pattern(params, alpha)[3]
+    return _good_shift_pattern(params, alpha)[4]

@@ -32,7 +32,8 @@ from itertools import islice
 from operator import sub
 
 from .core import (
-    MODE_AP, MODE_BLOCK, MODE_SMALLSUM, ParameterError, Report, SignSeq, require_tolerance,
+    MODE_AP, MODE_BLOCK, MODE_SMALLSUM, ParameterError, Report, SignSeq, _columns, _expand,
+    require_tolerance,
 )
 
 
@@ -68,34 +69,34 @@ def max_difference(n: int, k: int) -> int:
 
 
 @cache
-def _spread_table(w: int) -> tuple[bytes, ...]:
+def _spread_table(w: int) -> tuple[bytes | None, ...]:
     """Byte b spread to w-bit fields: bit j of b moved to bit j*w, as the
-    w little-endian bytes that eight fields fill."""
+    w little-endian bytes that eight fields fill, held as the table's byte
+    columns for ``_expand`` (from w = 9 on, some are all zero)."""
     spread = [0]
     for j in range(8):  # the bytes below 2**(j+1): bit j clear, then set
         spread += [v | 1 << j * w for v in spread]
-    return tuple(v.to_bytes(w, "little") for v in spread)
+    return _columns(v.to_bytes(w, "little") for v in spread)
 
 
 def _spread(bits: int, n: int, w: int) -> int:
     """The n bits of ``bits`` (below 2**n) moved to w-bit fields, bit p to
     bit p*w.
 
-    Eight positions fill exactly w bytes, so each byte of ``bits`` is
-    looked up in a 256-entry table per w and the pieces are joined: C-level
-    passes over n/8 bytes, and the table entries are shared, not copied."""
-    table = _spread_table(w)
-    return int.from_bytes(
-        b"".join(map(table.__getitem__, bits.to_bytes((n + 7) // 8, "little"))),
-        "little",
-    )
+    Eight positions fill exactly w bytes, so the bytes of ``bits`` are
+    expanded through the byte columns of a 256-entry table per w: one
+    C-level translate and strided store over n/8 bytes per column."""
+    octets = bits.to_bytes((n + 7) // 8, "little")
+    return int.from_bytes(_expand(octets, _spread_table(w)), "little")
 
 
 def _fields(bits: int, n: int, w: int) -> tuple[int, int, int]:
     """The n low bits of ``bits`` spread to w-bit fields, an int with 1 in
-    each of the n fields and one with each field's top (guard) bit."""
-    table = _spread_table(w)
-    units = int.from_bytes(table[255] * (n // 8) + table[(1 << n % 8) - 1], "little")
+    each of the n fields and one with each field's top (guard) bit.  The
+    ones repeat the w bytes of eight fields, then end in the last n % 8."""
+    row = ((1 << 8 * w) - 1) // ((1 << w) - 1)  # 1 in each of eight fields
+    whole, part = (v.to_bytes(w, "little") for v in (row, row & (1 << n % 8 * w) - 1))
+    units = int.from_bytes(whole * (n // 8) + part, "little")
     return _spread(bits, n, w), units, units << (w - 1)
 
 

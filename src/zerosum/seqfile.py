@@ -8,11 +8,12 @@ n in total, or a single line ``b:<bitstring>`` of length n where 0 means
 ``format_sequence`` writes the values as ``str(-r)`` and ``str(s)`` joined
 by single spaces, eight tokens per lookup of a byte of the selector bits in
 a 256-entry table cached per alphabet.  ``parse_sequence`` decodes such
-canonical ASCII text by deleting its digits and replacing each ``"- "``
-and each remaining space with a selector letter, and accepts the guess
-only if formatting it back gives the text.  Anything else, like ``+2``,
-``02``, doubled spaces or non-ASCII text, goes through ``split`` and reads
-each token through ``int()``.
+canonical ASCII text in one ``translate`` and one ``replace``: the
+digits are deleted, each ``-`` becomes ``0`` and each space ``1``, so a
+-r token reads ``01`` and an s token ``1``, and each ``01`` is replaced
+by ``0``.  It accepts the guess only if formatting it back gives the
+text.  Anything else, like ``+2``, ``02``, doubled spaces or non-ASCII
+text, goes through ``split`` and reads each token through ``int()``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .core import ParameterError, Params, SignSeq
 
 ENCODING_VALUES = "values"
 ENCODING_BITS = "bits"
+
+_SIGN_SPACE = bytes.maketrans(b"- ", b"01")  # the canonical decode's letters
 
 
 class SequenceFileError(ValueError):
@@ -105,9 +108,9 @@ def parse_sequence(text: str, k: int = 1) -> SignSeq:
     joined = " ".join(body)
     if joined.isascii():
         # Canonical text: with the digits gone, each token and its space
-        # are "- " (-r) or " " (s), one selector letter each.
-        guess = (joined + " ").encode().translate(None, b"0123456789")
-        guess = guess.replace(b"- ", b"0").replace(b" ", b"1")
+        # are "- " (-r) or " " (s), so "01" or "1", and "01" is one letter.
+        guess = (joined + " ").encode().translate(_SIGN_SPACE, b"0123456789")
+        guess = guess.replace(b"01", b"0")
         if len(guess) == n and not guess.translate(None, b"01"):
             seq = SignSeq(params, n, int(guess[::-1], 2))
             if _values_body(seq) == joined:

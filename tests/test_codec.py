@@ -22,7 +22,7 @@ from zerosum import (
 )
 from zerosum.seqfile import ENCODING_BITS, ENCODING_VALUES
 
-ALPHABETS = [(1, 1), (1, 2), (2, 3), (1, 10), (10, 1), (7, 123)]
+ALPHABETS = [(1, 1), (1, 2), (2, 3), (1, 10), (10, 1), (7, 123), (3, 130), (130, 3)]
 
 
 def ref_format(seq, encoding=ENCODING_VALUES):
@@ -119,6 +119,29 @@ def test_parse_of_canonical_text_matches_the_reference(r, s):
             text = format_sequence(seq)
             assert outcome(parse_sequence, text, 5) == outcome(ref_parse, text, 5)
             assert parse_sequence(text, 5) == seq
+
+
+def test_canonical_text_never_reaches_from_values(monkeypatch):
+    """Canonical text is decoded by one translate and one replace, for
+    letters of one to three digits; only other spellings read their tokens
+    through ``int()`` and ``SignSeq.from_values``."""
+    calls = []
+    from_values = SignSeq.from_values
+
+    def counted(params, values):
+        calls.append(params)
+        return from_values(params, values)
+
+    monkeypatch.setattr(SignSeq, "from_values", counted)
+    rng = random.Random("canonical")
+    for r, s in ALPHABETS:
+        for n in [*range(1, 71), 1000]:
+            for seq in sequences(rng, r, s, n):
+                assert parse_sequence(format_sequence(seq), 5) == seq
+    assert calls == []
+    seq = SignSeq(Params(3, 130, 1), 3, 0b101)
+    assert parse_sequence("# zerosum v1 r=3 s=130 n=3\n130  -3  130\n", 5) == seq
+    assert len(calls) == 1
 
 
 def perturbations(rng, seq):

@@ -2,6 +2,7 @@
 avoidance properties re-checked through the scanners."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,28 @@ def test_good_shift_length_matches_lower_bound_value():
         c = build_ap_good_shift(params, alpha)
         assert c.length == ap_lower_bound_value(params, alpha) == length
         assert length == _ref_good_shift_length(params.r, params.s, params.k, alpha)
+
+
+def test_good_shift_claim_names_the_weight_of_its_first_period():
+    """The claim's per-period weight, read from ``_good_shift_pattern``, is
+    the weight of the built sequence's first period, at the least good
+    shift of every coprime r, s <= 5 and (r + s) | k <= 60."""
+    checked = 0
+    for r in range(1, 6):
+        for s in range(1, 6):
+            if math.gcd(r, s) != 1:
+                continue
+            for k in range(r + s, 61, r + s):
+                params = Params(r, s, k)
+                c = build_ap_good_shift(params, min_good_shift(params))
+                period, weight = map(int, re.search(
+                    r"\(period (\d+), per-period weight (\d+),", c.claim.description).groups())
+                assert weight == r + s + s * (period - k), (r, s, k)
+                if c.length:  # a nonempty build holds a full period and more
+                    assert c.length > period
+                    assert weight == sum(c.seq.values()[:period]), (r, s, k)
+                    checked += 1
+    assert checked > 50
 
 
 def test_all_constructions_zero_sum():

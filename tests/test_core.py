@@ -7,6 +7,7 @@ The linear codec is checked against a per-bit reference kept here.
 
 import copy
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,8 @@ from zerosum import (
     weight,
     weight_range,
 )
-from zerosum.core import _packed_table
+from zerosum.core import _expand, _packed_table
+from zerosum.scanners import _spread_table
 
 SMALL_PARAMS = [Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5), Params(3, 4, 7)]
 
@@ -201,6 +203,38 @@ def test_codec_matches_reference_across_letter_widths(r, s, packed):
     for n in (0, 1, 7, 8, 9, 300):
         for bits in (rng.getrandbits(n), rng.getrandbits(n // 2)):
             check_codec_against_reference(params, n, bits)
+
+
+def _spread_entry(b, w):
+    """Bit j of byte b at bit j*w, as w little-endian bytes."""
+    return sum(1 << j * w for j in range(8) if b >> j & 1).to_bytes(w, "little")
+
+
+def _packed_entry(b, r, s, size):
+    """The 8 letters byte b selects, bit 0 first, as machine ints of ``size`` bytes."""
+    return b"".join(
+        (s if b >> j & 1 else -r).to_bytes(size, sys.byteorder, signed=True) for j in range(8)
+    )
+
+
+def test_expand_matches_the_per_octet_join():
+    """The column expand against one table lookup per octet, joined: every
+    spread width 1..24 (under 8 columns, and from 9 on all-zero columns)
+    and the packed letter tables in one byte and in two."""
+    tables = [(f"spread w={w}", _spread_table(w), [_spread_entry(b, w) for b in range(256)])
+              for w in range(1, 25)]
+    for r, s, size in ((1, 1, 1), (5, 127, 1), (5, 128, 2), (1, 256, 2)):
+        columns, fmt = _packed_table(r, s)
+        assert fmt == {1: "b", 2: "h"}[size]
+        entries = [_packed_entry(b, r, s, size) for b in range(256)]
+        tables.append((f"packed {r},{s}", columns, entries))
+    rng = random.Random(2024)
+    for name, columns, entries in tables:
+        for length in (0, 1, 7, 300):
+            octets = rng.randbytes(length)
+            expected = b"".join(map(entries.__getitem__, octets))
+            assert _expand(octets, columns) == expected, (name, length)
+        assert _expand(bytes(range(256)), columns) == b"".join(entries), name
 
 
 STRICT_BITSTRINGS = [

@@ -192,13 +192,14 @@ def test_ap_scan_guard_width_edges(k):
 
 
 def test_spread_moves_bit_p_to_field_p():
-    """The scan kernel's flag int, built a byte at a time from a table per
-    field width, against a bit-by-bit build, at lengths around byte
+    """The scan kernel's flag int, expanded a column at a time from a table
+    per field width, against a bit-by-bit build, at lengths around byte
     boundaries and around 4096 (the run length of an earlier string-based
-    build)."""
+    build).  Widths below 8 have fewer than 8 columns; from 9 on some
+    columns are all zero (every other one at 16 and 24)."""
     rng = random.Random(8191)
     for n in (0, 1, 7, 8, 9, 15, 16, 17, 4095, 4096, 4097, 8197):
-        for w in (2, 3, 8, 9, 11, 17):
+        for w in (1, 2, 3, 4, 7, 8, 9, 11, 16, 17, 24):
             bits = rng.getrandbits(n) if n else 0
             expected = sum(1 << p * w for p in range(n) if bits >> p & 1)
             assert _spread(bits, n, w) == expected, (n, w)
