@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "BudgetExceededError", "ParameterError", "Params", "ShiftSearchError", "SignSeq",
-        "WeightRange", "weight", "weight_range",
+        "WeightRange", "weight_range",
     ),
     "formulas": (
         "BoundReport", "SufficientBound", "ap_lower_bound_value", "block_threshold",

@@ -15,7 +15,7 @@ ap-two-p is block-extremal at (1, 1, 2p), ap-mod-k1 is ap-good-shift at
 (1, 1, k) with alpha = 1, and block-extremal-neg negates block-extremal
 with r and s swapped.  The residue product is the exception: a sign
 function on Z/k, not a run pattern.  Lengths that legally evaluate to 0 at
-small parameters are flagged degenerate rather than rejected.
+small parameters are built, not rejected.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .good_shift import GoodShift, is_prime
 
 # What the construction avoids, stated checkably.
 ClaimedProperty = namedtuple("ClaimedProperty", "k description")
-Construction = namedtuple(
-    "Construction", "kind params length seq claim degenerate", defaults=(False,))
+Construction = namedtuple("Construction", "kind params length seq claim")
 
 
 def _periodic(params: Params, period: int, neg_run: int, n: int) -> SignSeq:
@@ -63,7 +62,6 @@ def _construction(kind: str, seq: SignSeq, description: str) -> Construction:
         length=seq.n,
         seq=seq,
         claim=ClaimedProperty(k=params.k, description=description),
-        degenerate=seq.n == 0,
     )
 
 

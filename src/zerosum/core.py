@@ -233,9 +233,9 @@ class SignSeq:
     the inverse dict, the last group padded with -r letters (zero bits), so
     a hashable value equal to a letter, like ``True`` or ``1.0``, counts as
     it.  ``from_bitstring`` and ``bitstring`` are one base-2 int/str
-    conversion, which Python's int/str digit limit exempts.  Prefix weights
-    cost O(n) once, built lazily, so full-sequence and window weights cost
-    O(1) after the first query.  ``value(i)`` costs O(n - i).
+    conversion, which Python's int/str digit limit exempts.  The prefix
+    weights cost O(n) once, built lazily and cached; ``total_weight`` is a
+    popcount.
     """
 
     __slots__ = ("params", "n", "bits", "_prefix")
@@ -280,11 +280,6 @@ class SignSeq:
             raise ParameterError(f"bad selector character {bitstring[i]!r} at position {i}")
         return cls(params, len(bitstring), int(bitstring[::-1] or "0", 2))
 
-    def value(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise ParameterError(f"index {i} out of range [0, {self.n})")
-        return self.params.s if (self.bits >> i) & 1 else -self.params.r
-
     def _letters(self) -> Iterable[int]:
         r, s = self.params.r, self.params.s
         octets = self.bits.to_bytes((self.n + 7) // 8, "little")
@@ -311,14 +306,6 @@ class SignSeq:
         ones = self.bits.bit_count()
         return self.params.s * ones - self.params.r * (self.n - ones)
 
-    def window_weight(self, start: int, length: int) -> int:
-        if start < 0 or length < 0 or start + length > self.n:
-            raise ParameterError(
-                f"window [{start}, {start + length}) out of range [0, {self.n})"
-            )
-        p = self.prefix_weights()
-        return p[start + length] - p[start]
-
     def __eq__(self, other: object) -> bool:
         # k parameterizes queries against a sequence, not the sequence
         # itself, so equality compares the alphabet and the letters only.
@@ -333,20 +320,9 @@ class SignSeq:
     def __hash__(self) -> int:
         return hash((self.params.r, self.params.s, self.n, self.bits))
 
-    def __len__(self) -> int:
-        return self.n
-
     def __repr__(self) -> str:
         body = self.bitstring() if self.n <= 64 else f"<{self.n} positions>"
         return f"SignSeq(r={self.params.r}, s={self.params.s}, n={self.n}, {body})"
-
-
-def weight(seq: SignSeq, indices: Iterable[int]) -> int:
-    """Sum of sequence values over an index set."""
-    total = 0
-    for i in indices:
-        total += seq.value(i)
-    return total
 
 
 class WeightRange(Report, namedtuple("WeightRange", "alpha low step count")):
@@ -357,16 +333,6 @@ class WeightRange(Report, namedtuple("WeightRange", "alpha low step count")):
     """
 
     __slots__ = ()
-
-    @property
-    def high(self) -> int:
-        return self.low + self.step * (self.count - 1)
-
-    def __contains__(self, w: int) -> bool:
-        return self.low <= w <= self.high and (w - self.low) % self.step == 0
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(range(self.low, self.high + 1, self.step))
 
 
 def weight_range(alpha: int, params: Params) -> WeightRange:

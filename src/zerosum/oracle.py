@@ -6,14 +6,15 @@ cap until no prefix lives, its work bounded up front by (r, s, k, q) alone
 (see _block_dp_estimate): an AP avoider is a block avoider (a k-block is
 the d = 1 AP), so the DP bounds where avoiders of either kind can lie.
 Below length k - 1 no window closes and every prefix lives, so the DP
-starts there and stores no state before it.  Avoiders come from one walk
-back through the DP's stored states (see _avoiders), which starts from a
-state's k - 1 tail letters, adds one letter per step and stops at length
-k - 1; AP mode also tests, against its own position bitmask, each k-term
-AP of difference d >= 2 as soon as the visited state fixes its first term
-(a zero-sum AP holds c* = sk/(r+s) negatives), and drops a state holding
-one with its prefix count, so the walk's avoiders plus drops equal the
-DP's count.  Each walk is bounded, before it starts, by that count (see
+starts there, and it stores states from length k on.  Avoiders come from
+one walk back through the DP's stored states (see _avoiders), which starts
+from a state's k - 1 tail letters, adds one letter per step and stops at
+length k, where the state's count of negatives fixes the first letter; AP
+mode also tests, against its own position bitmask, each k-term AP of
+difference d >= 2 as soon as the visited state fixes its first term (a
+zero-sum AP holds c* = sk/(r+s) negatives), and drops a state holding one
+with its prefix count, so the walk's avoiders plus drops equal the DP's
+count.  Each walk is bounded, before it starts, by that count (see
 exact_threshold); no work grows with the search cap.
 
 At r = s = 1 negating every letter maps avoiders, kills, drops and
@@ -176,14 +177,15 @@ def _block_dp(
     avoider extends (see _block_bounds).  With ``probe`` off it runs through
     ``through``; with it on, until no prefix lives (short of ``through`` too,
     as every later tally is vacuous) or a later admissible length has an
-    avoider.  Returns the admissible avoider count and the states (key to
-    prefix count) per length run, up to ``through``, and that later length
-    or None.
+    avoider.  Returns the admissible avoider count per length run, up to
+    ``through``, the states (key to prefix count) per length from k on
+    (None below), and that later length or None.
 
     Below length k - 1 no window closes, so every prefix lives, once: those
-    lengths store no states (None) and take their counts from the binomials.
-    The DP starts at n = k - 1, where the tail is the whole prefix, with
-    every tail at count 1, and from there every step closes a window.
+    lengths take their counts from the binomials.  The DP starts at n = k - 1,
+    where the tail is the whole prefix, with every tail at count 1, and from
+    there every step closes a window.  It stores no layer below k: the walk
+    stops at length k, where a state fixes its whole prefix.
 
     At r = s = 1 it keeps one state per mirror pair.  Negating every letter
     maps a length-n prefix in state (negs, tail) to one in (n - negs,
@@ -219,7 +221,7 @@ def _block_dp(
             avoiders += full_alive[n - b]
         if n <= through:
             counts.append(avoiders)
-            layers.append(states)
+            layers.append(states if n >= k else None)
         elif avoiders and n >= k:
             return counts, layers, n
         if not (states if probe else n < through):
@@ -269,13 +271,15 @@ def _avoiders(
 ) -> list[SignSeq]:
     """Every admissible avoider of length n, recovered by walking back from
     the layer-n states kept by _block_dp, one letter per step, down to
-    length k - 1, where the tail is the whole prefix; every state it visits
-    has a live prefix.  ``mask`` holds the letters fixed so far: the root's
-    tail, then at each step the letter that enters the predecessor's tail.
+    length k, where the first letter is -r exactly when the prefix holds a
+    negative more than its tail; every state it visits has a live prefix.
+    ``mask`` holds the letters fixed so far: the root's tail, then at each
+    step the letter that enters the predecessor's tail, then the first.
     With ``starts`` (see _ap_starts), visiting a state tests the APs whose
-    first term is its oldest tail letter, the first state to fix all their
-    terms, and a hit drops the state with its prefix count.  Avoiders plus
-    dropped counts must equal the DP's avoider count at n.
+    first term is its oldest tail letter (at length k also those from 0),
+    the first state to fix all their terms, and a hit drops the state with
+    its prefix count.  Avoiders plus dropped counts must equal the DP's
+    avoider count at n.
 
     At r = s = 1 the walk starts from the kept states only, reads each
     state it visits through the one kept for its mirror pair, and emits
@@ -284,6 +288,7 @@ def _avoiders(
     also stands for the negated prefixes and counts twice."""
     k, shift, c_star = params.k, params.k - 1, _zero_negs(params)
     tail_mask, pair = (1 << shift) - 1, 2 if params.r == params.s else 1
+    starts = starts or [[]] * n  # block mode tests no AP of difference d >= 2
 
     def kept(key: int, length: int) -> int:  # the stored state of key's mirror pair
         if pair == 1 or not key & 1:
@@ -298,11 +303,14 @@ def _avoiders(
     out: list[SignSeq] = []
     while stack:
         key, length, mask = stack.pop()
-        aps = starts[length - shift] if starts else None  # empty from n - 2k + 2 on
+        aps = starts[length - shift]  # empty from n - 2k + 2 on
+        if length == k:
+            mask |= (key >> shift) - (key & tail_mask).bit_count()
+            aps = starts[0] + aps
         if aps and any((mask & ap).bit_count() == c_star for ap in aps):
             dropped += pair * layers[length][kept(key, length)]
             continue
-        if length == shift:
+        if length == k:
             out.append(SignSeq(params, n, ((1 << n) - 1) ^ mask))
             if pair == 2:
                 out.append(SignSeq(params, n, mask))
@@ -347,8 +355,8 @@ def exact_threshold(
     total of (2n + 1) times the DP's avoider count at each length n before
     it is walked: every state the walk pops leads to at least one of those
     avoiders, and distinct pops at one depth to disjoint sets of them, so a
-    walk, which pops one state per length from n down to k - 1, makes at
-    most n - k + 2 <= n + 1 pops per avoider and spends n letters on each
+    walk, which pops one state per length from n down to k, makes at most
+    n - k + 1 <= n + 1 pops per avoider and spends n letters on each
     witness.  Neither bound depends on the cap.
     ``shards`` has no effect; it is accepted for callers that pass it.
     """

@@ -1,8 +1,25 @@
-"""Term-by-term reference counts shared by the test modules, independent of
+"""Term-by-term reference sums shared by the test modules, independent of
 the scan kernel."""
 
-from zerosum import SignSeq
+from zerosum import SignSeq, WeightRange
 from zerosum.scanners import max_difference
+
+
+def weight(seq: SignSeq, indices) -> int:
+    """Sum of the values over an index set, read off ``seq.values()``."""
+    values = seq.values()
+    return sum(values[i] for i in indices)
+
+
+def window_weight(seq: SignSeq, start: int, length: int) -> int:
+    """Weight of positions [start, start + length), read off the prefix sums."""
+    prefix = seq.prefix_weights()
+    return prefix[start + length] - prefix[start]
+
+
+def members(wr: WeightRange) -> range:
+    """The weights in S_alpha: ``count`` terms from ``low`` in steps of ``step``."""
+    return range(wr.low, wr.low + wr.step * wr.count, wr.step)
 
 
 def per_d_min_abs(seq: SignSeq, k: int) -> dict[int, int]:

@@ -27,7 +27,7 @@ from zerosum import (
     verify_2k_proposition,
     verify_pow2_rigidity,
 )
-from termwise import per_d_min_abs
+from termwise import per_d_min_abs, window_weight
 
 
 @contextlib.contextmanager
@@ -68,7 +68,7 @@ def test_criterion_2_extremal_certificate():
         c = build_block_extremal(params)
         assert c.length == 9 == exact_block_threshold(params).n_exact - 1
         assert c.seq.total_weight() == 0
-        assert all(c.seq.window_weight(i, 6) == 3 for i in range(4))
+        assert all(window_weight(c.seq, i, 6) == 3 for i in range(4))
         report = block_scan(c.seq, 6)
         assert not report.found and report.min_abs_weight == 3
 

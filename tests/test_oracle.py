@@ -180,8 +180,8 @@ def test_skewed_large_k_point_runs_within_its_own_bound():
 def test_block_dp_estimate_bounds_its_work(r, s, k, q):
     """Nothing lives at the estimate's horizon, and the transitions made on
     the way (two per live state) stay within the estimate.  A length below
-    k - 1 stores no states, and counts as the 2 * 2^n transitions of its
-    2^n prefixes."""
+    k stores no states, and counts as the 2 * 2^n transitions of its 2^n
+    prefixes."""
     params = Params(r, s, k)
     horizon = k * ((q + 2 * max(r, s) * (k - 1)) // params.modulus + 1)
     _, layers, _ = _block_dp(params, q, horizon, probe=False)
@@ -256,9 +256,9 @@ def _every_prefix(n, k):
 
 
 def _lower_layers_skipped(layers, want_layers, k):
-    """``_block_dp`` stores no states below length k - 1, where the
-    reference's layers hold every prefix once."""
-    low = min(k - 1, len(want_layers))
+    """``_block_dp`` stores no states below length k, where the reference's
+    layers hold every prefix once."""
+    low = min(k, len(want_layers))
     assert layers[:low] == [None] * low
     assert want_layers[:low] == [_every_prefix(n, k) for n in range(low)]
 
@@ -274,8 +274,7 @@ def _mirror(key, n, k):
 def test_halved_pm1_dp_matches_the_full_dp(k, q):
     """At (1,1) the DP keeps the state with newest letter +1 of each mirror
     pair.  With probe on, its counts and ``beyond`` equal the full DP's, and
-    each kept layer from k - 1 on, expanded by the mirrors, is the full
-    layer.  Through 3k + 6 every prefix dies up to k = 12; at k = 14 and 16
+    each kept layer from k on, expanded by the mirrors, is the full layer.  Through 3k + 6 every prefix dies up to k = 12; at k = 14 and 16
     the probe finds a later avoider for some q."""
     params = Params(1, 1, k)
     through = 3 * k + 6
@@ -285,7 +284,7 @@ def test_halved_pm1_dp_matches_the_full_dp(k, q):
     assert len(layers) == len(want_layers)
     _lower_layers_skipped(layers, want_layers, k)
     for n, (layer, want) in enumerate(zip(layers, want_layers)):
-        if n < k - 1:
+        if n < k:
             continue
         assert all(not key & 1 for key in layer), n
         expanded = dict(layer)
@@ -297,14 +296,14 @@ def test_halved_pm1_dp_matches_the_full_dp(k, q):
 @pytest.mark.parametrize("r,s,k,q,through", [(1, 2, 9, 0, 24), (2, 3, 10, 1, 30), (3, 1, 8, 2, 20)])
 def test_dp_off_pm1_keeps_every_state(r, s, k, q, through):
     """Off (1,1) nothing is halved: the DP is the full one, layer by layer
-    from k - 1 on."""
+    from k on."""
     params = Params(r, s, k)
     counts, layers, beyond = _block_dp(params, q, through)
     want_counts, want_layers, want_beyond = _full_block_dp(params, q, through)
     assert (counts, beyond) == (want_counts, want_beyond)
     assert len(layers) == len(want_layers)
     _lower_layers_skipped(layers, want_layers, k)
-    assert layers[k - 1:] == want_layers[k - 1:]
+    assert layers[k:] == want_layers[k:]
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 12])
@@ -318,15 +317,15 @@ def test_pm1_block_bounds_mirror(k, q):
 
 
 def test_pm1_dp_stores_one_state_per_mirror_pair():
-    """(1,1,12) through 24 keeps 3022 states, the full DP 8091.  The halved
-    DP stores nothing below length 11, where it would keep 1024 states (the
-    empty prefix, its own mirror, and half of every later layer); from 11
+    """(1,1,12) through 24 keeps 1998 states, the full DP 8091.  The halved
+    DP stores nothing below length 12, where it would keep 2048 states (the
+    empty prefix, its own mirror, and half of every later layer); from 12
     on every mirror pair is halved."""
     params = Params(1, 1, 12)
     for probe in (True, False):
         layers = _block_dp(params, 0, 24, probe)[1]
-        assert layers[:11] == [None] * 11
-        assert sum(map(len, layers[11:])) == 3022
+        assert layers[:12] == [None] * 12
+        assert sum(map(len, layers[12:])) == 1998
         assert sum(map(len, _full_block_dp(params, 0, 24, probe)[1])) == 8091
 
 
@@ -335,13 +334,23 @@ def test_pm1_dp_stores_one_state_per_mirror_pair():
 )
 @pytest.mark.parametrize("q", [0, 3])
 def test_dp_starts_with_every_tail_once(r, s, k, q):
-    """Layer k - 1, the first the DP stores, holds every tail at count 1:
-    2^(k-1) states, and at (1,1) the 2^(k-2) whose newest letter is +1."""
-    params = Params(r, s, k)
-    layers = _block_dp(params, q, k - 1, probe=False)[1]
-    tails = range(0, 1 << (k - 1), 2 if r == s else 1)
-    assert layers[k - 1] == {tail.bit_count() << (k - 1) | tail: 1 for tail in tails}
-    assert len(layers[k - 1]) == (1 << (k - 2) if r == s else 1 << (k - 1))
+    """The DP starts from every tail of k - 1 letters at count 1 and stores
+    from layer k on, so layer k holds each length-k prefix once, read off
+    its definition: every one but those whose window holds c* negatives or
+    whose weight its tail's bound rules out, and at (1,1) only those whose
+    newest letter is +1.  A prefix's key is its count of negatives and its
+    newest k - 1 letters."""
+    params, shift = Params(r, s, k), k - 1
+    c_star, (hi, lo) = _zero_negs(params), _block_bounds(params, q)
+    layers = _block_dp(params, q, k, probe=False)[1]
+    want = {}
+    for prefix in range(0, 1 << k, 2 if r == s else 1):  # bit 0 the newest letter
+        negs, tail = prefix.bit_count(), prefix & ((1 << shift) - 1)
+        w = s * (k - negs) - r * negs
+        if negs != c_star and (w <= hi[tail] if negs < c_star else -w <= lo[tail]):
+            want[negs << shift | tail] = 1
+    assert layers[:k] == [None] * k
+    assert layers[k] == want
 
 
 def _dp_avoiders(n, k, negs, c_star):
@@ -659,16 +668,32 @@ def test_ap_walk_matches_the_reference_search(r, s, k, cap, q):
 )
 def test_ap_walk_matches_the_reference_search_beyond_difference_two(r, s, k, q, cap):
     """The AP points above hold no block avoider as long as 3k - 2, the
-    shortest length with a d = 3 AP, so their walks test only d = 2 and drop
-    only states of under k letters, each one prefix.  A large q keeps
-    avoiders alive past 3k - 2, so these walks test APs of d >= 3 and drop
-    states that count several prefixes."""
+    shortest length with a d = 3 AP, so their walks test only d = 2.  A
+    large q keeps avoiders alive past 3k - 2, so these walks test APs of
+    d >= 3 and drop states that count several prefixes."""
     params = Params(r, s, k)
     layers = _block_dp(params, q, cap, probe=False)[1]
     walked = {n: _walk_ap_avoiders(params, q, layers, n) for n in range(k, cap + 1)}
     assert any(walked[n] for n in range(3 * k - 2, cap + 1))
     for n in range(k, cap + 1):
         assert walked[n] == _reference_ap_avoiders(r, s, k, q, n), n
+
+
+@pytest.mark.parametrize(
+    "r,s,k,q", [(1, 1, 4, 3), (1, 1, 6, 3), (1, 2, 3, 4), (1, 2, 6, 4), (1, 3, 4, 5)]
+)
+def test_walk_base_case_tests_the_aps_from_position_zero(r, s, k, q):
+    """At n = 2k - 1 the one AP of difference d >= 2 is the d = 2 AP from
+    position 0, and no AP starts at 1: only the walk's base case, at length
+    k, can test it.  The walk's AP avoiders equal the reference search's,
+    and fewer than its block avoiders, so the base case drops states."""
+    params, n = Params(r, s, k), 2 * k - 1
+    starts = _ap_starts(n, k)
+    assert [len(aps) for aps in starts[:2]] == [1, 0]
+    layers = _block_dp(params, q, n, probe=False)[1]
+    walked = _walk_ap_avoiders(params, q, layers, n)
+    assert walked == _reference_ap_avoiders(r, s, k, q, n)
+    assert len(walked) < len(_avoiders(params, q, layers, n))
 
 
 @pytest.mark.parametrize(

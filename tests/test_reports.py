@@ -134,10 +134,9 @@ _RECORDS = [
     (
         lambda: Construction(kind="ap-mod-k", params=_P, length=3,
                              seq=SignSeq.from_values(_P, [-1, 2, -1]), claim=_CLAIM),
-        {"degenerate": False},
+        {},
         "Construction(kind='ap-mod-k', params=Params(r=1, s=2, k=6), length=3, "
-        "seq=SignSeq(r=1, s=2, n=3, 010), claim=ClaimedProperty(k=6, description='x'), "
-        "degenerate=False)",
+        "seq=SignSeq(r=1, s=2, n=3, 010), claim=ClaimedProperty(k=6, description='x'))",
     ),
     (
         lambda: ResidueFunction(modulus=2, factors=(), values=(1, 1)), {},

@@ -32,7 +32,7 @@ from zerosum.scanners import (
     _spread,
     max_difference,
 )
-from termwise import per_d_min_abs
+from termwise import per_d_min_abs, window_weight
 
 PM1 = Params(1, 1, 2)
 
@@ -407,7 +407,7 @@ def test_block_scan_is_ap_scan_difference_one():
         d1_zero = [
             start
             for start in range(n - k + 1)
-            if seq.window_weight(start, k) == 0
+            if window_weight(seq, start, k) == 0
         ]
         assert block.found == bool(d1_zero)
         if block.found:
@@ -633,7 +633,7 @@ class TestInterpolation:
 
     def test_example_windows(self):
         seq = SignSeq.from_values(Params(1, 2, 3), [-1, -1, 2, 2, -1, -1])
-        weights = [seq.window_weight(i, 3) for i in range(4)]
+        weights = [window_weight(seq, i, 3) for i in range(4)]
         assert weights == [0, 3, 3, 0]
         report = interpolation_check(seq, 3)
         assert report.ok

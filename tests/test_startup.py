@@ -2,6 +2,7 @@
 and the lazily resolved public API of the package."""
 
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -12,12 +13,13 @@ import pytest
 import zerosum
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 # The public names of the package; none may be dropped.
 PUBLIC = {
     "__version__",
     "BudgetExceededError", "ParameterError", "Params", "ShiftSearchError", "SignSeq",
-    "WeightRange", "weight", "weight_range",
+    "WeightRange", "weight_range",
     "BoundReport", "SufficientBound", "ap_lower_bound_value", "block_threshold",
     "exact_block_threshold", "exact_block_threshold_symmetric", "pm1_block_threshold",
     "pm1_smallsum_threshold", "sufficient_block_bound",
@@ -201,6 +203,16 @@ def test_usage_names_the_module_under_python_m(tmp_path):
 def test_all_keeps_every_public_name():
     assert PUBLIC <= set(zerosum.__all__)
     assert len(zerosum.__all__) == len(set(zerosum.__all__))
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    """The README's ``python`` block, the documented use of the public API,
+    runs and prints 10, 3 and 10, each the number its comment opens with."""
+    example = README.read_text(encoding="utf-8").split("```python\n")[1].split("```")[0]
+    exec(compile(example, str(README), "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert printed == ["10", "3", "10"]
+    assert re.findall(r"^print\(.*# (\d+)", example, re.MULTILINE) == printed
 
 
 @pytest.mark.parametrize("name", [n for n in zerosum.__all__ if n != "__version__"])
