@@ -50,7 +50,8 @@ def _periodic(params: Params, period: int, neg_run: int, n: int) -> SignSeq:
     to length n; every construction here is zero-sum."""
     run = "0" * neg_run + "1" * (period - neg_run)
     seq = SignSeq.from_bitstring(params, (run * (n // period + 1))[:n])
-    assert seq.total_weight() == 0, "construction must be zero-sum"
+    if seq.total_weight():  # raised, not asserted, so that python -O checks it too
+        raise AssertionError("construction must be zero-sum")
     return seq
 
 
@@ -181,7 +182,8 @@ def build_ap_mod_k_product(k: int, factors: tuple[int, ...] | list[int]) -> Resi
         h = (a - 1) // 2
         values = list(map(mul, values, ([-1] * h + [1] * (a - h)) * (k // a)))
     fn = ResidueFunction(modulus=k, factors=factors, values=tuple(values))
-    assert fn.count_plus() == k // 2 + 1 and fn.count_minus() == k // 2 - 1
+    if (fn.count_plus(), fn.count_minus()) != (k // 2 + 1, k // 2 - 1):
+        raise AssertionError(f"residue product at k = {k}: signs +1 and -1 must count k/2 +- 1")
     return fn
 
 

@@ -2,26 +2,28 @@
 and small-sum blocks, plus the interpolation-property checker.
 
 A k-block is a k-term AP of difference 1, so all three scanners run one
-bit-parallel kernel (_scan), the block and small-sum scans as its d = 1
-pass.  The -r flags become one int of W-bit fields whose top bits are
-guards no count reaches, and shift-adds put the -r count of every k-term
-AP of one difference in the field of its start: d = 1 by binary doubling,
-about 2 log2 k shift-adds, and every d >= 2 off one chain per odd part o
-of d, through the class-suffix counts Q_d = Q_2d + (Q_2d >> d*W), whose
-k-term counts are Q_d - (Q_d >> k*d*W), in fields of W(o) =
+bit-parallel kernel, the block and small-sum scans as its d = 1 pass.  Its
+producer, _counts, makes the -r flags one int of W-bit fields whose top
+bits are guards no count reaches, and shift-adds put the -r count of every
+k-term AP of one difference in the field of its start: d = 1 by binary
+doubling, about 2 log2 k shift-adds, and every d >= 2 off one chain per
+odd part o of d, through the class-suffix counts Q_d = Q_2d + (Q_2d >>
+d*W), whose k-term counts are Q_d - (Q_d >> k*d*W), in fields of W(o) =
 max(bit_length(ceil(n/l)), k.bit_length() + 1) bits, l = max(o, 2) the
-chain's least difference: some (log2 k)/2 + 2 shift-adds per
-difference.  Range tests on the guard bits then read the verdict (a
-count whose |weight| is within the tolerance t, 0 but for small-sum
-scans) and the least |weight|, one running minimum over the differences
-read.  So a scan costs O(log k) big-int operations of n*W bits per
-difference read, up to d = 1 for blocks and d = maxD = floor((n-1)/(k-1))
-for APs, and makes no per-start Python object.  Witness order is
-deterministic: blocks by lowest start, APs by lowest difference then
-lowest start.  A naive rescan is kept alongside as the AP scanner's
-correctness oracle; the interpolation checker reads the window weights
-off the prefix sums, an engine the scanners do not use, and differences
-neighbouring windows only when their weights span more than r + s.
+chain's least difference: some (log2 k)/2 + 2 shift-adds per difference.
+Its reader, _scan, takes those ints in that order, and range tests on the
+guard bits read the verdict (a count whose |weight| is within the
+tolerance t, 0 but for small-sum scans) and the least |weight|, one
+running minimum over the differences read; a hit's difference goes back
+to the producer, which then builds no larger one.  So a scan costs
+O(log k) big-int operations of n*W bits per difference read, up to d = 1
+for blocks and d = maxD = floor((n-1)/(k-1)) for APs, and makes no
+per-start Python object.  Witness order is deterministic: blocks by
+lowest start, APs by lowest difference then lowest start.  A naive rescan
+is kept alongside as the AP scanner's correctness oracle; the
+interpolation checker reads the window weights off the prefix sums, an
+engine the scanners do not use, and differences neighbouring windows only
+when their weights span more than r + s.
 """
 
 from __future__ import annotations
@@ -100,15 +102,18 @@ def _fields(bits: int, n: int, w: int) -> tuple[int, int, int]:
     return _spread(bits, n, w), units, units << (w - 1)
 
 
-def _scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
-    """The least (difference, start) k-term AP with |weight| <= t, or a
-    certificate that there is none.  AP mode scans every difference up to
-    maxD; block and small-sum mode scan d = 1 only, the k-blocks.
+def _counts(negs: int, n: int, k: int, end: int):
+    """Yield (d, W, units, guards, counts) for each difference d < ``end``
+    in scan order: d = 1, then odd parts o ascending, each chain's
+    differences descending.  Field p of the W-bit fields of ``counts``
+    holds the -r count of the AP at (p, d), its top (guard) bit set;
+    ``units`` holds 1 and ``guards`` the guard bit in each of the n fields.
+    Sending a difference in place of next() lowers ``end`` to it.
 
     Counts sit in little-endian W-bit fields, field p for start p, with
     W > k.bit_length(), so every count c <= k lies below the field's top
-    (guard) bit 2**(W-1).  F holds the -r flags, field p being 1 when
-    position p holds -r.  d = 1 sums k shifted copies, field p of
+    (guard) bit 2**(W-1).  F holds the -r flags ``negs``, field p being 1
+    when position p holds -r.  d = 1 sums k shifted copies, field p of
     sum_{j<k} F >> (j*W), by binary doubling over the bits of k in at most
     2 log2(k) shift-adds at W = w = k.bit_length() + 1.
 
@@ -121,11 +126,44 @@ def _scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
     shift-add a step down to its least difference l, o or 2 for o = 1; its
     fields hold up to ceil(n/l), so W(o) = max(bit_length(ceil(n/l)), w).
     Over all odd o <= maxD that is about (log2 k)/2 + 2 shift-adds per
-    difference, against 2 log2(k) to double each one.  Chains run with o
-    ascending and stop once o passes the least difference with a hit, as
-    no unread one is smaller: a d = 1 hit builds no chain, but one at a
-    small d >= 2 pays the whole o = 1 chain, about log2(n) shift-adds on
-    its widest fields.
+    difference, against 2 log2(k) to double each one.  Chains stop once
+    their least difference reaches ``end``, as no unread one is smaller: a
+    d = 1 hit builds no chain, but one at a small d >= 2 pays the whole
+    o = 1 chain, about log2(n) shift-adds on its widest fields.
+    """
+    w = k.bit_length() + 1
+    flags, units, guards = _fields(negs, n, w)
+    counts, terms = flags, 1
+    for bit in bin(k)[3:]:
+        counts += counts >> (terms * w)
+        terms *= 2
+        if bit == "1":
+            counts = flags + (counts >> w)
+            terms += 1
+    end = (yield 1, w, units, guards, counts | guards) or end
+    for o in range(1, end, 2):
+        low = o + (o == 1)  # the least difference of the chain; d = 1 is done
+        if low >= end:
+            break
+        width = max((-(-n // low)).bit_length(), k.bit_length() + 1)  # W(o)
+        if width != w:  # one width's ints at a time
+            counts = flags = units = guards = None
+            w = width
+            flags, units, guards = _fields(negs, n, w)
+        counts, d = flags, o << ((n - 1) // o).bit_length() - 1
+        while d >= low:
+            counts += counts >> d * w  # Q_2d to Q_d
+            if d < end:
+                end = (yield d, w, units, guards, (counts - (counts >> k * d * w)) | guards) or end
+            d //= 2
+
+
+def _scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
+    """The least (difference, start) k-term AP with |weight| <= t, or a
+    certificate that there is none.  AP mode scans every difference up to
+    maxD; block and small-sum mode scan d = 1 only, the k-blocks.  Each
+    difference's counts come from ``_counts`` in its scan order, and a
+    hit's difference is sent back to it, as no larger one needs reading.
 
     The AP of -r count N weighs s*k - (r + s)*N, so its |weight| is at
     most b exactly when N lies in [ceil((s*k - b)/(r + s)), floor((s*k +
@@ -148,26 +186,24 @@ def _scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
     is the least b with a flag, probed at b = t + (r + s)*x for x = 1, 2,
     4, ... below the old least and then bisected: a step of r + s moves
     each end of the count range by one.  So the least read is the report's
-    minimum; the multiples c*units are kept until it moves.  No per-start
-    Python object is made.  For k = 1 only d = 1 is scanned: one-term
-    windows are the same set for every difference.
+    minimum; the multiples c*units are kept, one width's at a time, until
+    it moves.  No per-start Python object is made.  For k = 1 only d = 1
+    is scanned: one-term windows are the same set for every difference.
     """
     _check_window_length(seq, k)
     n = seq.n
     s, m = seq.params.s, seq.params.modulus
-    negs = ((1 << n) - 1) ^ seq.bits
     max_d = max_difference(n, k) if mode == MODE_AP else 1
     least = m * k + 1  # least |weight| read so far
-
-    def read(raised: int, d: int) -> int | None:
-        """Read difference d, field p of ``raised`` holding the -r count
-        of the AP at (p, d) below its guard bit, which is set; return the
-        start of its first hit, or None."""
-        nonlocal least
-        # fields from n - (k-1)*d on hold APs that run past the end: no
-        # guard bit reads them
-        guard = guards >> (k - 1) * d * w
-        at_least = {0: guard, k + 1: 0}  # c: flags of the fields holding >= c
+    witness = sent = kept_width = None
+    produced = _counts(((1 << n) - 1) ^ seq.bits, n, k, max_d + 1)
+    # send(None) is next(); after a hit it sends the hit's difference
+    for d, w, units, guards, raised in iter(lambda: produced.send(sent), None):
+        if w != kept_width:
+            kept: dict[int, int] = {}  # c: c * units, until the least moves
+            kept_width = w
+        # c: flags of the fields holding >= c; no field from n - (k-1)*d on
+        at_least = {0: guards >> (k - 1) * d * w, k + 1: 0}
 
         def within(b: int) -> int:
             """Guard flags of the APs whose count N has |s*k - (r + s)*N|
@@ -180,70 +216,32 @@ def _scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
                     times = kept.get(c)
                     if times is None:
                         times = kept[c] = c * units
-                    at_least[c] = (raised - times) & guard
+                    at_least[c] = (raised - times) & at_least[0]
             return at_least[lo] ^ at_least[hi]
 
-        if not within(max(t, least - 1)):  # within t or below the least so far
-            return None
-        hit = within(t)
-        if hit:
-            start = ((hit & -hit).bit_length() - 1) // w
-            least = abs(s * k - m * ((raised >> start * w) & ((1 << (w - 1)) - 1)))
-            return start
-        kept.clear()  # the least moves: the old bound's multiples are spent
-        empty, full, b = t, least - 1, t + m  # within(empty) is 0, within(full) is not
-        while b < full and not within(b):
-            empty, b = b, 2 * b - t
-        full = min(full, b)
-        while full - empty > 1:
-            mid = (empty + full) // 2
-            if within(mid):
-                full = mid
+        if within(max(t, least - 1)):  # within t or below the least so far
+            hit = within(t)
+            if hit:
+                start = ((hit & -hit).bit_length() - 1) // w
+                least = abs(s * k - m * ((raised >> start * w) & ((1 << (w - 1)) - 1)))
+                witness, sent = (start, d), d
             else:
-                empty = mid
-        least = full
-        return None
-
-    w = k.bit_length() + 1
-    flags, units, guards = _fields(negs, n, w)
-    kept: dict[int, int] = {}  # c: c * units, until the least moves
-    total, terms = flags, 1
-    for bit in bin(k)[3:]:
-        total += total >> (terms * w)
-        terms *= 2
-        if bit == "1":
-            total = flags + (total >> w)
-            terms += 1
-    total |= guards
-    start = read(total, 1)
-    del total
-    witness = None if start is None else (start, 1)
-    top = 0 if witness else max_d  # differences above it need no reading
-    for o in range(1, top + 1, 2):
-        low = o + (o == 1)  # the least difference of the chain; d = 1 is read
-        if low > top:
-            break
-        width = max((-(-n // low)).bit_length(), k.bit_length() + 1)  # W(o)
-        if width != w:  # one width's ints at a time
-            counts = flags = units = guards = None
-            kept.clear()
-            w = width
-            flags, units, guards = _fields(negs, n, w)
-        counts, d = flags, o << ((n - 1) // o).bit_length() - 1
-        while d >= low:
-            counts += counts >> d * w  # Q_2d to Q_d
-            if d <= top:
-                start = read((counts - (counts >> k * d * w)) | guards, d)
-                if start is not None:
-                    witness, top = (start, d), d - 1
-            d //= 2
+                kept.clear()  # the least moves: the old bound's multiples are spent
+                empty, full, b = t, least - 1, t + m  # within(empty) is 0, within(full) is not
+                while b < full and not within(b):
+                    empty, b = b, 2 * b - t
+                full = min(full, b)
+                while full - empty > 1:
+                    mid = (empty + full) // 2
+                    if within(mid):
+                        full = mid
+                    else:
+                        empty = mid
+                least = full
+        del raised, at_least  # before the producer builds the next difference
     last = witness[1] if witness else max_d
     return ScanReport(
-        mode=mode,
-        k=k,
-        found=witness is not None,
-        witness=witness,
-        min_abs_weight=least,
+        mode=mode, k=k, found=witness is not None, witness=witness, min_abs_weight=least,
         # every AP of a difference below ``last``, then the hit's first ones
         scanned_count=(last - 1) * n - (k - 1) * (last - 1) * last // 2
         + (witness[0] + 1 if witness else n - (k - 1) * last),

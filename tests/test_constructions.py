@@ -2,8 +2,12 @@
 avoidance properties re-checked through the scanners."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +297,20 @@ def test_all_constructions_zero_sum():
     for c in built:
         assert c.seq.total_weight() == 0
         assert c.length == c.seq.n
+
+
+def test_zero_sum_check_survives_python_O():
+    """The run-pattern kernel raises its zero-sum check rather than
+    asserting it, so ``python -O`` keeps it: the all +1 pattern of period 2
+    is not zero-sum, and must not reach a sequence file unchecked."""
+    code = "from zerosum import Params\nfrom zerosum.constructions import _periodic\n"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code + "_periodic(Params(1, 1, 2), 2, 0, 2)"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "AssertionError: construction must be zero-sum" in proc.stderr
 
 
 def _run_letters(n, period, neg_run, first, rest):

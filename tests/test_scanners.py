@@ -32,7 +32,7 @@ from zerosum.scanners import (
     _spread,
     max_difference,
 )
-from termwise import per_d_min_abs, window_weight
+from termwise import per_d_min_abs, weight, window_weight
 
 PM1 = Params(1, 1, 2)
 
@@ -288,6 +288,70 @@ def test_ap_scan_difference_one_hit_builds_no_chain(monkeypatch):
         report = ap_scan(SignSeq(params, n, bits), k)
         assert report.witness == (n // 2, d)
         assert widths == [k.bit_length() + 1] + [(n // 2).bit_length()] * (d - 1)
+
+
+@pytest.mark.parametrize(
+    "params", [Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5), Params(3, 4, 7), Params(1, 4, 5)]
+)
+def test_counts_producer_contract(params, monkeypatch):
+    """The kernel's producer, driven as ``_scan`` drives it, at k = 5 and
+    n = 200 (maxD = 48), where the chain widths W(o) switch within one
+    scan: the o = 1 chain's fields are wider than the d = 1 pass's, and
+    later chains narrow them again.  Differences come out as 1, then each
+    odd o's chain from its largest o*2**i <= maxD down to max(o, 2); every
+    live field (p < n - (k-1)d) holds the -r count of the AP at (p, d),
+    summed term by term, under its set guard bit.  Once a difference is
+    sent, after any difference read, no difference from it up comes out,
+    and no chain whose least difference reaches it is built: the field
+    widths spread are those of the chains below it."""
+    k, n = 5, 200
+    max_d, w1 = max_difference(n, k), k.bit_length() + 1
+    chains = [
+        (o, [o << i for i in range(max_d.bit_length(), -1, -1) if max(o, 2) <= o << i <= max_d])
+        for o in range(1, max_d + 1, 2)
+    ]
+    order = [1] + [d for _, ds in chains for d in ds]
+
+    def chain_width(o: int) -> int:
+        return max((-(-n // max(o, 2))).bit_length(), w1)
+
+    def spread_widths(after: int, w: int, end: int) -> list[int]:
+        """The new widths of the chains past odd part ``after``, from width w,
+        whose least difference lies below ``end``."""
+        out = []
+        for o, _ in chains:
+            if o > after and max(o, 2) < end and chain_width(o) != w:
+                w = chain_width(o)
+                out.append(w)
+        return out
+
+    widths = []
+    fields = scanners._fields
+    monkeypatch.setattr(scanners, "_fields", lambda b, n, w: widths.append(w) or fields(b, n, w))
+    rng = random.Random(params.modulus)
+    negs = rng.getrandbits(n)
+    for bits in (((1 << n) - 1) ^ negs, 0, (1 << n) - 1):
+        seq = SignSeq(params, n, bits)
+        widths.clear()
+        produced = list(scanners._counts(((1 << n) - 1) ^ bits, n, k, max_d + 1))
+        assert [d for d, *_ in produced] == order
+        assert widths == [w1] + spread_widths(-1, w1, max_d + 1)
+        assert chain_width(1) > w1 and len(set(widths)) >= 3
+        for d, w, units, guards, counts in produced:
+            assert units == sum(1 << p * w for p in range(n)) and guards == units << w - 1
+            for p in range(n - (k - 1) * d):
+                ap_weight = weight(seq, range(p, p + k * d, d))
+                count = (params.s * k - ap_weight) // params.modulus
+                assert counts >> p * w & (1 << w) - 1 == 1 << w - 1 | count, (d, p)
+    for i, d in enumerate(order):
+        for end in {d, rng.randint(1, d)}:
+            produced = scanners._counts(negs, n, k, max_d + 1)
+            w = [next(produced) for _ in range(i + 1)][-1][1]
+            widths.clear()
+            rest = [item[0] for item in iter(lambda: produced.send(end), None)]
+            assert rest == [x for x in order[i + 1:] if x < end], (d, end)
+            odd = -1 if i == 0 else d >> (d & -d).bit_length() - 1
+            assert widths == spread_widths(odd, w, end), (d, end)
 
 
 def _reference_block_scan(seq: SignSeq, k: int, t: int | None = None) -> ScanReport:
