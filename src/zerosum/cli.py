@@ -2,8 +2,8 @@
 
 Exit codes are uniform across commands: 0 when a value was computed or a
 claim verified, 1 when a witness or counterexample was found (or a shift
-search failed), 2 on usage, input, or budget errors.  All positions in
-output are 0-based.
+search failed), 2 on usage, input, budget or out-of-memory errors.  All
+positions in output are 0-based.
 
 Each command declares one option table and returns its outcome, ``(lines, code)`` plus
 ``(params, result)`` with --json, printing nothing on stdout.  ``main`` alone parses against
@@ -202,6 +202,9 @@ def main(argv: list[str] | None = None, prog: str | None = None) -> int:
         return EXIT_WITNESS
     except _EXIT_2_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
     except KeyboardInterrupt:
         print("\nAborted!", file=sys.stderr)

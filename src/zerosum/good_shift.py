@@ -86,11 +86,9 @@ def is_good_shift(params: Params, alpha: int) -> GoodShift:
     matters to the constructions that consume the shift.  alpha = 0 is
     never good: S_0 = {0} and every prime divides 0.
     """
-    if alpha < 0:
-        raise ParameterError(f"alpha must be nonnegative, got {alpha}")
+    s_alpha = weight_range(alpha, params)
     a = params.k + alpha
     factors = prime_factors(a)
-    s_alpha = weight_range(alpha, params)
     blocking = None
     for p in factors:
         w = divisible_weight(p, params, alpha)

@@ -67,15 +67,101 @@ def test_golden_output(runner, tmp_path, case):
         (tmp_path / name).write_text(text)
     args = [arg.replace("{tmp}", str(tmp_path)) for arg in case["args"]]
     result = runner.invoke(args, env=case["env"])
-
-    def mask(text):
-        return _ELAPSED.sub('"elapsedMillis": 0', text.replace(str(tmp_path), "{tmp}"))
-
-    assert (result.exit_code, mask(result.stdout), mask(result.stderr)) == (
+    assert (result.exit_code, _mask(result.stdout, tmp_path), _mask(result.stderr, tmp_path)) == (
         case["exit"], case["stdout"], case["stderr"]
     )
     for name, text in case["written"].items():
         assert (tmp_path / name).read_text() == text
+
+
+def _mask(text, tmp_path):
+    return _ELAPSED.sub('"elapsedMillis": 0', text.replace(str(tmp_path), "{tmp}"))
+
+
+_AP_MOD_K1_540 = ["--kind", "ap-mod-k1", "--k", "540"]
+_VERIFY_AP_540 = ["verify", "--mode", "ap", "--k", "540", "--in"]
+_NO_AP_540 = "no witness: minAbsWeight=2 over 2150329 windows (positions 0-based)\n"
+_PM1_300 = ["--kind", "block-extremal", "--r", "1", "--s", "1", "--k", "300"]
+
+
+@pytest.mark.parametrize("build, space, then, code, stdout", [
+    pytest.param(["--kind", "ap-mod-k1", "--k", "300"], None,
+                 ["verify", "--mode", "ap", "--k", "300", "--in"], 0,
+                 "no witness: minAbsWeight=2 over 363629 windows (positions 0-based)\n",
+                 id="ap-mod-k1-300"),
+    pytest.param(_AP_MOD_K1_540, None, _VERIFY_AP_540, 0, _NO_AP_540, id="ap-mod-k1-540"),
+    pytest.param(_AP_MOD_K1_540, None, ["verify", "--mode", "ap", "--k", "540", "--json", "--in"], 0,
+                 '{\n  "command": "verify",\n  "params": {\n    "mode": "ap",\n    "k": 540,\n'
+                 '    "t": null,\n    "in": "{tmp}/s.txt"\n  },\n  "result": {\n    "mode": "ap",\n'
+                 '    "k": 540,\n    "found": false,\n    "witness": null,\n    "minAbsWeight": 2,\n'
+                 '    "scannedCount": 2150329\n  },\n  "toolVersion": "0.1.0",\n'
+                 '  "elapsedMillis": 0,\n  "indexing": "0-based"\n}\n',
+                 id="ap-mod-k1-540-json"),
+    pytest.param(_AP_MOD_K1_540, "\n", _VERIFY_AP_540, 0,
+                 _NO_AP_540, id="ap-mod-k1-540-one-token-per-line"),
+    pytest.param(_AP_MOD_K1_540, "  ", _VERIFY_AP_540, 0,
+                 _NO_AP_540, id="ap-mod-k1-540-doubled-spaces"),
+    pytest.param(["--kind", "block-extremal-neg", "--r", "2", "--s", "1", "--k", "6"], None,
+                 ["verify", "--mode", "block", "--k", "6", "--in"], 0,
+                 "no witness: minAbsWeight=3 over 4 windows (positions 0-based)\n",
+                 id="block-extremal-neg-2-1-6"),
+    pytest.param(["--kind", "block-extremal", "--r", "1", "--s", "2", "--k", "300"], None,
+                 ["verify", "--mode", "block", "--k", "300", "--in"], 0,
+                 "no witness: minAbsWeight=3 over 19699 windows (positions 0-based)\n",
+                 id="block-extremal-1-2-300"),
+    pytest.param(["--kind", "block-extremal", "--r", "3", "--s", "130", "--k", "266"], None,
+                 ["verify", "--mode", "block", "--k", "266", "--in"], 0,
+                 "no witness: minAbsWeight=133 over 666 windows (positions 0-based)\n",
+                 id="block-extremal-3-130-266"),
+    pytest.param(_PM1_300, None, ["verify", "--mode", "smallsum", "--k", "300", "--t", "0", "--in"], 0,
+                 "no witness: minAbsWeight=2 over 22051 windows (positions 0-based)\n",
+                 id="block-extremal-1-1-300-smallsum-t0"),
+    pytest.param(_PM1_300, None, ["verify", "--mode", "smallsum", "--k", "300", "--t", "2", "--in"], 1,
+                 "witness found: start=0 difference=1 (positions 0-based, scanned 1)\n",
+                 id="block-extremal-1-1-300-smallsum-t2"),
+    pytest.param(["--kind", "ap-two-p", "--p", "13"], None,
+                 ["construct", "--kind", "block-extremal", "--r", "1", "--s", "1", "--k", "26", "--out"], 0,
+                 "n=168 every 26-window has weight exactly 2; no zero-sum 26-block (positions 0-based)\n",
+                 id="ap-two-p-13-is-block-extremal-1-1-26"),
+    pytest.param(["--kind", "ap-mod-k1", "--k", "20"], None,
+                 ["construct", "--kind", "ap-good-shift", "--r", "1", "--s", "1", "--k", "20",
+                  "--alpha", "1", "--out"], 0,
+                 "n=72 no zero-sum 20-term arithmetic subsequence (period 21, per-period weight 3, "
+                 "good shift alpha = 1) (positions 0-based)\n",
+                 id="ap-mod-k1-20-is-ap-good-shift-alpha-1"),
+])
+def test_construct_then(runner, tmp_path, build, space, then, code, stdout):
+    """A construction written to one file, each space of its body optionally rewritten as
+    ``space``, then one more command on that file: its exit code and stdout exactly, no
+    stderr, and the file as it was given (a second construct must write it byte for byte).
+
+    The AP scan reads d = 1 by doubling and every d >= 2 off one chain per odd part of d.
+    At k = 300 it counts in 10-bit fields (9 bits for k, 1 guard bit); ap-mod-k1 pins the
+    least |weight| and the window count of two heavy verifies (363629 windows at k = 300,
+    2150329 at k = 540, every one weighing at least 2), and the k = 540 --json result holds
+    exactly the six scan keys: one running minimum, no per-difference map. k = 540 (48416
+    letters) verifies as written and one token a line, both canonical text once the lines
+    are joined; with doubled spaces it is not canonical and reads every token through int().
+    The block and small-sum scans run the same kernel, at k = 300 also in 10-bit fields.
+    Every 300-window of the (1,2,300) block extremal weighs exactly r + s = 3, so the least
+    |weight| search must come down from (r + s)k = 900 to 3 over 19699 windows; (3,130,266)
+    sends 3-digit tokens and a 10-bit spread through the codec and the scan. Every
+    300-window of the (1,1,300) block extremal weighs exactly 2, so t = 0 finds nothing and
+    t = 2 exits 1 with the window at start 0. block-extremal-neg at (2,1,6) is the
+    negated extremal, read back by the block scan. ap-two-p is block-extremal at (1,1,2p)
+    and ap-mod-k1 is ap-good-shift at (1,1,k) with alpha = 1: each pair writes one file.
+    """
+    path = tmp_path / "s.txt"
+    built = runner.invoke(["construct", *build, "--out", str(path)])
+    assert (built.exit_code, built.stderr) == (0, "")
+    given = path.read_text()
+    if space:
+        head, body = given.split("\n", 1)
+        given = f"{head}\n{body.replace(' ', space)}"
+        path.write_text(given)
+    result = runner.invoke([*then, str(path)])
+    assert (result.exit_code, _mask(result.stdout, tmp_path), result.stderr) == (code, stdout, "")
+    assert path.read_text() == given
 
 
 class TestSequenceFile:
@@ -649,6 +735,17 @@ class TestStreams:
         monkeypatch.setattr("zerosum.formulas.pm1_block_threshold", interrupted)
         result = runner.invoke(["bound", "--r", "1", "--s", "1", "--k", "6"])
         assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
+
+    def test_out_of_memory_is_one_line_exit_2(self, runner, monkeypatch, tmp_path):
+        """A construction too large for memory, such as block-extremal at k = 10^6, exits 2
+        with one line, not a traceback; the stand-in builder allocates nothing."""
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("zerosum.constructions.build_block_extremal", exhausted)
+        result = runner.invoke(["construct", "--kind", "block-extremal", "--r", "1", "--s", "1",
+                                "--k", "1000000", "--out", str(tmp_path / "x.txt")])
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", "error: out of memory\n")
 
     def test_no_command_prints_help_on_stderr_and_exits_2(self, runner):
         result = runner.invoke([])
