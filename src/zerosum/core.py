@@ -181,28 +181,25 @@ def _letter_bytes(r: int, s: int) -> dict[tuple[int, ...], int]:
     return {letters: b for b, letters in enumerate(_letter_table(r, s))}
 
 
-def _columns(entries: Iterable[bytes]) -> tuple[bytes | None, ...]:
+def _columns(entries: Iterable[bytes]) -> tuple[bytes, ...]:
     """The byte columns of 256 entries of one width: column u maps byte b
-    to byte u of entry b, a ``bytes.translate`` table, or None when it maps
-    every byte to 0."""
-    columns = map(bytes, zip(*entries))
-    return tuple(column if column.count(0) < 256 else None for column in columns)
+    to byte u of entry b, a ``bytes.translate`` table."""
+    return tuple(map(bytes, zip(*entries)))
 
 
-def _expand(octets: bytes, columns: tuple[bytes | None, ...]) -> bytearray:
+def _expand(octets: bytes, columns: tuple[bytes, ...]) -> bytearray:
     """Each octet replaced by its entry in the table of ``columns``, the
-    entries joined: one ``translate`` and one strided store per nonzero
-    column fill byte u of every entry at C speed."""
+    entries joined: one ``translate`` and one strided store per column
+    fill byte u of every entry at C speed."""
     width = len(columns)
     out = bytearray(width * len(octets))
     for u, column in enumerate(columns):
-        if column is not None:
-            out[u::width] = octets.translate(column)
+        out[u::width] = octets.translate(column)
     return out
 
 
 @cache
-def _packed_table(r: int, s: int) -> tuple[tuple[bytes | None, ...], str] | None:
+def _packed_table(r: int, s: int) -> tuple[tuple[bytes, ...], str] | None:
     """Byte b as its 8 letters packed as machine ints, bit 0 first, held as
     the table's byte columns for ``_expand``, and the ``memoryview`` format
     that reads them; None unless both letters lie in -5..256, the ints

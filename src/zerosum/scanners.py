@@ -3,39 +3,37 @@ and small-sum blocks, plus the interpolation-property checker.
 
 A k-block is a k-term AP of difference 1, so all three scanners run one
 bit-parallel kernel, the block and small-sum scans as its d = 1 pass.  Its
-producer, _counts, makes the -r flags one int of W-bit fields whose top
-bits are guards no count reaches, and shift-adds put the -r count of every
-k-term AP of one difference in the field of its start: d = 1 by binary
-doubling, about 2 log2 k shift-adds, and every d >= 2 off one chain per
-odd part o of d, through the class-suffix counts Q_d = Q_2d + (Q_2d >>
-d*W), whose k-term counts are Q_d - (Q_d >> k*d*W), in fields of W(o) =
-max(bit_length(ceil(n/l)), k.bit_length() + 1) bits, l = max(o, 2) the
-chain's least difference: some (log2 k)/2 + 2 shift-adds per difference.
-Its reader, _scan, takes those ints in that order, and range tests on the
-guard bits read the verdict (a count whose |weight| is within the
-tolerance t, 0 but for small-sum scans) and the least |weight|, one
-running minimum over the differences read; a hit's difference goes back
-to the producer, which then builds no larger one.  So a scan costs
-O(log k) big-int operations of n*W bits per difference read, up to d = 1
+producer, _counts, keeps the -r counts of the k-term APs of one difference
+in at most B = k.bit_length() bit planes of n bits, bit p of plane b bit b
+of the count at start p, and a shift-add on every count at once is a
+ripple-carry add over the planes: d = 1 by binary doubling, about 2 log2 k
+adds, and every d >= 2 off one chain per odd part o of d, through the
+class-suffix counts Q_d = Q_2d + (Q_2d >> d) kept mod 2**B, whose k-term
+counts Q_d - (Q_d >> k*d) are exact as 2**B > k: some (log2 k)/2 + 2 adds
+per difference.  Its reader, _scan, compares every count of a difference
+with a constant at once, most significant plane first, to read the
+verdict (a count whose |weight| is within the tolerance t, 0 but for
+small-sum scans) and the least |weight|, one running minimum; a hit's
+difference goes back to the producer, which then builds no larger one.
+So a scan costs O(log k) adds of at most B planes, each some five bitwise
+operations and a shift of n-bit ints, per difference read, up to d = 1
 for blocks and d = maxD = floor((n-1)/(k-1)) for APs, and makes no
 per-start Python object.  Witness order is deterministic: blocks by
 lowest start, APs by lowest difference then lowest start.  A naive rescan
-is kept alongside as the AP scanner's correctness oracle; the
-interpolation checker reads the window weights off the prefix sums, an
-engine the scanners do not use, and differences neighbouring windows only
-when their weights span more than r + s.
+is the AP scanner's correctness oracle; the interpolation checker reads
+the window weights off the prefix sums, an engine the scanners do not
+use, and neighbouring windows' steps only when the weights span more
+than r + s.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
-from itertools import islice
+from itertools import islice, tee
 from operator import sub
 
 from .core import (
-    MODE_AP, MODE_BLOCK, MODE_SMALLSUM, ParameterError, Report, SignSeq, _columns, _expand,
-    require_tolerance,
+    MODE_AP, MODE_BLOCK, MODE_SMALLSUM, ParameterError, Report, SignSeq, require_tolerance,
 )
 
 
@@ -70,91 +68,103 @@ def max_difference(n: int, k: int) -> int:
     return (n - 1) // (k - 1) if k > 1 else 1
 
 
-@cache
-def _spread_table(w: int) -> tuple[bytes | None, ...]:
-    """Byte b spread to w-bit fields: bit j of b moved to bit j*w, as the
-    w little-endian bytes that eight fields fill, held as the table's byte
-    columns for ``_expand`` (from w = 9 on, some are all zero)."""
-    spread = [0]
-    for j in range(8):  # the bytes below 2**(j+1): bit j clear, then set
-        spread += [v | 1 << j * w for v in spread]
-    return _columns(v.to_bytes(w, "little") for v in spread)
+def _double(planes: list[int], shift: int, cap: int) -> list[int]:
+    """The planes of planes + (planes >> shift) mod 2**cap: a ripple-carry
+    add that adds a plane only for a nonzero carry out of the top one."""
+    out, carry = [], 0
+    for x in planes:
+        t = x ^ x >> shift
+        out.append(t ^ carry)
+        carry = (x ^ carry) & t ^ x  # the majority of x, x >> shift and carry
+    if carry and len(out) < cap:
+        out.append(carry)
+    return out
 
 
-def _spread(bits: int, n: int, w: int) -> int:
-    """The n bits of ``bits`` (below 2**n) moved to w-bit fields, bit p to
-    bit p*w.
+def _minus(planes: list[int], shift: int, live: int) -> list[int]:
+    """The planes of planes - (planes >> shift) at the starts in ``live``,
+    exact where it lies in [0, 2**len(planes)): the complement added, carry
+    1 in and carry out dropped, trailing zero planes cut."""
+    out, carry = [], live
+    for x in planes:
+        y = x >> shift ^ live
+        x &= live
+        t = x ^ y
+        out.append(t ^ carry)
+        carry = (x ^ carry) & t ^ x
+    while out and not out[-1]:
+        out.pop()
+    return out
 
-    Eight positions fill exactly w bytes, so the bytes of ``bits`` are
-    expanded through the byte columns of a 256-entry table per w: one
-    C-level translate and strided store over n/8 bytes per column."""
-    octets = bits.to_bytes((n + 7) // 8, "little")
-    return int.from_bytes(_expand(octets, _spread_table(w)), "little")
 
-
-def _fields(bits: int, n: int, w: int) -> tuple[int, int, int]:
-    """The n low bits of ``bits`` spread to w-bit fields, an int with 1 in
-    each of the n fields and one with each field's top (guard) bit.  The
-    ones repeat the w bytes of eight fields, then end in the last n % 8."""
-    row = ((1 << 8 * w) - 1) // ((1 << w) - 1)  # 1 in each of eight fields
-    whole, part = (v.to_bytes(w, "little") for v in (row, row & (1 << n % 8 * w) - 1))
-    units = int.from_bytes(whole * (n // 8) + part, "little")
-    return _spread(bits, n, w), units, units << (w - 1)
+def _compare(planes: list[int], live: int, c: int, or_more: bool) -> int:
+    """The starts in ``live`` whose count equals c, or with ``or_more`` is
+    at least c: one walk down the planes, most significant first, ``eq``
+    the starts whose bits so far equal c's and ``gt`` those above it, that
+    stops once ``eq`` is empty or, for ``or_more``, at c's lowest set bit."""
+    eq, gt = 0 if c >> len(planes) else live, 0
+    last = (c & -c).bit_length() - 1 if or_more and c else 0  # the last plane walked
+    for i in range(len(planes) - 1, last - 1, -1):
+        if not eq:
+            break
+        x = eq & planes[i]
+        if c >> i & 1:
+            eq = x
+        else:
+            gt |= x if or_more else 0
+            eq ^= x
+    return gt | eq
 
 
 def _counts(negs: int, n: int, k: int, end: int):
-    """Yield (d, W, units, guards, counts) for each difference d < ``end``
-    in scan order: d = 1, then odd parts o ascending, each chain's
-    differences descending.  Field p of the W-bit fields of ``counts``
-    holds the -r count of the AP at (p, d), its top (guard) bit set;
-    ``units`` holds 1 and ``guards`` the guard bit in each of the n fields.
-    Sending a difference in place of next() lowers ``end`` to it.
+    """Yield (d, planes, live) for each difference d < ``end`` in scan
+    order: d = 1, then odd parts o ascending, each chain's differences
+    descending.  Bit p of ``planes[b]`` is bit b of the -r count of the AP
+    at (p, d), for the starts p < L = n - (k-1)*d of ``live`` = 2**L - 1,
+    and 0 from L up; a difference sent in place of next() lowers ``end``.
 
-    Counts sit in little-endian W-bit fields, field p for start p, with
-    W > k.bit_length(), so every count c <= k lies below the field's top
-    (guard) bit 2**(W-1).  F holds the -r flags ``negs``, field p being 1
-    when position p holds -r.  d = 1 sums k shifted copies, field p of
-    sum_{j<k} F >> (j*W), by binary doubling over the bits of k in at most
-    2 log2(k) shift-adds at W = w = k.bit_length() + 1.
-
-    Each d >= 2 comes off the chain of its odd part o.  Q_D holds in field
-    p the -r count at p, p + D, p + 2D, ... below n, so Q_D = F once D >=
-    n, and Q_D = Q_2D + (Q_2D >> D*W): the even terms from p are Q_2D(p),
-    the odd ones Q_2D(p + D).  The k-term AP at (p, D) counts field p of
-    Q_D - (Q_D >> k*D*W), with no borrow as Q_D(p) >= Q_D(p + kD).  The
-    chain for o starts at the largest o*2**i below n and takes one
-    shift-add a step down to its least difference l, o or 2 for o = 1; its
-    fields hold up to ceil(n/l), so W(o) = max(bit_length(ceil(n/l)), w).
-    Over all odd o <= maxD that is about (log2 k)/2 + 2 shift-adds per
-    difference, against 2 log2(k) to double each one.  Chains stop once
-    their least difference reaches ``end``, as no unread one is smaller: a
-    d = 1 hit builds no chain, but one at a small d >= 2 pays the whole
-    o = 1 chain, about log2(n) shift-adds on its widest fields.
+    The counts are at most B = k.bit_length() bit planes, and a shift-add
+    on all of them is a ripple-carry add over the planes.  The -r flags
+    ``negs`` are the one-plane counts of the one-term APs; d = 1 sums k
+    shifted copies, sum_{j<k} negs >> j, by binary doubling over the bits
+    of k in at most 2 log2(k) adds.  Each d >= 2 comes off the chain of
+    its odd part o.  Q_D counts at p the -r letters at p, p + D, p + 2D,
+    ... below n, so Q_D = negs once D >= n, and Q_D = Q_2D + (Q_2D >> D):
+    the even terms from p are Q_2D(p), the odd ones Q_2D(p + D).  The
+    k-term AP at (p, D) counts Q_D(p) - Q_D(p + kD), in [0, k].  Q_D
+    reaches ceil(n/D), so the chain keeps it mod 2**B, its planes growing
+    one at a time up to B; the k-term counts, mod 2**B too, are exact as
+    2**B > k.  The chain for o starts at the largest o*2**i below n and
+    takes one add a step down to its least difference, o or 2 for o = 1:
+    about (log2 k)/2 + 2 adds per difference over all odd o <= maxD.
+    Chains stop once their least difference reaches ``end``, as no unread
+    one is smaller: a d = 1 hit builds no chain, but one at a small d >= 2
+    pays the whole o = 1 chain, about log2(n) adds.
     """
-    w = k.bit_length() + 1
-    flags, units, guards = _fields(negs, n, w)
-    counts, terms = flags, 1
+    cap = k.bit_length()
+    live = (1 << n - k + 1) - 1
+    counts, terms = [negs], 1
     for bit in bin(k)[3:]:
-        counts += counts >> (terms * w)
+        counts = _double(counts, terms, cap)
         terms *= 2
-        if bit == "1":
-            counts = flags + (counts >> w)
+        if bit == "1":  # negs + (counts >> 1): a carry from negs ripples up
+            counts, carry = [x >> 1 for x in counts], negs
+            for i, x in enumerate(counts):
+                counts[i], carry = x ^ carry, x & carry
+            if carry:
+                counts.append(carry)
             terms += 1
-    end = (yield 1, w, units, guards, counts | guards) or end
+    end = (yield 1, [plane & live for plane in counts], live) or end
     for o in range(1, end, 2):
         low = o + (o == 1)  # the least difference of the chain; d = 1 is done
         if low >= end:
             break
-        width = max((-(-n // low)).bit_length(), k.bit_length() + 1)  # W(o)
-        if width != w:  # one width's ints at a time
-            counts = flags = units = guards = None
-            w = width
-            flags, units, guards = _fields(negs, n, w)
-        counts, d = flags, o << ((n - 1) // o).bit_length() - 1
-        while d >= low:
-            counts += counts >> d * w  # Q_2d to Q_d
+        counts, d = [negs], o << ((n - 1) // o).bit_length() - 1
+        while low <= d and low < end:  # a sent difference can end the chain early
+            counts = _double(counts, d, cap)  # Q_2d to Q_d
             if d < end:
-                end = (yield d, w, units, guards, (counts - (counts >> k * d * w)) | guards) or end
+                live = (1 << n - (k - 1) * d) - 1
+                end = (yield d, _minus(counts, k * d, live), live) or end
             d //= 2
 
 
@@ -170,63 +180,53 @@ def _scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
     b)/(r + s))], a range that may be empty (as at b = 0 when r + s does
     not divide k).
 
-    The verdict is read off the counts without unpacking them.  Every
-    field holds at most k, those from n - (k-1)*d on the counts of APs
-    that run past the end.  Let ``raised`` be the counts with every guard
-    bit set and ``units`` hold 1 in each field: raised - c*units keeps a
-    field's guard bit exactly when its count is at least c, for 0 <= c <=
-    k + 1, and no borrow crosses a field, as every raised field is at
-    least 2**(W-1) > k.  Masked to the guard bits of the first n - (k-1)*d
-    fields, the APs of difference d, two such tests bound a count range,
-    so one monotone question, within(b), flags the APs of |weight| <= b.
-    A difference with no flag at b = max(t, least - 1) neither hits nor
-    lowers the least so far, and is done.  Otherwise a flag at b = t is a
-    hit, the lowest giving its start and its field the hit's own |weight|,
-    the least up to it as every earlier AP misses t.  Else the new least
-    is the least b with a flag, probed at b = t + (r + s)*x for x = 1, 2,
-    4, ... below the old least and then bisected: a step of r + s moves
-    each end of the count range by one.  So the least read is the report's
-    minimum; the multiples c*units are kept, one width's at a time, until
-    it moves.  No per-start Python object is made.  For k = 1 only d = 1
-    is scanned: one-term windows are the same set for every difference.
+    The verdict is read off the count planes by ``_compare``, with no
+    count unpacked: one monotone question, within(b), flags the APs of
+    |weight| <= b as ge(lo) ^ ge(hi), ge(c) the live starts whose count is
+    at least c, each kept for the difference, or by one equality walk when
+    the range holds one count.  A difference with no flag at b = max(t,
+    least - 1) neither hits nor lowers the least so far, and is done.
+    Otherwise a flag at b = t is a hit, the lowest giving its start and
+    that start's bits of the planes the hit's own |weight|, the least up
+    to it as every earlier AP misses t.  Else the new least is the least b
+    with a flag, probed at b = t + (r + s)*x for x = 1, 2, 4, ... below
+    the old least and then bisected: a step of r + s moves each end of the
+    count range by one.  So the least read is the report's minimum.  No
+    per-start Python object is made.  For k = 1 only d = 1 is scanned:
+    one-term windows are the same set for every difference.
     """
     _check_window_length(seq, k)
     n = seq.n
     s, m = seq.params.s, seq.params.modulus
     max_d = max_difference(n, k) if mode == MODE_AP else 1
     least = m * k + 1  # least |weight| read so far
-    witness = sent = kept_width = None
+    witness = sent = None
     produced = _counts(((1 << n) - 1) ^ seq.bits, n, k, max_d + 1)
     # send(None) is next(); after a hit it sends the hit's difference
-    for d, w, units, guards, raised in iter(lambda: produced.send(sent), None):
-        if w != kept_width:
-            kept: dict[int, int] = {}  # c: c * units, until the least moves
-            kept_width = w
-        # c: flags of the fields holding >= c; no field from n - (k-1)*d on
-        at_least = {0: guards >> (k - 1) * d * w, k + 1: 0}
+    for d, planes, live in iter(lambda: produced.send(sent), None):
+        at_least = {0: live, k + 1: 0}  # ge(c): the live starts whose count is >= c
 
         def within(b: int) -> int:
-            """Guard flags of the APs whose count N has |s*k - (r + s)*N|
+            """The live starts of the APs whose count N has |s*k - (r + s)*N|
             <= b, 0 when there are none."""
             lo, hi = max(-((b - s * k) // m), 0), min((s * k + b) // m, k) + 1
             if lo >= hi:
                 return 0
+            if hi == lo + 1:  # one count: no ge, an equality walk
+                return _compare(planes, live, lo, False)
             for c in (lo, hi):
                 if c not in at_least:
-                    times = kept.get(c)
-                    if times is None:
-                        times = kept[c] = c * units
-                    at_least[c] = (raised - times) & at_least[0]
+                    at_least[c] = _compare(planes, live, c, True)
             return at_least[lo] ^ at_least[hi]
 
         if within(max(t, least - 1)):  # within t or below the least so far
             hit = within(t)
             if hit:
-                start = ((hit & -hit).bit_length() - 1) // w
-                least = abs(s * k - m * ((raised >> start * w) & ((1 << (w - 1)) - 1)))
+                start = (hit & -hit).bit_length() - 1
+                count = sum((plane >> start & 1) << i for i, plane in enumerate(planes))
+                least = abs(s * k - m * count)
                 witness, sent = (start, d), d
             else:
-                kept.clear()  # the least moves: the old bound's multiples are spent
                 empty, full, b = t, least - 1, t + m  # within(empty) is 0, within(full) is not
                 while b < full and not within(b):
                     empty, b = b, 2 * b - t
@@ -238,7 +238,6 @@ def _scan(seq: SignSeq, k: int, t: int, mode: str) -> ScanReport:
                     else:
                         empty = mid
                 least = full
-        del raised, at_least  # before the producer builds the next difference
     last = witness[1] if witness else max_d
     return ScanReport(
         mode=mode, k=k, found=witness is not None, witness=witness, min_abs_weight=least,
@@ -319,20 +318,24 @@ def interpolation_check(seq: SignSeq, k: int) -> InterpolationReport:
     the prefix sums, and each fact is decided exactly over the set of
     distinct weights.  Weights that span at most r + s settle (b) at
     once, as no step between them can exceed their span (every periodic
-    input, whose windows all weigh the same, takes this path); a wider
-    span reads the distinct adjacent steps.
+    input, whose windows all weigh the same, takes this path); only a
+    wider span streams the weights again, each beside the next, to read
+    the distinct adjacent steps.  No list of the weights is kept.
     """
     m = seq.params.modulus
     if k % m != 0:
         raise ParameterError(f"(r + s) = {m} must divide k = {k}")
     _check_window_length(seq, k)
     prefix = seq.prefix_weights()
-    weights = list(map(sub, islice(prefix, k, None), prefix))
-    seen = set(weights)
+    seen = set(map(sub, islice(prefix, k, None), prefix))
 
     low, high = min(seen), max(seen)
     sign_ok = not (low < 0 < high) or 0 in seen
-    steps = () if high - low <= m else set(map(sub, islice(weights, 1, None), weights))
+    steps = ()
+    if high - low > m:
+        weights, later = tee(map(sub, islice(prefix, k, None), prefix))
+        next(later)
+        steps = set(map(sub, later, weights))
     step_ok = max(map(abs, steps), default=0) <= m
     residue_ok = not any(map(m.__rmod__, seen))
 
@@ -348,6 +351,6 @@ def interpolation_check(seq: SignSeq, k: int) -> InterpolationReport:
         sign_change_implies_zero=sign_ok,
         adjacent_step_bounded=step_ok,
         residues_vanish=residue_ok,
-        window_count=len(weights),
+        window_count=len(prefix) - k,
         detail=detail,
     )

@@ -136,16 +136,16 @@ def test_construct_then(runner, tmp_path, build, space, then, code, stdout):
     stderr, and the file as it was given (a second construct must write it byte for byte).
 
     The AP scan reads d = 1 by doubling and every d >= 2 off one chain per odd part of d.
-    At k = 300 it counts in 10-bit fields (9 bits for k, 1 guard bit); ap-mod-k1 pins the
+    At k = 300 it counts in 9 bit planes (k < 2**9); ap-mod-k1 pins the
     least |weight| and the window count of two heavy verifies (363629 windows at k = 300,
     2150329 at k = 540, every one weighing at least 2), and the k = 540 --json result holds
     exactly the six scan keys: one running minimum, no per-difference map. k = 540 (48416
     letters) verifies as written and one token a line, both canonical text once the lines
     are joined; with doubled spaces it is not canonical and reads every token through int().
-    The block and small-sum scans run the same kernel, at k = 300 also in 10-bit fields.
+    The block and small-sum scans run the same kernel, at k = 300 also in 9 planes.
     Every 300-window of the (1,2,300) block extremal weighs exactly r + s = 3, so the least
     |weight| search must come down from (r + s)k = 900 to 3 over 19699 windows; (3,130,266)
-    sends 3-digit tokens and a 10-bit spread through the codec and the scan. Every
+    sends 3-digit tokens through the codec and 9 planes through the scan. Every
     300-window of the (1,1,300) block extremal weighs exactly 2, so t = 0 finds nothing and
     t = 2 exits 1 with the window at start 0. block-extremal-neg at (2,1,6) is the
     negated extremal, read back by the block scan. ap-two-p is block-extremal at (1,1,2p)

@@ -23,7 +23,6 @@ from zerosum import (
     weight_range,
 )
 from zerosum.core import _expand, _packed_table
-from zerosum.scanners import _spread_table
 
 from termwise import members, weight, window_weight
 
@@ -199,11 +198,6 @@ def test_codec_matches_reference_across_letter_widths(r, s, packed):
             check_codec_against_reference(params, n, bits)
 
 
-def _spread_entry(b, w):
-    """Bit j of byte b at bit j*w, as w little-endian bytes."""
-    return sum(1 << j * w for j in range(8) if b >> j & 1).to_bytes(w, "little")
-
-
 def _packed_entry(b, r, s, size):
     """The 8 letters byte b selects, bit 0 first, as machine ints of ``size`` bytes."""
     return b"".join(
@@ -212,11 +206,9 @@ def _packed_entry(b, r, s, size):
 
 
 def test_expand_matches_the_per_octet_join():
-    """The column expand against one table lookup per octet, joined: every
-    spread width 1..24 (under 8 columns, and from 9 on all-zero columns)
-    and the packed letter tables in one byte and in two."""
-    tables = [(f"spread w={w}", _spread_table(w), [_spread_entry(b, w) for b in range(256)])
-              for w in range(1, 25)]
+    """The column expand against one table lookup per octet, joined: the
+    packed letter tables in one byte and in two."""
+    tables = []
     for r, s, size in ((1, 1, 1), (5, 127, 1), (5, 128, 2), (1, 256, 2)):
         columns, fmt = _packed_table(r, s)
         assert fmt == {1: "b", 2: "h"}[size]

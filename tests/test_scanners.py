@@ -29,7 +29,6 @@ from zerosum.scanners import (
     MODE_BLOCK,
     MODE_SMALLSUM,
     InterpolationReport,
-    _spread,
     max_difference,
 )
 from termwise import per_d_min_abs, weight, window_weight
@@ -140,11 +139,10 @@ def test_ap_scan_matches_naive_rescan():
     "k,params", [(255, Params(2, 3, 255)), (256, Params(1, 1, 256)), (257, Params(1, 1, 257))]
 )
 def test_ap_scan_count_field_width_edges(k, params):
-    """Around k = 2**8, where the AP scan's count fields widen from 9 to
-    10 bits: random and sparse sequences, sparse ones with a zero-sum AP
-    planted at difference 2 or 3 (when (r + s) | k), and the all-(-r)
-    sequence, whose every AP count is k, the largest count a field holds
-    below its guard bit."""
+    """Around k = 2**8, where the AP scan's count planes grow from 8 to 9:
+    random and sparse sequences, sparse ones with a zero-sum AP planted at
+    difference 2 or 3 (when (r + s) | k), and the all-(-r) sequence, whose
+    every AP count is k, the largest count its planes hold."""
     rng = random.Random(k)
     cases = [SignSeq(params, n, 0) for n in (k, 2 * k + 1)]
     for _ in range(3):
@@ -181,28 +179,14 @@ def _ap_scan_cases(rng: random.Random, params: Params, k: int, n_max: int) -> li
 
 @pytest.mark.parametrize("k", sorted({2**j + e for j in range(1, 9) for e in (-1, 0, 1)}))
 def test_ap_scan_guard_width_edges(k):
-    """At k = 2**j - 1, 2**j and 2**j + 1 the AP scan's count fields
-    (k.bit_length() + 1 bits, the top one a guard) change width: full
-    reports match the term-by-term scan."""
+    """At k = 2**j - 1, 2**j and 2**j + 1 the AP scan's count planes
+    (k.bit_length() of them) grow by one: full reports match the
+    term-by-term scan."""
     rng = random.Random(k)
     n_max = 2 * k + 10 if k > 64 else 6 * k + 10
     for params in (Params(1, 1, 2), Params(1, 2, 3), Params(2, 3, 5), Params(1, 4, 5)):
         for seq in _ap_scan_cases(rng, params, k, n_max):
             _assert_ap_scan_matches_naive(seq, k)
-
-
-def test_spread_moves_bit_p_to_field_p():
-    """The scan kernel's flag int, expanded a column at a time from a table
-    per field width, against a bit-by-bit build, at lengths around byte
-    boundaries and around 4096 (the run length of an earlier string-based
-    build).  Widths below 8 have fewer than 8 columns; from 9 on some
-    columns are all zero (every other one at 16 and 24)."""
-    rng = random.Random(8191)
-    for n in (0, 1, 7, 8, 9, 15, 16, 17, 4095, 4096, 4097, 8197):
-        for w in (1, 2, 3, 4, 7, 8, 9, 11, 16, 17, 24):
-            bits = rng.getrandbits(n) if n else 0
-            expected = sum(1 << p * w for p in range(n) if bits >> p & 1)
-            assert _spread(bits, n, w) == expected, (n, w)
 
 
 @pytest.mark.parametrize("r,s", [(1, 4), (4, 1), (1, 6), (5, 2)])
@@ -246,12 +230,11 @@ def test_ap_scan_chains_match_naive(params):
 
 
 def test_ap_scan_chain_field_width_boundaries():
-    """A chain's fields hold up to ceil(n/l), l = max(o, 2) its least
-    difference, so they are W(o) = max(bit_length(ceil(n/l)),
-    k.bit_length() + 1) bits wide.  At n = o * 2**j that bound is a power
-    of two and fills its field's top bit; the all -r sequence reaches it
-    in field 0 of Q_l.  Around each such n, for o = 1, 3, 5 and k small
-    enough that W(o) exceeds the d = 1 width."""
+    """A chain's class-suffix counts reach ceil(n/l), l = max(o, 2) its
+    least difference, and are kept mod 2**B, B = k.bit_length().  At n =
+    o * 2**j that bound is a power of two; the all -r sequence reaches it
+    at start 0 of Q_l.  Around each such n, for o = 1, 3, 5 and k small
+    enough that ceil(n/l) passes 2**B, so the counts wrap."""
     rng = random.Random(4099)
     for k in (2, 3, 4, 6):
         for o in (1, 3, 5):
@@ -264,19 +247,36 @@ def test_ap_scan_chain_field_width_boundaries():
                             _assert_ap_scan_matches_naive(SignSeq(params, n, bits), k)
 
 
+def _chain_steps(n: int, o: int) -> list[int]:
+    """The differences the chain of odd part o adds at, from its largest
+    o*2**i below n down to its least difference max(o, 2)."""
+    return [o << i for i in range((n - 1).bit_length(), -1, -1) if max(o, 2) <= o << i < n]
+
+
+def _recorded_steps(monkeypatch) -> list[int]:
+    """The shifts of every plane add the producer makes from now on; each
+    add must keep at most its cap of planes, the counts mod 2**cap."""
+    shifts = []
+    double = scanners._double
+
+    def recorded(planes: list[int], shift: int, cap: int) -> list[int]:
+        shifts.append(shift)
+        out = double(planes, shift, cap)
+        assert len(out) <= cap
+        return out
+
+    monkeypatch.setattr(scanners, "_double", recorded)
+    return shifts
+
+
 def test_ap_scan_difference_one_hit_builds_no_chain(monkeypatch):
-    """A zero-sum block ends an AP scan after its d = 1 pass, with one flag
-    spread and no chain; a first hit at d = 2 needs the o = 1 chain, whose
-    fields are wider here, and so a second spread."""
-    widths = []
-    spread = scanners._spread
-
-    def counted(bits: int, n: int, w: int) -> int:
-        widths.append(w)
-        return spread(bits, n, w)
-
-    monkeypatch.setattr(scanners, "_spread", counted)
+    """A zero-sum block ends an AP scan after its d = 1 pass, with no plane
+    add past that pass's doubling; a first hit at d = 2 adds along the
+    o = 1 chain alone, from its top down to d = 2."""
     params, k, n = Params(1, 1, 2), 10, 4000
+    shifts = _recorded_steps(monkeypatch)
+    list(scanners._counts(0, n, k, 2))  # the d = 1 pass alone
+    doubling = shifts.copy()
     for d in (1, 2):
         # +1 but for the odd terms of the AP at (n/2, d): it is zero-sum,
         # no earlier AP of difference d holds all five -1s, and no block
@@ -284,10 +284,15 @@ def test_ap_scan_difference_one_hit_builds_no_chain(monkeypatch):
         bits = (1 << n) - 1
         for j in range(1, k, 2):
             bits ^= 1 << (n // 2 + j * d)
-        widths.clear()
+        shifts.clear()
         report = ap_scan(SignSeq(params, n, bits), k)
         assert report.witness == (n // 2, d)
-        assert widths == [k.bit_length() + 1] + [(n // 2).bit_length()] * (d - 1)
+        assert shifts == doubling + (_chain_steps(n, 1) if d == 2 else [])
+
+
+def _decoded(planes: list[int], p: int) -> int:
+    """The count at start p, read off its bit in every plane."""
+    return sum((plane >> p & 1) << b for b, plane in enumerate(planes))
 
 
 @pytest.mark.parametrize(
@@ -295,63 +300,82 @@ def test_ap_scan_difference_one_hit_builds_no_chain(monkeypatch):
 )
 def test_counts_producer_contract(params, monkeypatch):
     """The kernel's producer, driven as ``_scan`` drives it, at k = 5 and
-    n = 200 (maxD = 48), where the chain widths W(o) switch within one
-    scan: the o = 1 chain's fields are wider than the d = 1 pass's, and
-    later chains narrow them again.  Differences come out as 1, then each
-    odd o's chain from its largest o*2**i <= maxD down to max(o, 2); every
-    live field (p < n - (k-1)d) holds the -r count of the AP at (p, d),
-    summed term by term, under its set guard bit.  Once a difference is
-    sent, after any difference read, no difference from it up comes out,
-    and no chain whose least difference reaches it is built: the field
-    widths spread are those of the chains below it."""
+    n = 200 (maxD = 48), where the chains' class-suffix counts reach 100,
+    far past the 2**3 that k's B = 3 planes hold.  Differences come out as
+    1, then each odd o's chain from its largest o*2**i <= maxD down to
+    max(o, 2); every live start (p < n - (k-1)d) holds in its bits of the
+    at most B planes the -r count of the AP at (p, d), summed term by term,
+    and no plane has a bit from n - (k-1)d up.  Once a difference is sent,
+    after any difference read, no difference from it up comes out, and no
+    chain whose least difference reaches it is built: the plane adds made
+    after the send are those of the chains below it, the current one's
+    steps that are left included."""
     k, n = 5, 200
-    max_d, w1 = max_difference(n, k), k.bit_length() + 1
-    chains = [
-        (o, [o << i for i in range(max_d.bit_length(), -1, -1) if max(o, 2) <= o << i <= max_d])
-        for o in range(1, max_d + 1, 2)
-    ]
-    order = [1] + [d for _, ds in chains for d in ds]
+    max_d, cap = max_difference(n, k), k.bit_length()
+    chains = [(o, _chain_steps(n, o)) for o in range(1, max_d + 1, 2)]
+    order = [1] + [d for _, steps in chains for d in steps if d <= max_d]
+    shifts = _recorded_steps(monkeypatch)
 
-    def chain_width(o: int) -> int:
-        return max((-(-n // max(o, 2))).bit_length(), w1)
+    def steps_after(o: int, d: int, end: int) -> list[int]:
+        """The chain steps below difference d of chain o, then those of
+        every later chain, of the chains whose least difference is below
+        ``end``."""
+        return [x for p, steps in chains if p >= o and max(p, 2) < end
+                for x in steps if p > o or x < d]
 
-    def spread_widths(after: int, w: int, end: int) -> list[int]:
-        """The new widths of the chains past odd part ``after``, from width w,
-        whose least difference lies below ``end``."""
-        out = []
-        for o, _ in chains:
-            if o > after and max(o, 2) < end and chain_width(o) != w:
-                w = chain_width(o)
-                out.append(w)
-        return out
-
-    widths = []
-    fields = scanners._fields
-    monkeypatch.setattr(scanners, "_fields", lambda b, n, w: widths.append(w) or fields(b, n, w))
     rng = random.Random(params.modulus)
     negs = rng.getrandbits(n)
     for bits in (((1 << n) - 1) ^ negs, 0, (1 << n) - 1):
         seq = SignSeq(params, n, bits)
-        widths.clear()
         produced = list(scanners._counts(((1 << n) - 1) ^ bits, n, k, max_d + 1))
         assert [d for d, *_ in produced] == order
-        assert widths == [w1] + spread_widths(-1, w1, max_d + 1)
-        assert chain_width(1) > w1 and len(set(widths)) >= 3
-        for d, w, units, guards, counts in produced:
-            assert units == sum(1 << p * w for p in range(n)) and guards == units << w - 1
-            for p in range(n - (k - 1) * d):
+        for d, planes, live in produced:
+            starts = n - (k - 1) * d
+            assert live == (1 << starts) - 1 and len(planes) <= cap
+            assert not any(plane >> starts for plane in planes), d
+            for p in range(starts):
                 ap_weight = weight(seq, range(p, p + k * d, d))
                 count = (params.s * k - ap_weight) // params.modulus
-                assert counts >> p * w & (1 << w) - 1 == 1 << w - 1 | count, (d, p)
+                assert _decoded(planes, p) == count, (d, p)
     for i, d in enumerate(order):
         for end in {d, rng.randint(1, d)}:
             produced = scanners._counts(negs, n, k, max_d + 1)
-            w = [next(produced) for _ in range(i + 1)][-1][1]
-            widths.clear()
+            for _ in range(i + 1):
+                next(produced)
+            shifts.clear()
             rest = [item[0] for item in iter(lambda: produced.send(end), None)]
             assert rest == [x for x in order[i + 1:] if x < end], (d, end)
-            odd = -1 if i == 0 else d >> (d & -d).bit_length() - 1
-            assert widths == spread_widths(odd, w, end), (d, end)
+            o = 0 if i == 0 else d >> (d & -d).bit_length() - 1
+            assert shifts == steps_after(o, d, end), (d, end)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32])
+def test_chain_counts_kept_mod_two_to_the_b(k):
+    """The chains keep their class-suffix counts mod 2**B, B =
+    k.bit_length(), and read the k-term counts off them exactly.  On
+    sequences long enough that ceil(n/l), l = 2 the least difference of
+    the o = 1 chain, is many times 2**B: the all -r and the all +s
+    sequence, alone and with a zero-sum AP planted at d = 1, 2, 3 and at
+    d = 7, in an alphabet whose r + s divides k (none for k = 1).
+    AP reports match the naive rescan, block reports the reference loop,
+    and for (1, 1) small-sum reports at every tolerance of k's parity."""
+    rng = random.Random(k)
+    alphabet = {1: (1, 1), 3: (1, 2), 7: (3, 4), 15: (7, 8), 31: (15, 16)}.get(k, (1, 1))
+    params = Params(*alphabet, k)
+    n = 16 * (1 << k.bit_length()) + 3 * k
+    assert -(-n // 2) >= 8 * (1 << k.bit_length()) and (k - 1) * 7 < n
+    for background in (0, (1 << n) - 1):
+        seqs = [SignSeq(params, n, background)]
+        if k > 1:
+            seqs += [_plant_ap(rng, params, n, background, k, d) for d in (1, 2, 3, 7)]
+        for seq in seqs:
+            _assert_ap_scan_matches_naive(seq, k)
+            assert block_scan(seq, k) == _reference_block_scan(seq, k)
+            if alphabet == (1, 1):
+                for t in range(k % 2, k, 2):
+                    assert smallsum_block_scan(seq, k, t) == _reference_block_scan(seq, k, t)
+        for seq, d in zip(seqs[1:], (1, 2, 3, 7)):
+            assert ap_scan(seq, k).witness[1] <= d
 
 
 def _reference_block_scan(seq: SignSeq, k: int, t: int | None = None) -> ScanReport:
@@ -412,8 +436,8 @@ def test_block_scans_match_reference_loop(k):
 
 @pytest.mark.parametrize("k", sorted({2**j + e for j in range(1, 9) for e in (-1, 0, 1)}))
 def test_block_scans_guard_width_edges(k):
-    """At k = 2**j - 1, 2**j and 2**j + 1, where the count fields of the
-    shared kernel change width, block and small-sum scans give the
+    """At k = 2**j - 1, 2**j and 2**j + 1, where the count planes of the
+    shared kernel grow by one, block and small-sum scans give the
     reference loop's full report: random letters, all +s, all -r, zero-sum
     blocks planted at the first and the last start when (r + s) | k, and
     alphabets whose r + s does not divide k (no zero-sum window at all)."""
